@@ -13,7 +13,7 @@ C_T, delta = 200):
    which backend answers first within the per-solve budget decides each
    window).
 4. **accelerated** — sequential backend plus the cross-window
-   acceleration flags (incumbent reuse, primal-first, persistent cuts)
+   acceleration flags (incumbent reuse, primal-first)
    under the *same* per-solve budget.  The packing bound and the primal
    certificates answer the deep windows the seed run lost to timeouts
    (the seed recorded 17-40 per pass), so timeouts must land strictly
@@ -87,7 +87,6 @@ def run_payload(result, wall):
         "fallbacks": telemetry.fallbacks,
         "incumbent_reuses": telemetry.incumbent_reuses,
         "primal_hits": telemetry.primal_hits,
-        "pooled_cuts": telemetry.pooled_cuts,
         "wall_time_percentiles": telemetry.wall_time_percentiles(),
         "backend_wins": dict(telemetry.backend_wins),
     }
@@ -129,7 +128,6 @@ def test_portfolio_speedup_and_cache():
         time_limit=SOLVE_LIMIT,
         incumbent_reuse=True,
         primal_first=True,
-        persistent_cuts=True,
     )
     accel, accel_wall, _ = run_search(accel_settings)
     assert accel.feasible

@@ -19,10 +19,7 @@ Each family declares
   family's span),
 * which analyzer **conformance** checker certifies it (a checker id
   resolved in :mod:`repro.analysis.conformance`; the tags the checker
-  emits come from the family, keeping one source of truth), and
-* whether its rows are **cover-cuttable** (positive-coefficient binary
-  knapsack rows the cut separator of :mod:`repro.ilp.cuts` may derive
-  cover inequalities from).
+  emits come from the family, keeping one source of truth).
 
 Two scenarios ship:
 
@@ -225,7 +222,6 @@ class ConstraintFamily:
     equation_prefixes: tuple[tuple[str, str], ...] = ()
     window_dependent: bool = False
     conformance: str | None = None
-    cover_cuttable: bool = False
     description: str = ""
 
 
@@ -676,7 +672,6 @@ def _resource_family(family_id: str, tag: str) -> ConstraintFamily:
         paper_eq=(tag,),
         equation_prefixes=(("resource", tag),),
         conformance="resource",
-        cover_cuttable=True,
         description="per-step area capacity",
     )
 

@@ -403,31 +403,6 @@ class ModelTemplate:
         # Zero-copy prefix view without the latency_lb row, for windows
         # whose lower edge is zero (build_model omits the row there).
         self._no_lb = compiled.truncate_ub_rows(self._lb_row)
-        #: Id of the scenario family whose rows cover cuts strengthen
-        #: (the positive-binary knapsack capacity rows); stamped onto
-        #: every cut the executor separates.
-        self.cover_cut_family: str | None = next(
-            (fam.id for fam in scenario.families if fam.cover_cuttable),
-            None,
-        )
-        #: Inequality-row indices of the cover-cuttable capacity rows
-        #: (equation (6) in the paper scenario) — window-independent
-        #: positive-binary knapsack rows that cover cuts may be
-        #: separated from.  Derived from row-group provenance; valid for
-        #: every sibling: cuts and window patches never reorder the
-        #: prefix.
-        self.resource_row_indices: tuple[int, ...] = (
-            tuple(compiled.row_group(self.cover_cut_family).ub_rows())
-            if self.cover_cut_family is not None
-            else ()
-        )
-        # Persistent cover-cut pool (see add_pool_cuts): cuts separated
-        # once on the resource rows are valid for every window, so they
-        # are stored here and re-applied on each instantiation.
-        self._pool_cuts: list = []
-        self._pool_keys: set[tuple[int, ...]] = set()
-        self._pool_version = 0
-        self._ext_cache: tuple[int, CompiledModel, CompiledModel] | None = None
         #: Digest of everything but the window rows; shared verbatim by
         #: every instantiation, so per-window fingerprints are composed
         #: without hashing (see :func:`repro.solve.fingerprint
@@ -437,69 +412,14 @@ class ModelTemplate:
                 skip_rows=WINDOW_ROW_NAMES
             )
 
-    def add_pool_cuts(self, cuts) -> int:
-        """Add cover cuts to the persistent pool; return how many were new.
-
-        Cuts must be separated from window-independent rows only (the
-        executor passes :attr:`resource_row_indices` to the separator),
-        so each pooled cut is a valid inequality for *every* window of
-        this template.  Duplicates (same cover) are dropped.
-        """
-        added = 0
-        for cut in cuts:
-            key = tuple(cut.cover)
-            if key in self._pool_keys:
-                continue
-            self._pool_keys.add(key)
-            self._pool_cuts.append(cut)
-            added += 1
-        if added:
-            self._pool_version += 1
-        return added
-
-    @property
-    def pooled_cuts(self) -> int:
-        """Number of cover cuts currently in the persistent pool."""
-        return len(self._pool_cuts)
-
-    def _extended(self) -> tuple[CompiledModel, CompiledModel]:
-        """Cut-extended ``(_full, _no_lb)`` pair, cached per pool version.
-
-        Pool rows are appended *after* every existing inequality row, so
-        the window-row indices ``_ub_row`` / ``_lb_row`` remain valid in
-        the extended forms.
-        """
-        if not self._pool_cuts:
-            return self._full, self._no_lb
-        cached = self._ext_cache
-        if cached is not None and cached[0] == self._pool_version:
-            return cached[1], cached[2]
-        rows = [
-            (list(cut.cover), [1.0] * len(cut.cover))
-            for cut in self._pool_cuts
-        ]
-        rhs = [cut.rhs for cut in self._pool_cuts]
-        names = [f"pool_cut[{i}]" for i in range(len(rows))]
-        full_ext = self._full.with_extra_ub_rows(rows, rhs, names)
-        no_lb_ext = self._no_lb.with_extra_ub_rows(rows, rhs, names)
-        self._ext_cache = (self._pool_version, full_ext, no_lb_ext)
-        return full_ext, no_lb_ext
-
     def instantiate(
-        self,
-        d_min: float,
-        d_max: float,
-        include_pool_cuts: bool = False,
+        self, d_min: float, d_max: float
     ) -> TemporalPartitioningModel:
         """Produce the model for one latency window ``[d_min, d_max]``.
 
         Patches only the right-hand sides of the latency rows (9)-(10);
         matrix structure, bounds, objective and the compiled dense/CSR
         view caches are shared across all windows of this template.
-        With ``include_pool_cuts`` the persistent cover cuts are appended
-        as extra inequality rows — they are valid for all integer points,
-        so the instantiation answers exactly the same feasibility
-        question (and may share the cache key of its cut-free sibling).
         """
         if d_max < d_min:
             raise ValueError(f"empty latency window [{d_min}, {d_max}]")
@@ -509,18 +429,13 @@ class ModelTemplate:
         # dumps and debugging reflect the latest instantiation.
         self._model.set_rhs("latency_ub", d_max)
         self._model.set_rhs("latency_lb", d_min)
-        full, no_lb = (
-            self._extended()
-            if include_pool_cuts
-            else (self._full, self._no_lb)
-        )
         if d_min > 0:
-            compiled = full.with_b_ub(
+            compiled = self._full.with_b_ub(
                 # latency_lb is a >= row: stored negated in the <= block.
                 {self._ub_row: d_max, self._lb_row: -d_min}
             )
         else:
-            compiled = no_lb.with_b_ub({self._ub_row: d_max})
+            compiled = self._no_lb.with_b_ub({self._ub_row: d_max})
         return TemporalPartitioningModel(
             model=self._model,
             graph=self.graph,

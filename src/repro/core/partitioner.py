@@ -12,15 +12,12 @@ iterative search behind one call::
     print(outcome.design.summary(partitioner.processor))
 
 :meth:`TemporalPartitioner.solve` on a :class:`PartitionRequest` is the
-one documented entry point.  :meth:`TemporalPartitioner.partition` (the
-original dual bare-graph/request signature) is deprecated and forwards
-here with a :class:`DeprecationWarning`.
+one entry point.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass, field
 
 from repro.arch.processor import ReconfigurableProcessor
@@ -329,26 +326,6 @@ class TemporalPartitioner:
             telemetry=result.telemetry,
             scenario=config.formulation.scenario,
         )
-
-    def partition(
-        self, graph: TaskGraph | PartitionRequest
-    ) -> PartitioningOutcome:
-        """Deprecated: use :meth:`solve` with a :class:`PartitionRequest`.
-
-        The dual bare-graph/request signature predates the request API;
-        ``solve(PartitionRequest(graph=g))`` is the one documented entry
-        point (and the only one the service layer speaks).  This wrapper
-        forwards accordingly and will be removed in a future release.
-        """
-        warnings.warn(
-            "TemporalPartitioner.partition() is deprecated; use "
-            "solve(PartitionRequest(graph=...)) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if isinstance(graph, PartitionRequest):
-            return self.solve(graph)
-        return self.solve(PartitionRequest(graph=graph))
 
     def bounds_for(self, graph: TaskGraph, num_partitions: int) -> tuple[float, float]:
         """(D_max, D_min) for ``num_partitions`` — convenience accessor."""

@@ -89,16 +89,6 @@ class SolverSettings:
         Memoize window verdicts by model fingerprint
         (:mod:`repro.solve.cache`), reusing feasibility certificates and
         emptiness proofs across the run's near-identical ILPs.
-    reuse_templates:
-        Prepare window models incrementally: one
-        :class:`repro.core.formulation.ModelTemplate` per model
-        structure, instantiated per window by patching the two
-        latency-row right-hand sides of the pre-compiled sparse form.
-        Off, every iteration rebuilds (and recompiles, and rehashes) the
-        full ILP from expressions — the pre-template behavior, kept as
-        the baseline of ``benchmarks/test_model_build.py``.  Both paths
-        produce array-identical models, so the search trajectory does
-        not depend on this flag.
     heuristic_fallback:
         When every backend times out, fall back to the greedy
         level-packing heuristics and mark the outcome ``degraded=True``
@@ -117,14 +107,6 @@ class SolverSettings:
         portfolio race.  The paper's procedure only needs feasibility,
         so a primal hit skips the MILP entirely; an LP-infeasible
         relaxation is a proof of window emptiness and also skips it.
-    reuse_basis:
-        Re-use the previous window's optimal root-LP basis as a simplex
-        warm start for RHS-only re-solves (own-engine branch & bound
-        node LPs crash onto it instead of running phase I).
-    persistent_cuts:
-        Store cover cuts separated from the window-independent resource
-        rows (6) on the run's :class:`ModelTemplate` and re-apply them
-        to every instantiation, instead of re-separating from scratch.
     symmetry_breaking:
         Force :attr:`FormulationOptions.symmetry_breaking` on for every
         window model prepared by the executor (lexicographic
@@ -177,12 +159,9 @@ class SolverSettings:
     use_lp_bound: bool = True
     guide_with_objective: bool = True
     enable_cache: bool = True
-    reuse_templates: bool = True
     heuristic_fallback: bool = True
     incumbent_reuse: bool = False
     primal_first: bool = False
-    reuse_basis: bool = False
-    persistent_cuts: bool = False
     symmetry_breaking: bool = False
     cache_path: str | None = None
     analyze: str = "off"
@@ -202,23 +181,23 @@ class SolverSettings:
     ACCELERATION_FLAGS = (
         "incumbent_reuse",
         "primal_first",
-        "reuse_basis",
-        "persistent_cuts",
         "symmetry_breaking",
     )
 
     @classmethod
     def fast(cls, **overrides) -> "SolverSettings":
-        """Lowest wall time: portfolio race + every acceleration on.
+        """Lowest wall time: HiGHS alone with every acceleration on.
 
-        Races the HiGHS and native branch-&-bound backends per window
-        and enables all of :data:`ACCELERATION_FLAGS` (cross-window
-        incumbent carry, primal-first pipeline, basis reuse, persistent
-        cuts, symmetry breaking).  Verdict-equivalent to the defaults;
-        iteration-level traces may differ.
+        Enables all of :data:`ACCELERATION_FLAGS` (cross-window
+        incumbent carry, primal-first pipeline, symmetry breaking) and
+        solves each window with the default ``backend`` alone.  There is
+        no portfolio race: on the layered benchmark (``perfbench/``) the
+        native branch & bound never won a window against HiGHS, and its
+        thread only competed for the same cores.  Pass
+        ``portfolio=("highs", "bnb")`` to race anyway.  Verdict-
+        equivalent to the defaults; iteration-level traces may differ.
         """
-        base: dict = {"portfolio": ("highs", "bnb")}
-        base.update({flag: True for flag in cls.ACCELERATION_FLAGS})
+        base: dict = {flag: True for flag in cls.ACCELERATION_FLAGS}
         base.update(overrides)
         return cls(**base)
 
@@ -231,8 +210,8 @@ class SolverSettings:
         bound tightening, no objective guidance in satisfaction mode,
         no acceleration flags, and no greedy fallback — a budget-
         exhausted solve reads as infeasible, the paper's convention for
-        CPLEX timeouts.  (The solve cache and model templates stay on:
-        both are trajectory-preserving.)
+        CPLEX timeouts.  (The solve cache stays on: it is
+        trajectory-preserving.)
         """
         base: dict = {
             "use_lp_bound": False,

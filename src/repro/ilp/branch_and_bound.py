@@ -50,11 +50,6 @@ class BnbOptions:
     #: is discarded rather than silently repaired, because a wrong
     #: incumbent prunes optimal subtrees.
     warm_start: np.ndarray | None = None
-    #: Optional simplex basis from a previous solve of the same canonical
-    #: structure (see :func:`repro.ilp.simplex.solve_lp`).  Only used
-    #: with ``lp_engine="own"``; node LPs crash onto the most recent
-    #: optimal basis instead of running phase I from scratch.
-    start_basis: np.ndarray | None = None
     #: Cooperative cancellation: polled alongside the wall-clock deadline
     #: before every node, every diving re-solve and every root-cut round.
     #: Used by the portfolio runner to stop a losing race early.
@@ -79,12 +74,6 @@ class BnbResult:
     nodes: int
     best_bound: float = -math.inf
     incumbents: list[float] = field(default_factory=list)
-    #: Optimal basis of the root LP relaxation, when solved by the own
-    #: simplex — reusable as ``BnbOptions.start_basis`` for RHS-only
-    #: re-solves of the same model structure.
-    root_basis: np.ndarray | None = None
-    #: Node LPs that skipped phase I by crashing onto a previous basis.
-    basis_restarts: int = 0
 
 
 @dataclass
@@ -185,13 +174,11 @@ def branch_and_bound(form, options: BnbOptions | None = None) -> BnbResult:
 
     # Basis reuse across node LPs (own engine only): the canonical
     # structure is identical at every node — only bound *values* change —
-    # so each LP can crash onto the previous node's optimal basis.  The
-    # seed basis may come from a previous window's root solve.
-    basis_state: dict[str, object] = {
-        "last": options.start_basis, "root": None, "restarts": 0,
-    }
+    # so each LP can crash onto the previous node's optimal basis.
+    last_basis: np.ndarray | None = None
 
     def solve_node(lb, ub):
+        nonlocal last_basis
         # The budget binds *inside* the node loop too: no LP (including a
         # diving re-solve) starts once it is spent, and scipy LPs inherit
         # whatever wall clock remains so one long relaxation cannot
@@ -201,14 +188,10 @@ def branch_and_bound(form, options: BnbOptions | None = None) -> BnbResult:
         if options.lp_engine == "own":
             result = solve_lp(
                 form.c, form.a_ub, form.b_ub, form.a_eq, form.b_eq, lb, ub,
-                start_basis=basis_state["last"],
+                start_basis=last_basis,
             )
             if result.status is SolveStatus.OPTIMAL:
-                if basis_state["root"] is None:
-                    basis_state["root"] = result.basis
-                basis_state["last"] = result.basis
-                if result.warm:
-                    basis_state["restarts"] += 1
+                last_basis = result.basis
             return result.status, result.x, result.objective
         remaining = None
         if deadline is not None:
@@ -344,17 +327,13 @@ def branch_and_bound(form, options: BnbOptions | None = None) -> BnbResult:
             stack.append(down)
             stack.append(up)
 
-    root_basis = basis_state["root"]
-    restarts = int(basis_state["restarts"])
     if incumbent_x is None:
         if status_on_exit in (SolveStatus.TIME_LIMIT, SolveStatus.NODE_LIMIT):
             return BnbResult(
-                status_on_exit, None, math.nan, nodes_explored, best_bound,
-                root_basis=root_basis, basis_restarts=restarts,
+                status_on_exit, None, math.nan, nodes_explored, best_bound
             )
         return BnbResult(
-            SolveStatus.INFEASIBLE, None, math.nan, nodes_explored, best_bound,
-            root_basis=root_basis, basis_restarts=restarts,
+            SolveStatus.INFEASIBLE, None, math.nan, nodes_explored, best_bound
         )
 
     finished = not stack and status_on_exit is SolveStatus.OPTIMAL
@@ -371,8 +350,6 @@ def branch_and_bound(form, options: BnbOptions | None = None) -> BnbResult:
         nodes_explored,
         best_bound,
         incumbents,
-        root_basis=root_basis,
-        basis_restarts=restarts,
     )
 
 
@@ -399,10 +376,6 @@ def solve_with_bnb(model, **options) -> Solution:
         bnb_options.dive_every = options["dive_every"]
     if "root_cuts" in options:
         bnb_options.root_cuts = int(options["root_cuts"])
-    if options.get("start_basis") is not None:
-        bnb_options.start_basis = np.asarray(
-            options["start_basis"], dtype=np.intp
-        )
     warm_start = options.get("warm_start")
     if warm_start is not None:
         # A name -> value mapping; unknown names are ignored, missing
@@ -422,14 +395,10 @@ def solve_with_bnb(model, **options) -> Solution:
         values = form.values_to_dict(x)
         objective = form.objective_at(x)
     bound = result.best_bound + form.c0 if math.isfinite(result.best_bound) else None
-    stats: dict[str, object] = {"basis_restarts": result.basis_restarts}
-    if result.root_basis is not None:
-        stats["root_basis"] = result.root_basis
     return Solution(
         status=result.status,
         objective=objective,
         values=values,
         iterations=result.nodes,
         bound=bound,
-        stats=stats,
     )

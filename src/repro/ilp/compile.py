@@ -32,7 +32,7 @@ time: an accidental in-place write — which would silently corrupt every
 template sibling sharing the buffer — fails loudly with numpy's
 ``ValueError: assignment destination is read-only`` instead.  Backends
 needing scratch space must ``.copy()`` first (they all do); the custom
-lint rule RL001 (``tools/repro_lint.py``) guards call sites.
+lint rule RL001 (``repro-tp lint``) guards call sites.
 """
 
 from __future__ import annotations
@@ -429,82 +429,6 @@ class CompiledModel:
                 )
             ),
             _views=self._views,
-            _var_index=self._var_index,
-        )
-
-    def with_extra_ub_rows(
-        self,
-        rows: Sequence[tuple[Sequence[int], Sequence[float]]],
-        rhs: Sequence[float],
-        names: Sequence[str | None] | None = None,
-    ) -> "CompiledModel":
-        """Sibling with additional inequality rows appended at the end.
-
-        ``rows`` is a sequence of ``(column_indices, coefficients)``
-        pairs, ``rhs`` the matching right-hand sides (``<=`` direction).
-        Appending *after* every existing row keeps positional row
-        bookkeeping valid — the model templates rely on their window-row
-        indices surviving cut-pool extension.  The structure changes, so
-        the sibling gets a fresh view cache and fingerprint cache; the
-        variable index is still shared.
-        """
-        if len(rows) != len(rhs):
-            raise ValueError("rows and rhs length mismatch")
-        if not rows:
-            return self
-        if names is not None and len(names) != len(rows):
-            raise ValueError("names and rows length mismatch")
-        extra_indices: list[int] = []
-        extra_data: list[float] = []
-        extra_indptr: list[int] = []
-        nnz = int(self.ub_indptr[-1])
-        for cols, coefs in rows:
-            if len(cols) != len(coefs):
-                raise ValueError("row indices and data length mismatch")
-            extra_indices.extend(int(c) for c in cols)
-            extra_data.extend(float(v) for v in coefs)
-            nnz += len(cols)
-            extra_indptr.append(nnz)
-        return CompiledModel(
-            variables=self.variables,
-            c=self.c,
-            c0=self.c0,
-            ub_indptr=_frozen(
-                np.concatenate([
-                    self.ub_indptr,
-                    np.asarray(extra_indptr, dtype=np.intp),
-                ])
-            ),
-            ub_indices=_frozen(
-                np.concatenate([
-                    self.ub_indices,
-                    np.asarray(extra_indices, dtype=np.intp),
-                ])
-            ),
-            ub_data=_frozen(
-                np.concatenate([
-                    self.ub_data,
-                    np.asarray(extra_data, dtype=float),
-                ])
-            ),
-            b_ub=_frozen(
-                np.concatenate([self.b_ub, np.asarray(rhs, dtype=float)])
-            ),
-            ub_names=self.ub_names + (
-                tuple(names) if names is not None else (None,) * len(rows)
-            ),
-            eq_indptr=self.eq_indptr,
-            eq_indices=self.eq_indices,
-            eq_data=self.eq_data,
-            b_eq=self.b_eq,
-            eq_names=self.eq_names,
-            lb=self.lb,
-            ub=self.ub,
-            is_integral=self.is_integral,
-            maximize=self.maximize,
-            # Appended cut rows belong to no family; the existing spans
-            # stay valid because appending never reorders the prefix.
-            row_groups=self.row_groups,
             _var_index=self._var_index,
         )
 

@@ -92,10 +92,9 @@ def find_cover_cuts(
     Only rows whose support is entirely positive-coefficient binary
     columns are considered (exactly the resource rows of the
     temporal-partitioning model).  ``rows`` restricts separation to the
-    given row indices — the persistent cut pool passes the template's
-    window-independent resource rows here so no cut ever derives from a
-    row whose RHS changes between bisection windows.  ``family`` stamps
-    each cut with the constraint-family id those rows belong to.
+    given row indices (e.g. one constraint family's span, see
+    :meth:`repro.ilp.compile.CompiledModel.row_group`).  ``family``
+    stamps each cut with the constraint-family id those rows belong to.
     """
     cuts: list[CoverCut] = []
     candidates = range(a_ub.shape[0]) if rows is None else rows

@@ -396,7 +396,6 @@ def _dispatch(target, maximize: bool, backend: str, **options) -> Solution:
         iterations=solution.iterations,
         wall_time=elapsed,
         bound=bound,
-        stats=solution.stats,
     )
 
 

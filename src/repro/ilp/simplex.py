@@ -265,8 +265,8 @@ def solve_lp(
 
     ``start_basis`` may carry the optimal basis of a previous solve with
     the same canonical structure (same rows and bounds-finiteness
-    pattern; only RHS / bound *values* changed — the RHS-only re-solves
-    of the bisection).  When the basis can be crashed onto and is primal
+    pattern; only RHS / bound *values* changed — e.g. successive branch
+    & bound node LPs).  When the basis can be crashed onto and is primal
     feasible for the new RHS, phase I is skipped entirely; otherwise the
     solver silently falls back to a cold start.
     """
@@ -420,7 +420,6 @@ def solve_with_simplex(model, **options) -> Solution:
         form.ub,
         max_iters=options.get("max_iters", 20_000),
         time_limit=options.get("time_limit"),
-        start_basis=options.get("start_basis"),
     )
     tracer = options.get("tracer")
     if tracer is not None:
@@ -431,16 +430,12 @@ def solve_with_simplex(model, **options) -> Solution:
         )
     values: dict[str, float] = {}
     objective = math.nan
-    stats: dict[str, object] = {"basis_restarts": int(result.warm)}
     if result.status is SolveStatus.OPTIMAL and result.x is not None:
         values = form.values_to_dict(result.x)
         objective = result.objective + form.c0
-        if result.basis is not None:
-            stats["root_basis"] = result.basis
     return Solution(
         status=result.status,
         objective=objective,
         values=values,
         iterations=result.iterations,
-        stats=stats,
     )

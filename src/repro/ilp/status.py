@@ -53,14 +53,6 @@ class Solution:
     bound:
         Best proven dual bound at termination, when the backend computes
         one; ``None`` otherwise.
-    stats:
-        Backend-specific extras that are not part of the verdict — e.g.
-        the from-scratch branch & bound reports ``root_basis`` (the root
-        LP's optimal simplex basis, reusable as a warm start for
-        RHS-only re-solves) and ``basis_restarts`` (node LPs that
-        skipped phase I by crashing onto a previous basis).  Excluded
-        from equality: two solutions with the same verdict are the same
-        solution regardless of how the solver got there.
     """
 
     status: SolveStatus
@@ -69,9 +61,6 @@ class Solution:
     iterations: int = 0
     wall_time: float = 0.0
     bound: float | None = None
-    stats: Mapping[str, object] = field(
-        default_factory=dict, compare=False, repr=False
-    )
 
     def __bool__(self) -> bool:
         return self.status.has_solution

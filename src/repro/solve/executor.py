@@ -9,9 +9,7 @@
    :class:`repro.core.formulation.ModelTemplate` per
    ``(graph, processor, N, options)`` is built, compiled to sparse
    standard form and fingerprinted *once*; every window solve then
-   instantiates it by patching the two latency-row right-hand sides
-   (disable with ``settings.reuse_templates=False`` to rebuild the ILP
-   from expressions each iteration, the pre-template behavior),
+   instantiates it by patching the two latency-row right-hand sides,
 2. **memoization** — the model is fingerprinted (a tuple composition on
    the template path — no hashing) and the
    :class:`repro.solve.cache.SolveCache` consulted before any backend
@@ -107,37 +105,30 @@ class SolveExecutor:
         #: The run's tracer (``settings.tracer`` or the no-op
         #: :data:`repro.obs.NULL_TRACER`).  Search drivers trace through
         #: this attribute so a shared executor keeps one span tree.
-        self.tracer = as_tracer(getattr(settings, "tracer", None))
+        self.tracer = as_tracer(settings.tracer)
         #: The run's metrics registry (explicit argument wins over
         #: ``settings.metrics``; the no-op :data:`repro.obs.NULL_METRICS`
         #: when neither is set).  Shard workers pass their own registry
         #: here because settings never carry one across the wire.
         self.metrics = as_metrics(
-            metrics if metrics is not None
-            else getattr(settings, "metrics", None)
+            metrics if metrics is not None else settings.metrics
         )
         self._register_metrics()
-        use_cache = getattr(settings, "enable_cache", True)
         if cache is not None:
             self.cache = cache
-        elif not use_cache:
+        elif not settings.enable_cache:
             self.cache = None
-        else:
-            cache_path = getattr(settings, "cache_path", None)
-            if cache_path:
-                from repro.solve.disk_cache import DiskSolveCache
+        elif settings.cache_path:
+            from repro.solve.disk_cache import DiskSolveCache
 
-                self.cache = TieredSolveCache(
-                    SolveCache(metrics=self.metrics),
-                    DiskSolveCache(cache_path, metrics=self.metrics),
-                )
-            else:
-                self.cache = SolveCache(metrics=self.metrics)
+            self.cache = TieredSolveCache(
+                SolveCache(metrics=self.metrics),
+                DiskSolveCache(settings.cache_path, metrics=self.metrics),
+            )
+        else:
+            self.cache = SolveCache(metrics=self.metrics)
         self.telemetry = telemetry if telemetry is not None else RunTelemetry()
-        self.reuse_templates = bool(
-            getattr(settings, "reuse_templates", True)
-        )
-        self.analyze_mode = str(getattr(settings, "analyze", "off") or "off")
+        self.analyze_mode = settings.analyze
         if self.analyze_mode not in ANALYZE_MODES:
             raise ValueError(
                 f"unknown analyze mode {self.analyze_mode!r}; "
@@ -155,21 +146,12 @@ class SolveExecutor:
         # (graph, processor, options); the processor is pinned in the
         # value (and the graph via the design) so the id-based key can
         # never be recycled under a live entry.
-        self.incumbent_reuse = bool(
-            getattr(settings, "incumbent_reuse", False)
-        )
-        self.primal_first = bool(getattr(settings, "primal_first", False))
-        self.reuse_basis = bool(getattr(settings, "reuse_basis", False))
-        self.persistent_cuts = bool(
-            getattr(settings, "persistent_cuts", False)
-        )
+        self.incumbent_reuse = settings.incumbent_reuse
+        self.primal_first = settings.primal_first
         self._incumbents: dict[
             tuple[int, int, "FormulationOptions"],
             tuple["PartitionedDesign", float, "ReconfigurableProcessor"],
         ] = {}
-        #: Root-LP bases keyed by base fingerprint; shape-checked (and
-        #: cold-started on mismatch) by the simplex basis crash.
-        self._bases: dict[str, np.ndarray] = {}
         #: Packing bounds per (graph, processor, N); the value pins both
         #: objects so the id-based key can never be recycled live.
         self._packing_bounds: dict[
@@ -201,14 +183,6 @@ class SolveExecutor:
             "repro_incumbent_reuses_total",
             "Windows answered by re-validating the carried incumbent.",
         )
-        self._m_cuts_pooled = m.counter(
-            "repro_cuts_pooled_total",
-            "Cover cuts added to the persistent template pools.",
-        )
-        self._m_cut_pool_size = m.gauge(
-            "repro_cut_pool_size",
-            "Cover cuts pooled on the most recently separated template.",
-        )
         self._m_template_builds = m.counter(
             "repro_template_builds_total",
             "Model templates built (one per graph/N/options structure).",
@@ -231,9 +205,8 @@ class SolveExecutor:
     @property
     def backends(self) -> tuple[str, ...]:
         """The backends a window solve will run (portfolio or solo)."""
-        portfolio = getattr(self.settings, "portfolio", None)
-        if portfolio:
-            return tuple(portfolio)
+        if self.settings.portfolio:
+            return tuple(self.settings.portfolio)
         return (self.settings.backend,)
 
     # -- model preparation ---------------------------------------------------
@@ -241,8 +214,8 @@ class SolveExecutor:
     def _effective_options(self, options) -> "FormulationOptions":
         """The formulation options a window solve actually builds with.
 
-        Centralized so the template cache, the fresh-build path and the
-        fingerprints all see the same options object: with
+        Centralized so the template cache and the fingerprints see the
+        same options object: with
         ``guide_with_objective`` the latency objective is attached here,
         once, rather than ad hoc at each call site.
         """
@@ -253,10 +226,7 @@ class SolveExecutor:
         options = options or FormulationOptions()
         if self.settings.guide_with_objective and not options.minimize_latency:
             options = _replace(options, minimize_latency=True)
-        if (
-            getattr(self.settings, "symmetry_breaking", False)
-            and not options.symmetry_breaking
-        ):
+        if self.settings.symmetry_breaking and not options.symmetry_breaking:
             options = _replace(options, symmetry_breaking=True)
         return options
 
@@ -311,12 +281,11 @@ class SolveExecutor:
         search's overall budget); the per-backend budget is clipped to
         whatever remains of it.
 
-        Model preparation is incremental by default: the window is
-        instantiated from the shared :class:`ModelTemplate` (two RHS
-        patches on the pre-compiled sparse form) instead of rebuilding
-        the ILP from expressions.  Both paths produce array-identical
-        compiled models; ``settings.reuse_templates=False`` selects the
-        fresh-build path (the benchmark's baseline).
+        Model preparation is incremental: the window is instantiated
+        from the shared :class:`ModelTemplate` (two RHS patches on the
+        pre-compiled sparse form) instead of rebuilding the ILP from
+        expressions; the result is array-identical to what
+        :func:`repro.core.formulation.build_model` produces.
 
         With ``settings.incumbent_reuse`` every feasible verdict —
         whoever produced it — is remembered per ``(graph, processor,
@@ -352,8 +321,6 @@ class SolveExecutor:
         options: "FormulationOptions | None" = None,
         deadline: float | None = None,
     ) -> WindowOutcome:
-        from repro.core.formulation import build_model
-
         start = time.perf_counter()
         tracer = self.tracer
         with tracer.span(
@@ -363,25 +330,12 @@ class SolveExecutor:
             d_max=float(d_max),
         ):
             options = self._effective_options(options)
-            template = None
-            if self.reuse_templates:
-                template = self.template_for(
-                    graph, processor, num_partitions, options
-                )
-                with tracer.span("template_instantiate"):
-                    tp_model = template.instantiate(
-                        d_min, d_max,
-                        include_pool_cuts=self.persistent_cuts,
-                    )
-                self.telemetry.template_instantiations += 1
-            else:
-                with tracer.span(
-                    "build_model", num_partitions=num_partitions
-                ):
-                    tp_model = build_model(
-                        graph, processor, num_partitions, d_max, d_min,
-                        options,
-                    )
+            template = self.template_for(
+                graph, processor, num_partitions, options
+            )
+            with tracer.span("template_instantiate"):
+                tp_model = template.instantiate(d_min, d_max)
+            self.telemetry.template_instantiations += 1
 
             if self.analyze_mode != "off":
                 self._analyze(tp_model)
@@ -431,7 +385,7 @@ class SolveExecutor:
             if self.primal_first and tp_model.compiled is not None:
                 probe_start = time.perf_counter()
                 probed = self._primal_probe(
-                    tp_model, template, graph, processor, options,
+                    tp_model, graph, processor, options,
                     num_partitions, d_min, d_max, fp, budget, start,
                 )
                 if probed is not None:
@@ -447,13 +401,9 @@ class SolveExecutor:
                             options, fp, start, timed_out=True,
                         )
 
-            start_basis = None
-            if self.reuse_basis and fp is not None:
-                start_basis = self._bases.get(fp.base)
-
             attempts = self._build_attempts(
                 tp_model, graph, processor, num_partitions, d_max, options,
-                budget, warm_values=warm_values, start_basis=start_basis,
+                budget, warm_values=warm_values,
             )
             winner, completed = race_backends(
                 attempts, tracer=tracer, metrics=self.metrics
@@ -461,9 +411,6 @@ class SolveExecutor:
             for attempt in completed:
                 self.telemetry.add_backend_wall(
                     attempt.backend, attempt.wall_time
-                )
-                self.telemetry.basis_restarts += int(
-                    attempt.stats.get("basis_restarts", 0) or 0
                 )
                 # Count budget exhaustion only when the race as a whole
                 # was inconclusive — a loser cancelled mid-race also
@@ -496,13 +443,6 @@ class SolveExecutor:
                         wall_time=attempt.wall_time,
                         cancelled=attempt.status
                         in (SolveStatus.TIME_LIMIT, SolveStatus.NODE_LIMIT),
-                    )
-
-            if self.reuse_basis and winner is not None and fp is not None:
-                root_basis = winner.stats.get("root_basis")
-                if root_basis is not None:
-                    self._bases[fp.base] = np.asarray(
-                        root_basis, dtype=np.intp
                     )
 
             if winner is not None and winner.design is not None:
@@ -730,7 +670,6 @@ class SolveExecutor:
     def _primal_probe(
         self,
         tp_model,
-        template,
         graph,
         processor,
         options,
@@ -743,7 +682,7 @@ class SolveExecutor:
     ) -> WindowOutcome | None:
         """Bound check, LP relaxation + primal heuristics, pre-race.
 
-        Four conclusive exits, all sound for the base (cut-free) model:
+        Four conclusive exits, all sound for the window model:
 
         * the packing bound (:func:`repro.core.bounds.packing_min_latency`)
           exceeds ``d_max`` — pure arithmetic proves the window empty
@@ -752,8 +691,7 @@ class SolveExecutor:
           relaxation is trivially feasible and the MILP refutation is
           out of reach at any practical budget.
         * LP INFEASIBLE — the relaxation is a superset of the integer
-          points (and pool cuts are valid inequalities), so the window
-          is *provably* empty: cached and concluded like any backend's
+          points, so the window is *provably* empty: cached and concluded like any backend's
           infeasibility proof.
         * ``round_nearest`` or ``dive`` lands an integer-feasible point
           — a genuine design, decoded and audited like a backend win.
@@ -764,10 +702,6 @@ class SolveExecutor:
           a valid design is a valid design, whoever found it).
         * Anything else (LP timeout, no primal point) returns ``None``
           and the portfolio runs as usual, minus the spent budget.
-
-        While the LP point is available, cover cuts are separated from
-        the template's window-independent resource rows into the
-        persistent pool (``settings.persistent_cuts``).
         """
         from repro.ilp.rounding import dive, round_nearest
         from repro.ilp.scipy_backend import solve_relaxation
@@ -813,27 +747,6 @@ class SolveExecutor:
                 sp.annotate(result="lp_inconclusive", status=status.value)
                 return None
 
-            if self.persistent_cuts and template is not None:
-                from repro.ilp.cuts import find_cover_cuts
-
-                is_binary = (
-                    form.is_integral & (form.lb >= 0.0) & (form.ub <= 1.0)
-                )
-                cuts = find_cover_cuts(
-                    form.a_ub, form.b_ub, is_binary, x,
-                    rows=template.resource_row_indices,
-                    family=template.cover_cut_family or "resource",
-                )
-                added = template.add_pool_cuts(cuts) if cuts else 0
-                if added:
-                    self.telemetry.pooled_cuts += added
-                    self._m_cuts_pooled.inc(added)
-                    self._m_cut_pool_size.set(template.pooled_cuts)
-                    sp.event(
-                        "cuts_pooled", added=added,
-                        pool=template.pooled_cuts,
-                    )
-
             candidate = round_nearest(form, x)
             label = "primal:round"
             if candidate is None:
@@ -874,9 +787,7 @@ class SolveExecutor:
                     return node_status, node_x, node_obj
 
                 resolves = int(
-                    getattr(self.settings, "extra", {}).get(
-                        "primal_dive_resolves", 8
-                    )
+                    self.settings.extra.get("primal_dive_resolves", 8)
                 )
                 dived = dive(
                     form, x,
@@ -989,7 +900,7 @@ class SolveExecutor:
         — the window's lower edge only steers the bisection bookkeeping
         and excludes no true design).
         """
-        if getattr(self.settings, "heuristic_fallback", True):
+        if self.settings.heuristic_fallback:
             from repro.core.heuristics import greedy_partition
 
             with self.tracer.span(
@@ -1055,7 +966,6 @@ class SolveExecutor:
         options,
         time_limit: float | None,
         warm_values: dict | None = None,
-        start_basis: "np.ndarray | None" = None,
     ) -> list[tuple[str, AttemptFn]]:
         attempts: list[tuple[str, AttemptFn]] = []
         for name in self.backends:
@@ -1076,7 +986,6 @@ class SolveExecutor:
                         self._ilp_attempt(
                             tp_model, name, time_limit,
                             warm_values=warm_values,
-                            start_basis=start_basis,
                         ),
                     )
                 )
@@ -1088,7 +997,6 @@ class SolveExecutor:
         backend: str,
         time_limit,
         warm_values: dict | None = None,
-        start_basis: "np.ndarray | None" = None,
     ) -> AttemptFn:
         settings = self.settings
         tracer = self.tracer
@@ -1098,8 +1006,6 @@ class SolveExecutor:
             kwargs = dict(settings.extra)
             if backend == "bnb":
                 kwargs.setdefault("should_stop", cancel.is_set)
-                if start_basis is not None:
-                    kwargs.setdefault("start_basis", start_basis)
             if warm_values is not None:
                 # Validated by the backend: bnb installs it as the
                 # initial incumbent only after a full bounds/integrality
@@ -1126,7 +1032,6 @@ class SolveExecutor:
                 design=design,
                 wall_time=time.perf_counter() - start,
                 iterations=solution.iterations,
-                stats=solution.stats,
             )
 
         return run

@@ -27,8 +27,8 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.ilp.status import SolveStatus
 
@@ -48,11 +48,6 @@ class SolveAttempt:
     wall_time: float
     iterations: int = 0
     error: str | None = None
-    #: Backend extras (e.g. ``root_basis`` / ``basis_restarts`` from the
-    #: from-scratch branch & bound).  Returned through the attempt — not
-    #: written to shared state — so worker threads stay race-free
-    #: (RL002); the executor reads it on the main thread after the race.
-    stats: Mapping[str, object] = field(default_factory=dict, compare=False)
 
     @property
     def conclusive(self) -> bool:

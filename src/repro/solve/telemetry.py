@@ -109,11 +109,6 @@ class RunTelemetry:
     #: Window solves answered by the primal-first stage (LP relaxation +
     #: rounding/diving, or an LP infeasibility proof).
     primal_hits: int = 0
-    #: Node LPs that skipped simplex phase I by crashing onto a
-    #: previous optimal basis (own-engine branch & bound).
-    basis_restarts: int = 0
-    #: Cover cuts added to persistent template pools across the run.
-    pooled_cuts: int = 0
     #: Window solves answered by the *persistent* disk tier of the solve
     #: cache (a verdict some other process — or a previous run — paid
     #: for).  Memory-tier hits are counted in ``cache_hits`` as before;
@@ -177,8 +172,6 @@ class RunTelemetry:
         self.template_instantiations += other.template_instantiations
         self.incumbent_reuses += other.incumbent_reuses
         self.primal_hits += other.primal_hits
-        self.basis_restarts += other.basis_restarts
-        self.pooled_cuts += other.pooled_cuts
         self.disk_hits += other.disk_hits
         self.analysis_runs += other.analysis_runs
         self.analysis_errors += other.analysis_errors
@@ -192,7 +185,9 @@ class RunTelemetry:
         Derived fields (hit rates, percentiles, ``degraded``) are
         recomputed from the restored base fields; a payload serialized
         with ``include_solves=False`` restores with an empty per-solve
-        list, so those derived views read as idle.
+        list, so those derived views read as idle.  Keys this version no
+        longer records (the ``basis_restarts``/``pooled_cuts`` counters
+        of older payloads) are ignored.
         """
         telemetry = cls(
             solves=[
@@ -214,8 +209,6 @@ class RunTelemetry:
             ),
             incumbent_reuses=int(payload.get("incumbent_reuses", 0)),
             primal_hits=int(payload.get("primal_hits", 0)),
-            basis_restarts=int(payload.get("basis_restarts", 0)),
-            pooled_cuts=int(payload.get("pooled_cuts", 0)),
             disk_hits=int(payload.get("disk_hits", 0)),
             analysis_runs=int(payload.get("analysis_runs", 0)),
             analysis_errors=int(payload.get("analysis_errors", 0)),
@@ -283,8 +276,6 @@ class RunTelemetry:
             "fallbacks": self.fallbacks,
             "incumbent_reuses": self.incumbent_reuses,
             "primal_hits": self.primal_hits,
-            "basis_restarts": self.basis_restarts,
-            "pooled_cuts": self.pooled_cuts,
             "disk_hits": self.disk_hits,
             "workers_merged": self.workers_merged,
             "wall_time_percentiles": self.wall_time_percentiles(),
@@ -315,15 +306,10 @@ class RunTelemetry:
         ) or "none"
         pct = self.wall_time_percentiles()
         reuse = ""
-        if (
-            self.incumbent_reuses or self.primal_hits
-            or self.basis_restarts or self.pooled_cuts
-        ):
+        if self.incumbent_reuses or self.primal_hits:
             reuse = (
                 f", reuse: {self.incumbent_reuses} incumbent/"
-                f"{self.primal_hits} primal/"
-                f"{self.basis_restarts} basis/"
-                f"{self.pooled_cuts} cuts"
+                f"{self.primal_hits} primal"
             )
         if self.total_solves:
             disk = ""

@@ -148,7 +148,7 @@ def run(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Standalone entry point (used by the tools/repro_lint.py shim)."""
+    """Standalone entry point (``python -m repro.staticcheck.cli``)."""
     parser = argparse.ArgumentParser(
         prog="repro-tp lint",
         description="Scope-aware repo static analysis (RL001-RL009): "

@@ -4,6 +4,7 @@ import pytest
 
 from repro import (
     PartitionerConfig,
+    PartitionRequest,
     RefinementConfig,
     SolverSettings,
     TemporalPartitioner,
@@ -23,7 +24,7 @@ def quick_config(**search_kwargs):
 class TestFacade:
     def test_end_to_end_on_ar(self, ar_graph, ar_device):
         partitioner = TemporalPartitioner(ar_device, quick_config(gamma=1))
-        outcome = partitioner.partition(ar_graph)
+        outcome = partitioner.solve(PartitionRequest(graph=ar_graph))
         assert outcome.feasible
         assert outcome.num_partitions == outcome.design.num_partitions_used
         assert outcome.execution_latency == pytest.approx(
@@ -41,14 +42,14 @@ class TestFacade:
         graph.add_edge("b", "a", 1)
         partitioner = TemporalPartitioner(ar_device, quick_config())
         with pytest.raises(GraphValidationError):
-            partitioner.partition(graph)
+            partitioner.solve(PartitionRequest(graph=graph))
 
     def test_validation_rejects_oversized_task(self, ar_device):
         graph = TaskGraph("big")
         graph.add_task("huge", (DesignPoint(10_000, 10),))
         partitioner = TemporalPartitioner(ar_device, quick_config())
         with pytest.raises(GraphValidationError):
-            partitioner.partition(graph)
+            partitioner.solve(PartitionRequest(graph=graph))
 
     def test_validation_can_be_disabled(self, ar_device):
         graph = TaskGraph("big")
@@ -61,12 +62,12 @@ class TestFacade:
             validate=False,
         )
         partitioner = TemporalPartitioner(ar_device, config)
-        outcome = partitioner.partition(graph)   # no exception
+        outcome = partitioner.solve(PartitionRequest(graph=graph))   # no exception
         assert not outcome.feasible
 
     def test_default_config(self, ar_graph, ar_device):
         partitioner = TemporalPartitioner(ar_device)
-        outcome = partitioner.partition(ar_graph)
+        outcome = partitioner.solve(PartitionRequest(graph=ar_graph))
         assert outcome.feasible
 
     def test_bounds_for(self, ar_graph, ar_device):
@@ -76,7 +77,7 @@ class TestFacade:
 
     def test_outcome_carries_partition_range(self, ar_graph, ar_device):
         partitioner = TemporalPartitioner(ar_device, quick_config(gamma=1))
-        outcome = partitioner.partition(ar_graph)
+        outcome = partitioner.solve(PartitionRequest(graph=ar_graph))
         assert outcome.partition_range.lower_bound == 3
         assert outcome.partition_range.upper_seed == 4
 
@@ -89,7 +90,7 @@ class TestFacade:
         partitioner = TemporalPartitioner(
             ReconfigurableProcessor(400, 128, 20), config
         )
-        outcome = partitioner.partition(graph)
+        outcome = partitioner.solve(PartitionRequest(graph=graph))
         assert not outcome.feasible
         assert outcome.num_partitions is None
         assert outcome.execution_latency is None

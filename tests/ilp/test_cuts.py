@@ -131,8 +131,7 @@ class TestValidityRandomPoints:
     ):
         # Every cut separated from *any* fractional point must hold at
         # every integer point of the knapsack — the soundness property
-        # the persistent pool relies on when replaying cuts across
-        # windows.
+        # the branch & bound's root cuts rely on.
         a_ub, b_ub, is_binary = knapsack_arrays(weights, capacity)
         x_star = np.array(fractions[: len(weights)])
         cuts = find_cover_cuts(a_ub, b_ub, is_binary, x_star)
@@ -158,36 +157,3 @@ class TestRowRestriction:
         )
         assert restricted
         assert all(c.row_index == 0 for c in restricted)
-
-    def test_template_pool_never_separates_window_rows(self):
-        # The persistent pool separates on ModelTemplate's
-        # window-independent resource rows only: the latency window rows
-        # (whose RHS changes every bisection iteration) must never be a
-        # cut's origin, or a pooled cut could wrongly exclude designs of
-        # later windows.
-        from repro.arch import ReconfigurableProcessor
-        from repro.core.formulation import FormulationOptions, ModelTemplate
-        from repro.taskgraph.library import ar_filter
-
-        processor = ReconfigurableProcessor(400.0, 128.0, 20.0)
-        template = ModelTemplate(
-            ar_filter(), processor, 3, FormulationOptions()
-        )
-        tp = template.instantiate(d_min=460.0, d_max=640.0)
-        names = tp.compiled.ub_names
-        for i in template.resource_row_indices:
-            assert names[i] is not None
-            assert names[i].startswith("resource")
-            assert names[i] not in ("latency_ub", "latency_lb")
-        x_star = np.full(tp.compiled.num_vars, 0.9)
-        is_binary = (
-            tp.compiled.is_integral
-            & (tp.compiled.lb >= 0.0)
-            & (tp.compiled.ub <= 1.0)
-        )
-        cuts = find_cover_cuts(
-            np.asarray(tp.compiled.a_ub), np.asarray(tp.compiled.b_ub),
-            is_binary, x_star, rows=template.resource_row_indices,
-        )
-        for cut in cuts:
-            assert names[cut.row_index].startswith("resource")

@@ -6,7 +6,13 @@ recipe; if a recipe's API drifts, this file fails before a user does.
 
 import pytest
 
-from repro import PartitionerConfig, RefinementConfig, SolverSettings, TemporalPartitioner
+from repro import (
+    PartitionerConfig,
+    PartitionRequest,
+    RefinementConfig,
+    SolverSettings,
+    TemporalPartitioner,
+)
 from repro.arch import ReconfigurableProcessor, simulate
 from repro.core import (
     build_model,
@@ -52,7 +58,7 @@ def partitioner_for(device):
 
 class TestCookbookRecipes:
     def test_partition_hand_written_tables(self, device, fft_graph):
-        outcome = partitioner_for(device).partition(fft_graph)
+        outcome = partitioner_for(device).solve(PartitionRequest(graph=fft_graph))
         assert outcome.feasible
         assert "partition" in outcome.design.summary(device)
 
@@ -71,14 +77,16 @@ class TestCookbookRecipes:
 
     def test_cluster_and_expand_recipe(self, device, fft_graph):
         clustering = cluster_chains(fft_graph)
-        outcome = partitioner_for(device).partition(clustering.graph)
+        outcome = partitioner_for(device).solve(
+            PartitionRequest(graph=clustering.graph)
+        )
         assert outcome.feasible
         design = clustering.expand(outcome.design)
         assert set(design.placements) == {"fft", "eq"}
         assert design.audit(device) == []
 
     def test_trace_and_chart_recipe(self, device, fft_graph):
-        outcome = partitioner_for(device).partition(fft_graph)
+        outcome = partitioner_for(device).solve(PartitionRequest(graph=fft_graph))
         rows = [
             record.row(device.reconfiguration_time)
             for record in outcome.trace
@@ -87,7 +95,7 @@ class TestCookbookRecipes:
         assert "|" in outcome.trace.convergence_chart()
 
     def test_audit_and_replay_recipe(self, device, fft_graph):
-        outcome = partitioner_for(device).partition(fft_graph)
+        outcome = partitioner_for(device).solve(PartitionRequest(graph=fft_graph))
         assert outcome.design.audit(device) == []
         report = simulate(outcome.design, device)
         assert abs(report.makespan - outcome.total_latency) < 1e-9

@@ -4,6 +4,7 @@ import pytest
 
 from repro import (
     PartitionerConfig,
+    PartitionRequest,
     RefinementConfig,
     SolverSettings,
     TemporalPartitioner,
@@ -40,7 +41,7 @@ class TestHlsToPartition:
         processor = time_multiplexed(
             resource_capacity=220, memory_capacity=64
         )
-        outcome = quick(processor, gamma=1).partition(graph)
+        outcome = quick(processor, gamma=1).solve(PartitionRequest(graph=graph))
         assert outcome.feasible
         assert outcome.design.audit(processor) == []
         report = simulate(outcome.design, processor)
@@ -53,7 +54,7 @@ class TestSerializedWorkflow:
         path = tmp_path / "ar.json"
         save_json(ar_graph, path)
         loaded = load_json(path)
-        outcome = quick(ar_device, delta=10.0, gamma=1).partition(loaded)
+        outcome = quick(ar_device, delta=10.0, gamma=1).solve(PartitionRequest(graph=loaded))
         assert outcome.feasible
         assert outcome.total_latency == pytest.approx(510.0)
 
@@ -61,7 +62,7 @@ class TestSerializedWorkflow:
 class TestIlpBeatsGreedy:
     def test_ilp_never_worse_than_greedy_baselines(self, ar_graph,
                                                    ar_device):
-        outcome = quick(ar_device, delta=10.0, gamma=1).partition(ar_graph)
+        outcome = quick(ar_device, delta=10.0, gamma=1).solve(PartitionRequest(graph=ar_graph))
         for policy in ("min_area", "balanced", "min_latency"):
             result = greedy_partition(ar_graph, ar_device, policy)
             if result.memory_feasible:
@@ -71,7 +72,7 @@ class TestIlpBeatsGreedy:
     def test_ilp_matches_oracle_on_synthetic_graph(self):
         graph = layered_graph(2, 2, seed=11)
         processor = ReconfigurableProcessor(700, 512, 40)
-        outcome = quick(processor, gamma=2, delta=5.0).partition(graph)
+        outcome = quick(processor, gamma=2, delta=5.0).solve(PartitionRequest(graph=graph))
         oracle = solve_optimal(graph, processor, time_limit_per_solve=60.0)
         assert outcome.feasible and oracle.feasible
         if oracle.proven_optimal:
@@ -85,8 +86,8 @@ class TestReconfigurationRegimes:
         base = ReconfigurableProcessor(500, 512, 0.0)
         small = quick(base.with_reconfiguration_time(1.0), gamma=2)
         large = quick(base.with_reconfiguration_time(1e6), gamma=2)
-        small_outcome = small.partition(graph)
-        large_outcome = large.partition(graph)
+        small_outcome = small.solve(PartitionRequest(graph=graph))
+        large_outcome = large.solve(PartitionRequest(graph=graph))
         assert small_outcome.feasible and large_outcome.feasible
         assert (
             large_outcome.num_partitions <= small_outcome.num_partitions

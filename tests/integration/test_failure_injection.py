@@ -8,6 +8,7 @@ import pytest
 
 from repro import (
     PartitionerConfig,
+    PartitionRequest,
     RefinementConfig,
     SolverSettings,
     TemporalPartitioner,
@@ -36,13 +37,13 @@ class TestHostileGraphs:
         graph.add_edge("a", "b", 1)
         graph.add_edge("b", "a", 1)
         with pytest.raises(GraphValidationError):
-            TemporalPartitioner(device()).partition(graph)
+            TemporalPartitioner(device()).solve(PartitionRequest(graph=graph))
 
     def test_task_larger_than_any_device(self):
         graph = TaskGraph("giant")
         graph.add_task("g", (DesignPoint(10_000, 10),))
         with pytest.raises(GraphValidationError) as err:
-            TemporalPartitioner(device()).partition(graph)
+            TemporalPartitioner(device()).solve(PartitionRequest(graph=graph))
         assert "exceeds the device capacity" in str(err.value)
 
     def test_disconnected_components_still_partition(self):
@@ -59,13 +60,13 @@ class TestHostileGraphs:
                 search=RefinementConfig(delta=10.0),
                 solver=SolverSettings(time_limit=15.0),
             ),
-        ).partition(graph)
+        ).solve(PartitionRequest(graph=graph))
         assert outcome.feasible
 
     def test_single_task_graph(self):
         graph = TaskGraph("solo")
         graph.add_task("only", (DesignPoint(100, 42, name="dp1"),))
-        outcome = TemporalPartitioner(device()).partition(graph)
+        outcome = TemporalPartitioner(device()).solve(PartitionRequest(graph=graph))
         assert outcome.feasible
         assert outcome.num_partitions == 1
         assert outcome.total_latency == pytest.approx(42 + 20)
@@ -86,7 +87,7 @@ class TestHostileBudgets:
                 ),
                 solver=SolverSettings(time_limit=10.0),
             ),
-        ).partition(graph)
+        ).solve(PartitionRequest(graph=graph))
         # Both tasks fit one partition: feasible with zero memory.
         assert outcome.feasible
         assert outcome.num_partitions == 1
@@ -97,7 +98,7 @@ class TestHostileBudgets:
             PartitionerConfig(
                 search=RefinementConfig(delta=10.0, time_budget=0.0),
             ),
-        ).partition(ar_graph)
+        ).solve(PartitionRequest(graph=ar_graph))
         # Either it squeezed one solve in or it reports the stop cleanly.
         assert outcome.feasible or outcome.stopped_by_time
 
@@ -160,7 +161,7 @@ class TestDesignPointEdgeCases:
                 DesignPoint(100, 10, name="dp2"),
             ),
         )
-        outcome = TemporalPartitioner(device()).partition(graph)
+        outcome = TemporalPartitioner(device()).solve(PartitionRequest(graph=graph))
         assert outcome.feasible
 
     def test_extreme_area_latency_ratio(self):
@@ -172,7 +173,7 @@ class TestDesignPointEdgeCases:
                 DesignPoint(399, 1e-3, name="big_fast"),
             ),
         )
-        outcome = TemporalPartitioner(device()).partition(graph)
+        outcome = TemporalPartitioner(device()).solve(PartitionRequest(graph=graph))
         assert outcome.feasible
         # The fast point wins: reconfiguration (20) dominates latency.
         assert outcome.design.design_point_of("a").name == "big_fast"

@@ -327,7 +327,6 @@ _TELEMETRY_COUNTERS = st.fixed_dictionaries(
         "template_builds": st.integers(min_value=0, max_value=9),
         "incumbent_reuses": st.integers(min_value=0, max_value=9),
         "primal_hits": st.integers(min_value=0, max_value=9),
-        "pooled_cuts": st.integers(min_value=0, max_value=9),
         "disk_hits": st.integers(min_value=0, max_value=9),
         "backend_wall": st.dictionaries(
             st.sampled_from(["highs", "bnb"]),
@@ -366,7 +365,6 @@ class TestRunTelemetryProperties:
             "template_builds",
             "incumbent_reuses",
             "primal_hits",
-            "pooled_cuts",
             "disk_hits",
             "backend_wall",
             "backend_wins",

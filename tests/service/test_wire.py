@@ -48,6 +48,19 @@ def test_config_round_trip_preserves_every_layer():
     assert decoded.validate is False
 
 
+def test_settings_with_retired_fields_still_decode():
+    # Payloads written before reuse_basis/persistent_cuts/reuse_templates
+    # were removed carry those keys; decoding drops them.
+    payload = encode_config(
+        PartitionerConfig(solver=SolverSettings.fast(time_limit=7.5))
+    )
+    payload["solver"].update(
+        reuse_basis=True, persistent_cuts=True, reuse_templates=False
+    )
+    decoded = decode_config(json.loads(json.dumps(payload)))
+    assert decoded.solver == SolverSettings.fast(time_limit=7.5)
+
+
 def test_tracer_never_crosses_the_boundary():
     config = PartitionerConfig(solver=SolverSettings(tracer=Tracer()))
     payload = encode_config(config)

@@ -13,8 +13,7 @@ ACCEL = SolverSettings.ACCELERATION_FLAGS
 
 
 def hand_built_fast(**overrides) -> SolverSettings:
-    kwargs: dict = {"portfolio": ("highs", "bnb")}
-    kwargs.update({flag: True for flag in ACCEL})
+    kwargs: dict = {flag: True for flag in ACCEL}
     kwargs.update(overrides)
     return SolverSettings(**kwargs)
 
@@ -54,7 +53,7 @@ OVERRIDE_SPACE = [
     {"backend": "bnb"},
     {"cache_path": "/tmp/cache.sqlite"},
     {"enable_cache": False, "time_limit": None},
-    {"portfolio": None},
+    {"portfolio": ("highs", "bnb")},
     {"incumbent_reuse": True},
     {"symmetry_breaking": False},
 ]
@@ -92,10 +91,14 @@ def test_overrides_win_over_preset_choices(preset, hand_built):
         assert getattr(built, flag) is value
 
 
-def test_fast_races_a_portfolio_with_all_accelerations():
+def test_fast_runs_highs_alone_with_all_accelerations():
     settings = SolverSettings.fast()
-    assert settings.portfolio == ("highs", "bnb")
+    assert settings.portfolio is None
+    assert settings.backend == "highs"
     assert all(getattr(settings, flag) for flag in ACCEL)
+    assert settings == SolverSettings(
+        incumbent_reuse=True, primal_first=True, symmetry_breaking=True
+    )
 
 
 def test_paper_exact_disables_every_extension():
@@ -106,7 +109,6 @@ def test_paper_exact_disables_every_extension():
     assert not any(getattr(settings, flag) for flag in ACCEL)
     # Trajectory-preserving machinery stays on.
     assert settings.enable_cache is True
-    assert settings.reuse_templates is True
 
 
 def test_debug_is_strict_and_uncached():

@@ -26,17 +26,20 @@ def partitioner() -> TemporalPartitioner:
 
 
 class TestRequestEquivalence:
-    def test_request_and_legacy_agree_on_ar_filter(self, partitioner):
-        legacy = partitioner.partition(ar_filter())
-        via_request = partitioner.solve(PartitionRequest(graph=ar_filter()))
-        assert legacy.feasible and via_request.feasible
-        assert via_request.total_latency == legacy.total_latency
-        assert via_request.num_partitions == legacy.num_partitions
-
-    def test_partition_accepts_a_request(self, partitioner):
-        outcome = partitioner.partition(PartitionRequest(graph=ar_filter()))
-        assert isinstance(outcome, PartitioningOutcome)
-        assert outcome.feasible
+    def test_explicit_defaults_agree_with_bare_request(self, partitioner):
+        # A request naming the partitioner's own device and config is the
+        # same question as a bare one.
+        bare = partitioner.solve(PartitionRequest(graph=ar_filter()))
+        explicit = partitioner.solve(
+            PartitionRequest(
+                graph=ar_filter(),
+                processor=partitioner.processor,
+                config=partitioner.config,
+            )
+        )
+        assert bare.feasible and explicit.feasible
+        assert explicit.total_latency == bare.total_latency
+        assert explicit.num_partitions == bare.num_partitions
 
     def test_request_processor_override(self, partitioner):
         # A request may carry its own device; the partitioner's is unused.
@@ -44,7 +47,7 @@ class TestRequestEquivalence:
         outcome = partitioner.solve(
             PartitionRequest(graph=ar_filter(), processor=bigger)
         )
-        base = partitioner.partition(ar_filter())
+        base = partitioner.solve(PartitionRequest(graph=ar_filter()))
         assert outcome.feasible
         # Twice the area lets more tasks share a partition: never worse.
         assert outcome.total_latency <= base.total_latency

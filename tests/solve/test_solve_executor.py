@@ -163,46 +163,33 @@ class TestTemplateReuse:
             executor.solve_window(graph, processor, n, d_max, d_min)
         assert executor.telemetry.template_builds == 2
 
-    def test_reuse_can_be_disabled(self, processor):
-        executor = SolveExecutor(
-            SolverSettings(
-                time_limit=15.0, enable_cache=False, reuse_templates=False
-            )
-        )
-        graph = ar_filter()
-        d_max, d_min = window(graph, 3)
-        outcome = executor.solve_window(graph, processor, 3, d_max, d_min)
-        assert outcome.feasible
-        assert executor.telemetry.template_builds == 0
-        assert executor.telemetry.template_instantiations == 0
-
     def test_both_paths_reach_the_same_verdict(self, processor):
+        from repro.core.formulation import FormulationOptions, build_model
+
         graph = ar_filter()
         d_max, d_min = window(graph, 3)
-        outcomes = []
-        for reuse in (True, False):
-            executor = SolveExecutor(
-                SolverSettings(
-                    time_limit=15.0,
-                    enable_cache=False,
-                    reuse_templates=reuse,
-                )
-            )
-            outcomes.append(
-                executor.solve_window(graph, processor, 3, d_max, d_min)
-            )
-        templated, fresh = outcomes
-        assert templated.feasible == fresh.feasible
+        executor = SolveExecutor(
+            SolverSettings(time_limit=15.0, enable_cache=False)
+        )
+        templated = executor.solve_window(graph, processor, 3, d_max, d_min)
+        fresh = build_model(
+            graph, processor, 3, d_max, d_min,
+            FormulationOptions(minimize_latency=True),
+        ).solve(backend="highs", first_feasible=True, time_limit=15.0)
+        assert templated.feasible == fresh.status.has_solution
 
     def test_template_fingerprint_matches_fresh_cache_key(self, processor):
         """A warm cache from the template path must hit on fresh builds."""
         graph = ar_filter()
         d_max, d_min = window(graph, 3)
+        from repro.core.formulation import FormulationOptions, build_model
+        from repro.solve.fingerprint import fingerprint_model
+
         executor = SolveExecutor(SolverSettings(time_limit=15.0))
         executor.solve_window(graph, processor, 3, d_max, d_min)
-        cold = SolveExecutor(
-            SolverSettings(time_limit=15.0, reuse_templates=False),
-            cache=executor.cache,
+        fresh = build_model(
+            graph, processor, 3, d_max, d_min,
+            FormulationOptions(minimize_latency=True),
         )
-        replay = cold.solve_window(graph, processor, 3, d_max, d_min)
-        assert replay.cache_hit
+        hit = executor.cache.lookup(fingerprint_model(fresh), graph=graph)
+        assert hit is not None

@@ -107,26 +107,10 @@ def test_quickstart_snippet_from_readme():
     assert outcome.feasible
 
 
-class TestDeprecatedPartitionMethod:
-    def test_partition_warns_and_forwards_to_solve(self, ar_device):
-        from repro import (
-            PartitionerConfig,
-            RefinementConfig,
-            SolverSettings,
-            TemporalPartitioner,
-        )
-        from repro.taskgraph import ar_filter
+def test_solve_is_the_only_partitioner_entry_point():
+    from repro import TemporalPartitioner
 
-        partitioner = TemporalPartitioner(
-            ar_device,
-            PartitionerConfig(
-                search=RefinementConfig(delta=25.0, time_budget=30.0),
-                solver=SolverSettings(time_limit=10.0),
-            ),
-        )
-        with pytest.warns(DeprecationWarning, match="solve"):
-            outcome = partitioner.partition(ar_filter())
-        assert outcome.feasible
+    assert not hasattr(TemporalPartitioner, "partition")
 
 
 class TestPartitionRequest:
@@ -168,11 +152,8 @@ class TestSolverSettingsPresets:
         from repro import SolverSettings
 
         expected = SolverSettings(
-            portfolio=("highs", "bnb"),
             incumbent_reuse=True,
             primal_first=True,
-            reuse_basis=True,
-            persistent_cuts=True,
             symmetry_breaking=True,
         )
         assert SolverSettings.fast() == expected
