@@ -214,11 +214,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
             graph = clustering.graph
         else:
             clustering = None
-    metrics_registry = None
-    if args.metrics_json:
-        from repro.obs import MetricsRegistry
-
-        metrics_registry = MetricsRegistry()
+    registry = _metrics_registry(args)
     tracer = None
     chrome_events = None
     if args.trace_jsonl or args.trace_chrome:
@@ -236,24 +232,17 @@ def _cmd_partition(args: argparse.Namespace) -> int:
             chrome_events = MemorySink()
             sinks.append(chrome_events)
         tracer = Tracer(*sinks)
-    if args.backend == "portfolio":
-        # Race the scipy/HiGHS backend against the native branch & bound;
-        # the first conclusive verdict wins each window solve.
-        solver = SolverSettings(
-            portfolio=("highs", "bnb"),
-            time_limit=args.solve_limit,
-            enable_cache=not args.no_cache,
-            tracer=tracer,
-            metrics=metrics_registry,
-        )
-    else:
-        solver = SolverSettings(
-            backend=args.backend,
-            time_limit=args.solve_limit,
-            enable_cache=not args.no_cache,
-            tracer=tracer,
-            metrics=metrics_registry,
-        )
+    # "portfolio" races the scipy/HiGHS backend against the native branch
+    # & bound; the first conclusive verdict wins each window solve.
+    race = args.backend == "portfolio"
+    solver = SolverSettings(
+        backend="highs" if race else args.backend,
+        portfolio=("highs", "bnb") if race else None,
+        time_limit=args.solve_limit,
+        enable_cache=not args.no_cache,
+        tracer=tracer,
+        metrics=registry,
+    )
     config = PartitionerConfig(
         search=RefinementConfig(
             alpha=args.alpha,
@@ -297,13 +286,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
             "telemetry",
         )
         print(f"telemetry written to {args.telemetry_json}")
-    if metrics_registry is not None:
-        _write_text(
-            args.metrics_json,
-            json.dumps(metrics_registry.snapshot().to_dict(), indent=2),
-            "metrics",
-        )
-        print(f"metrics written to {args.metrics_json}")
+    _dump_metrics(args, registry, sys.stdout)
     if outcome.degraded:
         print(
             "warning: solver budget exhausted on some windows; "
@@ -440,7 +423,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         _batch_request(entry, requests_path.parent, f"request {i}")
         for i, entry in enumerate(payload, 1)
     ]
-    registry = _service_metrics(args)
+    registry = _metrics_registry(args)
     with PartitionService(
         processor=_device(args),
         config=_service_config(args),
@@ -449,7 +432,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         metrics=registry,
     ) as service:
         outcomes = service.solve_batch(requests)
-    _dump_service_metrics(args, registry)
+    _dump_metrics(args, registry)
     results = [
         outcome.to_dict(include_trace=args.trace) for outcome in outcomes
     ]
@@ -468,7 +451,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     return EXIT_OK if feasible == len(outcomes) else EXIT_NO_SOLUTION
 
 
-def _service_metrics(args: argparse.Namespace):
+def _metrics_registry(args: argparse.Namespace):
     """A :class:`MetricsRegistry` when any metrics flag asks for one."""
     wants = bool(getattr(args, "metrics_json", None)) or (
         getattr(args, "metrics_port", None) is not None
@@ -480,7 +463,9 @@ def _service_metrics(args: argparse.Namespace):
     return MetricsRegistry()
 
 
-def _dump_service_metrics(args: argparse.Namespace, registry) -> None:
+def _dump_metrics(args: argparse.Namespace, registry, file=None) -> None:
+    """Write ``--metrics-json``; the notice goes to ``file`` (stderr by
+    default, where it cannot mix with JSON results on stdout)."""
     if registry is None or not getattr(args, "metrics_json", None):
         return
     _write_text(
@@ -488,7 +473,7 @@ def _dump_service_metrics(args: argparse.Namespace, registry) -> None:
         json.dumps(registry.snapshot().to_dict(), indent=2),
         "metrics",
     )
-    print(f"metrics written to {args.metrics_json}", file=sys.stderr)
+    print(f"metrics written to {args.metrics_json}", file=file or sys.stderr)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -501,10 +486,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     background HTTP thread additionally serves the live
     :class:`~repro.obs.MetricsRegistry` on ``/metrics`` (Prometheus
     text exposition) and ``/metrics.json`` for the session's lifetime.
+    A request whose shard worker died is answered with an ``error``
+    line; the session goes on.
     """
-    from repro.service import PartitionService
+    from repro.service import PartitionService, ShardWorkerError
 
-    registry = _service_metrics(args)
+    registry = _metrics_registry(args)
     server = None
     if args.metrics_port is not None:
         from repro.obs import MetricsServer
@@ -535,7 +522,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                         json.dumps({"error": "invalid request"}), flush=True
                     )
                     continue
-                outcome = service.submit(request).result()
+                try:
+                    outcome = service.submit(request).result()
+                except ShardWorkerError as exc:
+                    # Only this request fails; the service respawns its
+                    # worker pool for the next line.
+                    print(json.dumps({"error": str(exc)}), flush=True)
+                    continue
                 print(
                     json.dumps(outcome.to_dict(include_trace=args.trace)),
                     flush=True,
@@ -544,7 +537,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     finally:
         if server is not None:
             server.stop()
-    _dump_service_metrics(args, registry)
+    _dump_metrics(args, registry)
     print(f"served {served} requests", file=sys.stderr)
     return EXIT_OK
 

@@ -143,11 +143,13 @@ class SolverSettings:
         Optional :class:`repro.obs.MetricsRegistry` accumulating
         labeled counters/gauges/histograms across runs (windows solved,
         per-backend attempts, cache tiers, solve-duration histograms).
-        ``None`` — the default — routes all instrumentation to the
-        no-op :data:`repro.obs.NULL_METRICS`.  Threaded exactly like
+        ``None`` — the default — gives each
+        :class:`repro.solve.SolveExecutor` a private registry (its
+        :class:`RunTelemetry` is read from it); one registry shared by
+        several runs makes their telemetry cumulative.  Threaded like
         ``tracer``: excluded from equality, never crosses the service
-        wire boundary (shard workers build their own registry and ship
-        a mergeable :class:`repro.obs.MetricsSnapshot` home instead).
+        wire boundary (shard workers count into a private registry and
+        ship a mergeable :class:`repro.obs.MetricsSnapshot` home).
         Scrape it with ``repro-tp serve --metrics-port`` or render it
         with :func:`repro.obs.render_promtext`.
     """

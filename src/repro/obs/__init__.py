@@ -3,8 +3,9 @@
 The search procedures, the :class:`repro.solve.executor.SolveExecutor`,
 the backend portfolio and the ILP backends are instrumented with spans
 and events through this package.  :class:`repro.solve.telemetry
-.RunTelemetry` remains the cheap always-on aggregate; tracing is the
-opt-in, high-resolution view:
+.RunTelemetry` is the cheap always-on aggregate, a view of the
+executor's metrics registry; tracing is the opt-in, high-resolution
+view:
 
 * :mod:`repro.obs.tracer` — :class:`Tracer` / :class:`Span` context
   managers (ids, parent links, wall + process time, attributes,

@@ -6,16 +6,18 @@ the metrics layer answers "what has happened *so far*": a
 :class:`Histogram` families whose children are addressed by label
 values, and a :class:`MetricsSnapshot` freezes the registry state into a
 JSON-safe, order-independent value that merges commutatively — the
-contract shard workers rely on when they ship their snapshots back to
-the parent process alongside ``RunTelemetry``.
+contract shard workers rely on when they ship their snapshot back to
+the parent process as their one run record.
 
 The instrumented layers (:class:`repro.solve.executor.SolveExecutor`,
 the backend portfolio, both cache tiers and
 :class:`repro.service.facade.PartitionService`) find their registry on
 :class:`repro.core.reduce_latency.SolverSettings` exactly like the
-tracer; with none configured they talk to :data:`NULL_METRICS`, whose
-families are a single shared no-op object, so the hot paths cost a few
-attribute lookups and nothing else.
+tracer.  The executor always records — into a private registry when
+none is configured — because :class:`repro.solve.telemetry.RunTelemetry`
+is a view of its snapshot; the other layers talk to
+:data:`NULL_METRICS` when given none, whose families are a single
+shared no-op object.
 
 Label conventions
 -----------------

@@ -18,13 +18,14 @@ The persistent verdict store backing it all is
 default).  See ``docs/service.md``.
 """
 
-from repro.service.facade import PartitionService
+from repro.service.facade import PartitionService, ShardWorkerError
 from repro.service.sharding import solve_sharded
 from repro.service.wire import decode_request, encode_request
 from repro.service.worker import solve_shard
 
 __all__ = [
     "PartitionService",
+    "ShardWorkerError",
     "decode_request",
     "encode_request",
     "solve_shard",

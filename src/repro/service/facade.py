@@ -55,6 +55,7 @@ import os
 import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Iterable, Sequence
 
 from repro.arch.processor import ReconfigurableProcessor
@@ -69,7 +70,15 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.service.sharding import solve_sharded
 from repro.taskgraph.validate import validate_graph
 
-__all__ = ["PartitionService"]
+__all__ = ["PartitionService", "ShardWorkerError"]
+
+
+class ShardWorkerError(RuntimeError):
+    """A shard worker process died while serving this request.
+
+    Only the request that met the dead worker fails; the service drops
+    the broken pool and the next request runs on a fresh one.
+    """
 
 
 class PartitionService:
@@ -161,6 +170,17 @@ class PartitionService:
                 self._manager = multiprocessing.Manager()
                 self._cancel = self._manager.Event()
             return self._pool, self._manager
+
+    def _discard_pool(self, pool) -> None:
+        """Shut down ``pool`` and its manager if they are still the live
+        ones, so the next :meth:`_ensure_pool` spawns fresh workers."""
+        with self._lock:
+            if self._pool is not pool:
+                return  # another request already discarded it
+            manager = self._manager
+            self._pool = self._manager = self._cancel = None
+        pool.shutdown(wait=False, cancel_futures=True)
+        manager.shutdown()
 
     def close(self) -> None:
         """Shut down the worker pool and coordinator threads."""
@@ -322,18 +342,25 @@ class PartitionService:
             bound = manager.Value("d", float("inf"))
             bound_lock = manager.Lock()
             cancel = self._cancel
-        result = solve_sharded(
-            request.graph,
-            processor,
-            config=config,
-            max_workers=self.max_workers,
-            pool=pool,
-            bound=bound,
-            bound_lock=bound_lock,
-            cancel=cancel,
-            tracer=self.tracer if self.tracer.enabled else None,
-            metrics=self.metrics if self.metrics.enabled else None,
-        )
+        try:
+            result = solve_sharded(
+                request.graph,
+                processor,
+                config=config,
+                max_workers=self.max_workers,
+                pool=pool,
+                bound=bound,
+                bound_lock=bound_lock,
+                cancel=cancel,
+                tracer=self.tracer if self.tracer.enabled else None,
+                metrics=self.metrics if self.metrics.enabled else None,
+            )
+        except BrokenProcessPool as exc:
+            self._discard_pool(pool)
+            self.tracer.event("shard_pool_broken", request_id=request_id)
+            raise ShardWorkerError(
+                f"request {request_id}: a shard worker died ({exc})"
+            ) from exc
         prange = bounds.partition_range(
             request.graph,
             processor,

@@ -95,12 +95,11 @@ def solve_sharded(
     inline in this process — deterministic, no multiprocessing — using
     local stand-ins for the shared state.
 
-    ``metrics`` is an optional :class:`repro.obs.MetricsRegistry`: each
-    shard counts into its own worker-local registry and ships the
-    snapshot home in its report; those snapshots are absorbed here, in
-    ``num_partitions`` order, so one scrape of the caller's registry
-    sees the whole fleet.  Snapshot merging is commutative, so the
-    totals do not depend on worker timing.
+    Each shard ships its worker-local metrics snapshot home; their
+    commutative merge is the run's record, and the result's telemetry a
+    view of it (without per-window rows, so percentiles read zero).
+    ``metrics``, an optional :class:`repro.obs.MetricsRegistry`, absorbs
+    the merged snapshot so one scrape sees the whole fleet.
     """
     config = config or PartitionerConfig()
     tracer = as_tracer(tracer)
@@ -213,7 +212,7 @@ def solve_sharded(
     reports.sort(key=lambda r: r["num_partitions"])
     trace = SearchTrace()
     explored: list[int] = []
-    telemetry = RunTelemetry()
+    merged = MetricsSnapshot.empty()
     best_report: dict[str, Any] | None = None
     degraded = False
     any_cut = False
@@ -221,18 +220,19 @@ def solve_sharded(
         if report["skipped"] == "min_latency_cut":
             any_cut = True
         if report["trace"] is not None:
+            # A shard that ran ships its trace and its metrics snapshot.
             trace.extend(SearchTrace.from_dict(report["trace"]))
             explored.append(report["num_partitions"])
-        if report["telemetry"] is not None:
-            telemetry.merge(RunTelemetry.from_dict(report["telemetry"]))
-        if metrics.enabled and report.get("metrics"):
-            metrics.absorb(MetricsSnapshot.from_dict(report["metrics"]))
+            merged = merged.merge(MetricsSnapshot.from_dict(report["metrics"]))
         degraded = degraded or bool(report["degraded"])
         if report["feasible"] and (
             best_report is None
             or report["achieved"] < best_report["achieved"]
         ):
             best_report = report
+
+    if metrics.enabled:
+        metrics.absorb(merged)
 
     design = None
     achieved = None
@@ -256,5 +256,7 @@ def solve_sharded(
         stopped_by_min_latency_cut=any_cut,
         stopped_by_time=stopped_by_time,
         degraded=degraded,
-        telemetry=telemetry,
+        telemetry=RunTelemetry.from_snapshot(
+            merged, workers_merged=len(explored)
+        ),
     )

@@ -27,9 +27,8 @@ The shard's ``should_stop`` also re-reads ``bound``: a sibling's better
 incumbent retroactively prunes this shard once its whole window
 ``[MinLatency(N), ...]`` strictly loses to it — pruning saves solver
 time but can never change which shard wins.  Everything returned is a
-plain
-dict (assignment labels, trace rows, telemetry) — no pickled library
-objects cross back.
+plain dict (assignment labels, trace rows, a metrics snapshot) — no
+pickled library objects cross back.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from repro.core.refine_partitions import (
     evaluate_partition_bound,
     partition_bound_window,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.service import wire
 from repro.solve.executor import SolveExecutor
 
@@ -83,7 +81,9 @@ def solve_shard(
 
     Returns a plain-dict shard report: feasibility, achieved latency,
     the design as a ``from_labels`` assignment, the iteration trace and
-    this worker's telemetry.
+    the snapshot of this shard's metrics registry (its one run record;
+    the coordinator derives the run's telemetry from the merged
+    snapshots).
     """
     graph = wire.decode_request(
         {"graph": payload["graph"], "processor": None, "config": None}
@@ -108,7 +108,6 @@ def solve_shard(
             "degraded": False,
             "skipped": None,
             "trace": None,
-            "telemetry": None,
             "metrics": None,
         }
         base.update(fields)
@@ -135,11 +134,9 @@ def solve_shard(
         current = _shared_bound(bound, bound_lock)
         return current is not None and d_min > current
 
-    # Metrics never cross the wire as live objects (the registry holds a
-    # lock); each worker counts into its own registry and ships the
-    # snapshot dict home, where the coordinator merges commutatively.
-    registry = MetricsRegistry()  # repro-lint: ignore[RL003]
-    executor = SolveExecutor(config.solver, metrics=registry)
+    # Settings never carry a registry across the wire, so the executor
+    # counts into a private one; its snapshot travels home as a dict.
+    executor = SolveExecutor(config.solver)
     result = evaluate_partition_bound(
         graph,
         processor,
@@ -164,6 +161,5 @@ def solve_shard(
         ),
         degraded=result.degraded,
         trace=result.trace.to_dict(),
-        telemetry=executor.telemetry.to_dict(include_solves=False),
-        metrics=registry.snapshot().to_dict(),
+        metrics=executor.metrics.snapshot().to_dict(),
     )

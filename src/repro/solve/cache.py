@@ -123,8 +123,6 @@ class SolveCache:
 
     _entries: dict[str, list[CachedVerdict]] = field(default_factory=dict)
     _lock: threading.Lock = field(default_factory=threading.Lock)
-    hits: int = 0
-    misses: int = 0
     #: Optional :class:`repro.obs.MetricsRegistry`; lookups are counted
     #: as ``repro_solve_cache_{hits,misses}_total{tier="memory"}``.
     metrics: object = None
@@ -145,11 +143,6 @@ class SolveCache:
     def __len__(self) -> int:
         with self._lock:
             return sum(len(v) for v in self._entries.values())
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
     # -- lookup -------------------------------------------------------------
 
@@ -198,10 +191,8 @@ class SolveCache:
             elif infeasible is not None:
                 hit = CacheHit(infeasible, "infeasible")
             else:
-                self.misses += 1
                 self._m_misses.labels("memory").inc()
                 return None
-            self.hits += 1
             self._m_hits.labels("memory", hit.rule).inc()
             return hit
 
@@ -271,8 +262,6 @@ class SolveCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-            self.hits = 0
-            self.misses = 0
 
 
 class TieredSolveCache:
@@ -292,16 +281,6 @@ class TieredSolveCache:
 
     def __len__(self) -> int:
         return len(self.memory)
-
-    @property
-    def hits(self) -> int:
-        return self.memory.hits + self.disk.hits
-
-    @property
-    def misses(self) -> int:
-        # Every disk lookup was a memory miss first; only count the
-        # queries neither tier answered.
-        return self.disk.misses
 
     def lookup(
         self, fp: ModelFingerprint, graph: "TaskGraph | None" = None

@@ -99,9 +99,6 @@ class DiskSolveCache:
             raise ValueError("max_entries must be positive")
         self.path = Path(path)
         self.max_entries = int(max_entries)
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
         #: The store on disk was unreadable and has been recreated.
         self.recovered = False
         self._lock = threading.Lock()
@@ -255,11 +252,9 @@ class DiskSolveCache:
                 continue
             hit = self._decode(row, rule, graph)
             if hit is not None:
-                self.hits += 1
                 self._m_hits.labels("disk", rule).inc()
                 self._touch(row[0])
                 return hit
-        self.misses += 1
         self._m_misses.labels("disk").inc()
         return None
 
@@ -401,7 +396,6 @@ class DiskSolveCache:
             (batch,),
         )
         self._conn.commit()
-        self.evictions += batch
         self._m_evictions.inc(batch)
 
     def clear(self) -> None:
@@ -411,17 +405,13 @@ class DiskSolveCache:
                 self._conn.commit()
             except sqlite3.Error:
                 pass
-        self.hits = 0
-        self.misses = 0
 
     def stats(self) -> dict:
-        """JSON-ready operational counters (for telemetry and the CLI)."""
+        """JSON-ready state of the store; lookup and eviction counts are
+        in the metrics registry the cache was built with."""
         return {
             "path": str(self.path),
             "entries": len(self),
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
             "recovered": self.recovered,
             "schema_version": SCHEMA_VERSION,
         }

@@ -24,8 +24,9 @@
    the greedy level-packing heuristics are tried as a last resort and
    the outcome is marked ``degraded=True`` instead of raising or
    silently reporting infeasibility,
-6. **telemetry** — every step is recorded in a
-   :class:`repro.solve.telemetry.RunTelemetry` shared across the run.
+6. **instrumentation** — every step is counted in one
+   :class:`repro.obs.MetricsRegistry`; :attr:`SolveExecutor.telemetry`
+   is a :class:`repro.solve.telemetry.RunTelemetry` view of it.
 
 One executor instance is created per ``Refine_Partitions_Bound`` run (or
 handed in by the caller to share the cache across runs).
@@ -36,6 +37,7 @@ from __future__ import annotations
 import math
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -43,7 +45,7 @@ import numpy as np
 
 from repro.analysis.analyzer import ANALYZE_MODES
 from repro.ilp.status import SolveStatus
-from repro.obs.metrics import as_metrics
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import as_tracer
 from repro.solve.cache import SolveCache, SolveCacheProtocol, TieredSolveCache
 from repro.solve.fingerprint import ModelFingerprint, fingerprint_model
@@ -94,8 +96,6 @@ class SolveExecutor:
         self,
         settings: "SolverSettings | None" = None,
         cache: SolveCacheProtocol | None = None,
-        telemetry: RunTelemetry | None = None,
-        metrics=None,
     ) -> None:
         if settings is None:
             from repro.core.reduce_latency import SolverSettings
@@ -106,13 +106,12 @@ class SolveExecutor:
         #: :data:`repro.obs.NULL_TRACER`).  Search drivers trace through
         #: this attribute so a shared executor keeps one span tree.
         self.tracer = as_tracer(settings.tracer)
-        #: The run's metrics registry (explicit argument wins over
-        #: ``settings.metrics``; the no-op :data:`repro.obs.NULL_METRICS`
-        #: when neither is set).  Shard workers pass their own registry
-        #: here because settings never carry one across the wire.
-        self.metrics = as_metrics(
-            metrics if metrics is not None else settings.metrics
-        )
+        #: The run's one record of counters (:attr:`telemetry` reads it):
+        #: ``settings.metrics``, else a private registry.  The caches
+        #: built here and the backend races count into it too; a cache
+        #: passed in counts into the registry it was built with.
+        metrics = settings.metrics
+        self.metrics = metrics if metrics and metrics.enabled else MetricsRegistry()
         self._register_metrics()
         if cache is not None:
             self.cache = cache
@@ -127,7 +126,8 @@ class SolveExecutor:
             )
         else:
             self.cache = SolveCache(metrics=self.metrics)
-        self.telemetry = telemetry if telemetry is not None else RunTelemetry()
+        #: One row per concluded window solve, in order.
+        self._solves: list[SolveStats] = []
         self.analyze_mode = settings.analyze
         if self.analyze_mode not in ANALYZE_MODES:
             raise ValueError(
@@ -162,8 +162,7 @@ class SolveExecutor:
 
     def _register_metrics(self) -> None:
         """Pre-resolve the executor's metric families (see
-        docs/observability.md for the catalog); with :data:`NULL_METRICS`
-        every family is the shared no-op object."""
+        docs/observability.md for the catalog)."""
         m = self.metrics
         self._m_windows = m.counter(
             "repro_window_solves_total",
@@ -192,6 +191,27 @@ class SolveExecutor:
             "Backend attempts that exhausted their budget in a race "
             "nobody won.",
             ("backend",),
+        )
+        self._m_analyses = m.counter(
+            "repro_model_analyses_total",
+            "Pre-solve analyzer passes run on window models.",
+        )
+        self._m_diagnostics = m.counter(
+            "repro_analysis_diagnostics_total",
+            "Analyzer findings across all passes, by severity.",
+            ("severity",),
+        )
+
+    @property
+    def telemetry(self) -> RunTelemetry:
+        """A fresh view of :attr:`metrics` and the window rows so far.
+
+        Executors sharing one registry see cumulative counters; in a
+        multi-backend race, ``backend_wall`` includes stragglers that
+        finished after the race was decided.
+        """
+        return RunTelemetry.from_snapshot(
+            self.metrics.snapshot(), solves=self._solves
         )
 
     def _validate_backends(self) -> None:
@@ -259,7 +279,6 @@ class SolveExecutor:
                     tracer=self.tracer,
                 )
             self._templates[key] = template
-            self.telemetry.template_builds += 1
             self._m_template_builds.inc()
         return template
 
@@ -335,7 +354,6 @@ class SolveExecutor:
             )
             with tracer.span("template_instantiate"):
                 tp_model = template.instantiate(d_min, d_max)
-            self.telemetry.template_instantiations += 1
 
             if self.analyze_mode != "off":
                 self._analyze(tp_model)
@@ -345,13 +363,10 @@ class SolveExecutor:
                 fp = fingerprint_model(tp_model)
                 hit = self.cache.lookup(fp, graph=graph)
                 if hit is not None:
-                    tier = getattr(hit, "tier", "memory")
-                    if tier == "disk":
-                        self.telemetry.disk_hits += 1
                     tracer.event(
                         "cache_hit",
                         rule=hit.rule,
-                        tier=tier,
+                        tier=getattr(hit, "tier", "memory"),
                         feasible=hit.verdict.feasible,
                     )
                     return self._from_cache(
@@ -409,9 +424,6 @@ class SolveExecutor:
                 attempts, tracer=tracer, metrics=self.metrics
             )
             for attempt in completed:
-                self.telemetry.add_backend_wall(
-                    attempt.backend, attempt.wall_time
-                )
                 # Count budget exhaustion only when the race as a whole
                 # was inconclusive — a loser cancelled mid-race also
                 # reports TIME_LIMIT, but nothing actually timed out then.
@@ -419,7 +431,6 @@ class SolveExecutor:
                     SolveStatus.TIME_LIMIT,
                     SolveStatus.NODE_LIMIT,
                 ):
-                    self.telemetry.timeouts += 1
                     self._m_backend_timeouts.labels(attempt.backend).inc()
                     tracer.event(
                         "backend_timeout",
@@ -474,13 +485,13 @@ class SolveExecutor:
     # -- pre-solve analysis --------------------------------------------------
 
     #: Per-pass cap on ``analyzer_diagnostic`` tracer events; the full
-    #: report is still counted in telemetry and summarized on the span.
+    #: report is still counted in the metrics and summarized on the span.
     _MAX_DIAGNOSTIC_EVENTS = 20
 
     def _analyze(self, tp_model) -> None:
         """Run the pre-solve analyzer on the prepared window model.
 
-        ``"warn"`` records the findings (tracer span + events, telemetry
+        ``"warn"`` records the findings (tracer span + events, metric
         counters) and continues; ``"strict"`` raises
         :class:`repro.analysis.ModelAnalysisError` on ERROR-severity
         findings *before any backend attempt* so a malformed model never
@@ -490,10 +501,13 @@ class SolveExecutor:
 
         with self.tracer.span("model_analyze", mode=self.analyze_mode) as sp:
             report = analyze_model(tp_model)
-            num_errors = len(report.errors)
-            num_warnings = len(report.warnings)
-            sp.annotate(errors=num_errors, warnings=num_warnings)
-            self.telemetry.record_analysis(num_errors, num_warnings)
+            severities = Counter(d.severity.value for d in report.diagnostics)
+            sp.annotate(
+                errors=severities["error"], warnings=severities["warning"]
+            )
+            self._m_analyses.inc()
+            for severity, count in severities.items():
+                self._m_diagnostics.labels(severity).inc(count)
             for diag in report.diagnostics[: self._MAX_DIAGNOSTIC_EVENTS]:
                 sp.event(
                     "analyzer_diagnostic",
@@ -561,7 +575,7 @@ class SolveExecutor:
             cache_hit=cache_hit,
             degraded=degraded,
         )
-        self.telemetry.record(
+        self._solves.append(
             SolveStats(
                 num_partitions=num_partitions,
                 d_min=d_min,
@@ -649,7 +663,6 @@ class SolveExecutor:
                 sp.annotate(result="stale")
                 return None, values
             sp.annotate(result="reused")
-        self.telemetry.incumbent_reuses += 1
         self._m_incumbent_reuses.inc()
         self.tracer.event(
             "incumbent_reuse", achieved=achieved,
@@ -713,7 +726,6 @@ class SolveExecutor:
                 "packing_bound_refutes_window",
                 bound=packing, d_max=d_max,
             )
-            self.telemetry.primal_hits += 1
             self._m_primal_hits.labels("bound").inc()
             if fp is not None:
                 self.cache.store_infeasible(fp, backend="primal:bound")
@@ -735,7 +747,6 @@ class SolveExecutor:
             )
             if status is SolveStatus.INFEASIBLE:
                 sp.annotate(result="lp_infeasible")
-                self.telemetry.primal_hits += 1
                 self._m_primal_hits.labels("lp").inc()
                 if fp is not None:
                     self.cache.store_infeasible(fp, backend="primal:lp")
@@ -807,7 +818,6 @@ class SolveExecutor:
             design = tp_model.design_from(solution)
             achieved = design.total_latency(processor)
             sp.annotate(result="hit", label=label, achieved=achieved)
-        self.telemetry.primal_hits += 1
         self._m_primal_hits.labels(label.split(":", 1)[1]).inc()
         if fp is not None:
             self.cache.store_feasible(fp, design, achieved, backend=label)
@@ -870,7 +880,6 @@ class SolveExecutor:
                 continue
             label = f"primal:greedy:{policy}"
             sp.annotate(result="hit", label=label, achieved=achieved)
-            self.telemetry.primal_hits += 1
             self._m_primal_hits.labels("greedy").inc()
             if fp is not None:
                 self.cache.store_feasible(fp, design, achieved, backend=label)

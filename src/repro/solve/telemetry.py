@@ -1,16 +1,21 @@
 """Machine-readable run metrics of the solver execution layer.
 
 Every window solve executed by :class:`repro.solve.executor.SolveExecutor`
-produces one :class:`SolveStats`; a :class:`RunTelemetry` aggregates them
-across a whole search run (counts, per-backend wall time, cache hit rate,
-timeout and fallback events).  The structures are plain data with
-``to_dict()`` serializers so the CLI (``--telemetry-json``), the
-experiment harness and downstream dashboards can persist them as JSON.
+produces one :class:`SolveStats` row and a handful of updates to the
+executor's :class:`repro.obs.MetricsRegistry`.  A :class:`RunTelemetry`
+is a *view* of that record: :meth:`RunTelemetry.from_snapshot` reads the
+run's counters out of a :class:`repro.obs.MetricsSnapshot` (counts,
+per-backend wall time, cache hit rate, timeout and fallback events) and
+takes the rows for the per-window percentiles.  The structures are plain
+data with ``to_dict()`` serializers so the CLI (``--telemetry-json``),
+the experiment harness and downstream dashboards can persist them as
+JSON.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
+from typing import Iterable
 
 __all__ = ["SolveStats", "RunTelemetry"]
 
@@ -52,17 +57,7 @@ class SolveStats:
     degraded: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "num_partitions": self.num_partitions,
-            "d_min": self.d_min,
-            "d_max": self.d_max,
-            "backend": self.backend,
-            "status": self.status,
-            "wall_time": self.wall_time,
-            "iterations": self.iterations,
-            "cache_hit": self.cache_hit,
-            "degraded": self.degraded,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SolveStats":
@@ -84,9 +79,10 @@ class SolveStats:
 class RunTelemetry:
     """Aggregated execution metrics of one search run.
 
-    Filled incrementally by the :class:`SolveExecutor`; shared across
-    every ``Reduce_Latency`` invocation of a ``Refine_Partitions_Bound``
-    run so the numbers describe the run as a whole.
+    A view, not a store: :meth:`from_snapshot` derives every counter
+    from the executor's metrics registry, and :meth:`from_dict` restores
+    a persisted one.  ``SolveExecutor.telemetry`` builds a fresh view on
+    each read, so a result keeps the numbers of the moment it was built.
     """
 
     solves: list[SolveStats] = field(default_factory=list)
@@ -96,7 +92,8 @@ class RunTelemetry:
     backend_wins: dict[str, int] = field(default_factory=dict)
     #: Backend attempts that exhausted their budget without a verdict.
     timeouts: int = 0
-    #: Window solves answered by the greedy heuristic fallback.
+    #: Window solves answered by the greedy heuristic fallback (or by
+    #: nobody, after a hard timeout).
     fallbacks: int = 0
     #: Model templates built (one full construct + compile + hash each).
     template_builds: int = 0
@@ -111,10 +108,9 @@ class RunTelemetry:
     primal_hits: int = 0
     #: Window solves answered by the *persistent* disk tier of the solve
     #: cache (a verdict some other process — or a previous run — paid
-    #: for).  Memory-tier hits are counted in ``cache_hits`` as before;
-    #: disk hits are a subset of them.
+    #: for); a subset of ``cache_hits``.
     disk_hits: int = 0
-    #: Worker telemetries merged into this one (sharded runs); 0 for an
+    #: Worker snapshots merged into this one (sharded runs); 0 for an
     #: ordinary single-process run.
     workers_merged: int = 0
     #: Pre-solve analyzer passes run (``SolverSettings.analyze != "off"``).
@@ -123,73 +119,83 @@ class RunTelemetry:
     analysis_errors: int = 0
     #: WARNING-severity diagnostics across all analyzer passes.
     analysis_warnings: int = 0
+    #: Window solves concluded, cache hits included.
+    total_solves: int = 0
+    #: Window solves answered by the solve cache (either tier).
+    cache_hits: int = 0
+    #: Wall seconds of every window solve, summed.
+    total_wall_time: float = 0.0
 
-    # -- recording (executor-facing) ----------------------------------------
+    @classmethod
+    def from_snapshot(
+        cls,
+        snapshot,
+        solves: Iterable[SolveStats] = (),
+        workers_merged: int = 0,
+    ) -> "RunTelemetry":
+        """The telemetry a :class:`repro.obs.MetricsSnapshot` records.
 
-    def record(self, stats: SolveStats) -> None:
-        self.solves.append(stats)
-        # A degraded verdict means every backend lost: the greedy
-        # fallback's "heuristic:<policy>" name is not a backend win (it
-        # is already counted in ``fallbacks``).
-        if stats.backend and not stats.cache_hit and not stats.degraded:
-            self.backend_wins[stats.backend] = (
-                self.backend_wins.get(stats.backend, 0) + 1
-            )
-        if stats.degraded:
-            self.fallbacks += 1
-
-    def add_backend_wall(self, backend: str, seconds: float) -> None:
-        self.backend_wall[backend] = (
-            self.backend_wall.get(backend, 0.0) + seconds
-        )
-
-    def record_analysis(self, num_errors: int, num_warnings: int) -> None:
-        """Count one pre-solve analyzer pass and its findings."""
-        self.analysis_runs += 1
-        self.analysis_errors += num_errors
-        self.analysis_warnings += num_warnings
-
-    # -- aggregation across workers -----------------------------------------
-
-    def merge(self, other: "RunTelemetry") -> None:
-        """Fold another run's metrics into this one.
-
-        The sharded service aggregates each worker's telemetry into a
-        single run-wide view: counters add, per-backend maps merge,
-        per-solve records concatenate (callers wanting deterministic
-        order sort shards before merging).
+        Counters come from the executor's metric families (catalog in
+        docs/observability.md); the ``solves`` rows only feed the
+        percentiles.  In ``repro_window_solves_total{backend}``, backend
+        ``cache`` is a cache hit, ``heuristic:*`` and ``none`` are
+        fallbacks, any other is a win; every window instantiates its
+        template once, so the window total is the instantiation count.
         """
-        self.solves.extend(other.solves)
-        for name, seconds in other.backend_wall.items():
-            self.backend_wall[name] = (
-                self.backend_wall.get(name, 0.0) + seconds
-            )
-        for name, wins in other.backend_wins.items():
-            self.backend_wins[name] = self.backend_wins.get(name, 0) + wins
-        self.timeouts += other.timeouts
-        self.fallbacks += other.fallbacks
-        self.template_builds += other.template_builds
-        self.template_instantiations += other.template_instantiations
-        self.incumbent_reuses += other.incumbent_reuses
-        self.primal_hits += other.primal_hits
-        self.disk_hits += other.disk_hits
-        self.analysis_runs += other.analysis_runs
-        self.analysis_errors += other.analysis_errors
-        self.analysis_warnings += other.analysis_warnings
-        self.workers_merged += max(other.workers_merged, 1)
+        total = snapshot.total
+        severities = _per_label(
+            snapshot, "repro_analysis_diagnostics_total", "severity"
+        )
+        telemetry = cls(
+            solves=list(solves),
+            backend_wall=_per_label(
+                snapshot, "repro_backend_solve_seconds", "backend"
+            ),
+            timeouts=int(total("repro_backend_timeouts_total")),
+            template_builds=int(total("repro_template_builds_total")),
+            template_instantiations=int(total("repro_window_solves_total")),
+            incumbent_reuses=int(total("repro_incumbent_reuses_total")),
+            primal_hits=int(total("repro_primal_hits_total")),
+            disk_hits=int(
+                _per_label(snapshot, "repro_solve_cache_hits_total", "tier")
+                .get("disk", 0)
+            ),
+            workers_merged=workers_merged,
+            analysis_runs=int(total("repro_model_analyses_total")),
+            analysis_errors=int(severities.get("error", 0)),
+            analysis_warnings=int(severities.get("warning", 0)),
+            total_solves=int(total("repro_window_solves_total")),
+            total_wall_time=snapshot.histogram_stats(
+                "repro_window_solve_seconds"
+            )[1],
+        )
+        windows = _per_label(snapshot, "repro_window_solves_total", "backend")
+        for backend, count in windows.items():
+            if backend == "cache":
+                telemetry.cache_hits += int(count)
+            elif backend == "none" or backend.startswith("heuristic:"):
+                telemetry.fallbacks += int(count)
+            else:
+                telemetry.backend_wins[backend] = int(count)
+        return telemetry
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunTelemetry":
         """Rebuild from :meth:`to_dict` output (wire/disk transport).
 
-        Derived fields (hit rates, percentiles, ``degraded``) are
-        recomputed from the restored base fields; a payload serialized
-        with ``include_solves=False`` restores with an empty per-solve
-        list, so those derived views read as idle.  Keys this version no
-        longer records (the ``basis_restarts``/``pooled_cuts`` counters
-        of older payloads) are ignored.
+        Derived fields (hit rates, ``degraded``) are recomputed from the
+        restored counters; the percentiles come from the per-solve rows,
+        so a payload serialized with ``include_solves=False`` restores
+        them as zeros.  Keys this version no longer records (the
+        ``basis_restarts``/``pooled_cuts`` counters of older payloads)
+        are ignored.
         """
-        telemetry = cls(
+        counters = {
+            f.name: type(f.default)(payload.get(f.name, f.default))
+            for f in fields(cls)
+            if f.default is not MISSING
+        }
+        return cls(
             solves=[
                 SolveStats.from_dict(s) for s in payload.get("solves", [])
             ],
@@ -201,31 +207,10 @@ class RunTelemetry:
                 str(k): int(v)
                 for k, v in payload.get("backend_wins", {}).items()
             },
-            timeouts=int(payload.get("timeouts", 0)),
-            fallbacks=int(payload.get("fallbacks", 0)),
-            template_builds=int(payload.get("template_builds", 0)),
-            template_instantiations=int(
-                payload.get("template_instantiations", 0)
-            ),
-            incumbent_reuses=int(payload.get("incumbent_reuses", 0)),
-            primal_hits=int(payload.get("primal_hits", 0)),
-            disk_hits=int(payload.get("disk_hits", 0)),
-            analysis_runs=int(payload.get("analysis_runs", 0)),
-            analysis_errors=int(payload.get("analysis_errors", 0)),
-            analysis_warnings=int(payload.get("analysis_warnings", 0)),
+            **counters,
         )
-        telemetry.workers_merged = int(payload.get("workers_merged", 0))
-        return telemetry
 
     # -- derived views ------------------------------------------------------
-
-    @property
-    def total_solves(self) -> int:
-        return len(self.solves)
-
-    @property
-    def cache_hits(self) -> int:
-        return sum(1 for s in self.solves if s.cache_hit)
 
     @property
     def cache_misses(self) -> int:
@@ -234,25 +219,25 @@ class RunTelemetry:
     @property
     def cache_hit_rate(self) -> float:
         """Fraction of window solves answered from the cache (0 when idle)."""
-        if not self.solves:
-            return 0.0
-        return self.cache_hits / len(self.solves)
+        return _rate(self.cache_hits, self.total_solves)
 
     @property
-    def total_wall_time(self) -> float:
-        return sum(s.wall_time for s in self.solves)
+    def disk_hit_rate(self) -> float:
+        """Fraction of window solves answered by the disk tier (0 idle)."""
+        return _rate(self.disk_hits, self.total_solves)
 
     @property
     def degraded(self) -> bool:
         """``True`` when any window solve fell back past every backend."""
-        return self.fallbacks > 0 or any(s.degraded for s in self.solves)
+        return self.fallbacks > 0
 
     def wall_time_percentiles(self) -> dict[str, float]:
         """Per-window wall time percentiles (nearest-rank p50/p90 + max).
 
         Raw totals hide the long tail that the acceleration counters are
         meant to shrink; the percentiles make them interpretable.  All
-        zeros when no window has been solved yet.
+        zeros when there are no per-window rows (nothing solved yet, or
+        a merged sharded run).
         """
         times = sorted(s.wall_time for s in self.solves)
         if not times:
@@ -292,13 +277,6 @@ class RunTelemetry:
             payload["solves"] = [s.to_dict() for s in self.solves]
         return payload
 
-    @property
-    def disk_hit_rate(self) -> float:
-        """Fraction of window solves answered by the disk tier (0 idle)."""
-        if not self.solves:
-            return 0.0
-        return self.disk_hits / len(self.solves)
-
     def summary(self) -> str:
         """One-line human summary for CLI footers and logs."""
         backends = ", ".join(
@@ -322,10 +300,6 @@ class RunTelemetry:
                 f"({self.cache_hits} cached{disk}, hit rate "
                 f"{self.cache_hit_rate:.0%})"
             )
-        elif self.disk_hits:
-            # Merged worker aggregates carry counters but no per-solve
-            # records; the disk tier's work is still worth surfacing.
-            cache = f"({self.disk_hits} disk hits)"
         else:
             # No window was solved: a "0.0% hit rate" would read as a
             # cold cache when the cache was simply never consulted.
@@ -345,3 +319,21 @@ class RunTelemetry:
             f"{pct['p50']:.2f}/{pct['p90']:.2f}/{pct['max']:.2f}s, "
             f"{self.total_wall_time:.2f}s total{service}"
         )
+
+
+def _per_label(snapshot, name: str, label: str) -> dict:
+    """One family's samples summed per value of ``label`` (histograms
+    contribute their sums); empty when the family is absent."""
+    family = snapshot.family(name)
+    if family is None:
+        return {}
+    index = family["labelnames"].index(label)
+    out: dict = {}
+    for key, sample in family["samples"].items():
+        value = sample[1] if family["kind"] == "histogram" else sample
+        out[key[index]] = out.get(key[index], 0) + value
+    return dict(sorted(out.items()))
+
+
+def _rate(part: int, whole: int) -> float:
+    return part / whole if whole else 0.0

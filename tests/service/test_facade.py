@@ -250,3 +250,30 @@ class TestPooledService:
                 want.total_latency
             )
             assert got.telemetry.workers_merged >= 1
+
+    def test_dead_worker_fails_one_request_then_the_pool_respawns(
+        self, ar_device, chain_graph
+    ):
+        import os
+        import signal
+
+        from repro.obs import MetricsRegistry
+        from repro.service import ShardWorkerError
+
+        registry = MetricsRegistry()
+        request = PartitionRequest(graph=chain_graph)
+        with PartitionService(
+            processor=ar_device,
+            config=quick_config(),
+            max_workers=1,
+            metrics=registry,
+        ) as service:
+            assert service.solve_batch([request])[0].feasible
+            for pid in list(service._pool._processes):
+                os.kill(pid, signal.SIGKILL)
+            with pytest.raises(ShardWorkerError):
+                service.submit(request).result()
+            assert service.submit(request).result().feasible
+        snapshot = registry.snapshot()
+        assert snapshot.value("repro_service_requests_total", "error") == 1
+        assert snapshot.value("repro_service_requests_total", "feasible") == 2

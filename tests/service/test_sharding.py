@@ -75,8 +75,8 @@ class TestInlineEquivalence:
         assert result.telemetry.workers_merged == len(
             result.explored_partitions
         )
-        # Per-solve records stay worker-side (wire payloads carry only
-        # aggregates), but the merged aggregates must show real work.
+        # Per-solve rows stay worker-side (shards ship only a metrics
+        # snapshot), but the merged counters must show real work.
         assert sum(result.telemetry.backend_wins.values()) > 0
 
     def test_trace_carries_per_bound_iterations(

@@ -1,5 +1,6 @@
 """Solve cache: exact replays and window-monotone verdict reuse."""
 
+from repro.obs import MetricsRegistry
 from repro.solve import ModelFingerprint, SolveCache
 
 
@@ -23,10 +24,12 @@ class TestExactReplay:
         assert hit.verdict.achieved == 321.0
 
     def test_perturbed_base_misses(self):
-        cache = SolveCache()
+        registry = MetricsRegistry()
+        cache = SolveCache(metrics=registry)
         cache.store_feasible(make_fp(base="m"), FakeDesign(), 321.0)
         assert cache.lookup(make_fp(base="other")) is None
-        assert cache.misses == 1
+        snapshot = registry.snapshot()
+        assert snapshot.value("repro_solve_cache_misses_total", "memory") == 1
 
     def test_infeasible_exact_replay(self):
         cache = SolveCache()
@@ -74,13 +77,16 @@ class TestInfeasibleMonotonicity:
 
 class TestBookkeeping:
     def test_hit_rate_and_len(self):
-        cache = SolveCache()
+        registry = MetricsRegistry()
+        cache = SolveCache(metrics=registry)
         fp = make_fp()
         assert cache.lookup(fp) is None
         cache.store_feasible(fp, FakeDesign(), 321.0)
         assert cache.lookup(fp) is not None
         assert len(cache) == 1
-        assert cache.hit_rate == 0.5
+        snapshot = registry.snapshot()
+        assert snapshot.value("repro_solve_cache_hits_total", "memory", "exact") == 1
+        assert snapshot.value("repro_solve_cache_misses_total", "memory") == 1
 
     def test_duplicate_store_is_deduped(self):
         cache = SolveCache()
@@ -95,4 +101,4 @@ class TestBookkeeping:
         cache.lookup(make_fp())
         cache.clear()
         assert len(cache) == 0
-        assert cache.hits == 0 and cache.misses == 0
+        assert cache.lookup(make_fp()) is None

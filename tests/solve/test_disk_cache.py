@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.solution import PartitionedDesign, Placement
+from repro.obs import MetricsRegistry
 from repro.solve.cache import SolveCache, TieredSolveCache
 from repro.solve.disk_cache import SCHEMA_VERSION, DiskSolveCache
 from repro.solve.fingerprint import ModelFingerprint
@@ -100,12 +101,14 @@ class TestDurability:
         assert cache.stats()["entries"] == 1
 
     def test_eviction_keeps_recently_used(self, tmp_path, graph, design):
-        cache = DiskSolveCache(tmp_path / "c.sqlite", max_entries=10)
+        registry = MetricsRegistry()
+        cache = DiskSolveCache(
+            tmp_path / "c.sqlite", max_entries=10, metrics=registry
+        )
         for i in range(12):
             cache.store_infeasible(fp(0.0, 10.0 + i, base=f"b{i}"))
-        stats = cache.stats()
-        assert stats["entries"] <= 10
-        assert stats["evictions"] > 0
+        assert cache.stats()["entries"] <= 10
+        assert registry.snapshot().total("repro_disk_cache_evictions_total") > 0
 
     def test_corrupted_file_is_moved_aside_and_recreated(
         self, tmp_path, graph, design
@@ -147,11 +150,21 @@ class TestTiered:
     def test_disk_hit_promotes_to_memory(self, tmp_path, graph, design):
         path = tmp_path / "c.sqlite"
         DiskSolveCache(path).store_feasible(fp(0.0, 100.0), design, 52.0)
-        tiered = TieredSolveCache(SolveCache(), DiskSolveCache(path))
+        registry = MetricsRegistry()
+        tiered = TieredSolveCache(
+            SolveCache(metrics=registry),
+            DiskSolveCache(path, metrics=registry),
+        )
         first = tiered.lookup(fp(0.0, 100.0), graph=graph)
         assert first.tier == "disk"
         second = tiered.lookup(fp(0.0, 100.0), graph=graph)
         assert second.tier == "memory"
+        snapshot = registry.snapshot()
+        hits = "repro_solve_cache_hits_total"
+        assert snapshot.value(hits, "disk", "exact") == 1
+        assert snapshot.value(hits, "memory", "exact") == 1
+        assert snapshot.value("repro_solve_cache_misses_total", "memory") == 1
+        assert snapshot.value("repro_solve_cache_misses_total", "disk") == 0
 
     def test_store_writes_through_to_both_tiers(
         self, tmp_path, graph, design
