@@ -1,24 +1,19 @@
-"""Smoke benchmark of the solver execution layer (portfolio + cache).
+"""Smoke benchmark of the solver execution layer (cache + acceleration).
 
 Four passes over the Table 3 configuration (DCT, R_max = 576, small
-C_T, delta = 200):
+C_T, delta = 200), each solving every window with scipy/HiGHS alone:
 
-1. **sequential** — scipy/HiGHS only, cold cache: the baseline search.
-2. **portfolio (warm cache)** — highs+bnb racing, but sharing the
-   sequential run's solve cache.  Exact-replay hits preserve the search
-   trajectory bit-for-bit, so the final latency must equal the
-   sequential run's and the cache hit rate must be nonzero.
-3. **portfolio (cold cache)** — a genuine race from scratch, recorded
-   for the wall-time comparison (its trajectory may legitimately differ:
-   which backend answers first within the per-solve budget decides each
-   window).
-4. **accelerated** — sequential backend plus the cross-window
-   acceleration flags (incumbent reuse, primal-first)
-   under the *same* per-solve budget.  The packing bound and the primal
-   certificates answer the deep windows the seed run lost to timeouts
-   (the seed recorded 17-40 per pass), so timeouts must land strictly
-   below that baseline, with nonzero reuse counters.
-5. **reduced, conclusive** — the same acceleration on the reduced
+1. **sequential** — cold cache: the baseline search.
+2. **sequential (warm cache)** — the same search again, sharing the
+   first run's solve cache.  Exact-replay hits preserve the search
+   trajectory bit-for-bit, so the final latency must equal the first
+   run's and the cache hit rate must be nonzero.
+3. **accelerated** — the cross-window acceleration flags (incumbent
+   reuse, primal-first) under the *same* per-solve budget.  The packing
+   bound and the primal certificates answer the deep windows the seed
+   run lost to timeouts (the seed recorded 17-40 per pass), so timeouts
+   must land strictly below that baseline, with nonzero reuse counters.
+4. **reduced, conclusive** — the same acceleration on the reduced
    two-collection DCT (``dct_4x4(rows=2)``): every window must end
    conclusively — zero timeouts, never degraded.  The full 32-task
    graph keeps a narrow band of windows between the packing bound and
@@ -51,7 +46,7 @@ R_MAX = 576.0
 C_T = 30.0
 DELTA = 200.0
 #: Per-pass window timeouts the seed run recorded on this configuration
-#: (17 sequential / 38 warm portfolio / 40 cold portfolio) before the
+#: (17 sequential, 38-40 when racing highs against bnb) before the
 #: packing bound and the acceleration layer existed.
 SEED_TIMEOUT_BASELINE = 17
 #: Tolerance of the reduced conclusive pass: wide enough that the
@@ -92,11 +87,8 @@ def run_payload(result, wall):
     }
 
 
-def test_portfolio_speedup_and_cache():
+def test_cache_replay_and_acceleration():
     sequential_settings = SolverSettings(time_limit=SOLVE_LIMIT)
-    portfolio_settings = SolverSettings(
-        time_limit=SOLVE_LIMIT, portfolio=("highs", "bnb")
-    )
 
     # 1. Sequential baseline, cold cache.
     seq_executor = SolveExecutor(sequential_settings)
@@ -106,22 +98,20 @@ def test_portfolio_speedup_and_cache():
     assert seq.feasible, "DCT at R_max=576 must be partitionable"
     assert seq.design.audit(processor) == []
 
-    # 2. Portfolio run reusing the sequential run's solve cache: exact
+    # 2. The same search replayed on the first run's solve cache: exact
     #    replays answer every previously-seen window, preserving the
     #    trajectory, so the outcome must be identical.
     warm_executor = SolveExecutor(
-        portfolio_settings, cache=seq_executor.cache
+        sequential_settings, cache=seq_executor.cache
     )
-    warm, warm_wall, _ = run_search(portfolio_settings, executor=warm_executor)
+    warm, warm_wall, _ = run_search(
+        sequential_settings, executor=warm_executor
+    )
     assert warm.feasible
     assert warm.achieved == pytest.approx(seq.achieved, abs=1e-6)
     assert warm.telemetry.cache_hit_rate > 0.0
 
-    # 3. Portfolio run from scratch: wall-time comparison only.
-    cold, cold_wall, _ = run_search(portfolio_settings)
-    assert cold.feasible
-
-    # 4. Cross-window acceleration under the same per-solve budget:
+    # 3. Cross-window acceleration under the same per-solve budget:
     #    the packing bound, primal certificates and carried incumbents
     #    must answer the deep windows the seed run lost to timeouts.
     accel_settings = SolverSettings(
@@ -139,7 +129,7 @@ def test_portfolio_speedup_and_cache():
     assert accel.telemetry.incumbent_reuses > 0
     assert accel.telemetry.primal_hits > 0
 
-    # 5. Reduced two-collection DCT: with the undecidable band out of
+    # 4. Reduced two-collection DCT: with the undecidable band out of
     #    reach, the accelerated search must be conclusive end to end.
     reduced, reduced_wall, _ = run_search(
         accel_settings, graph=dct_4x4(rows=2), delta=REDUCED_DELTA
@@ -150,7 +140,7 @@ def test_portfolio_speedup_and_cache():
     assert reduced.telemetry.incumbent_reuses > 0
     assert reduced.telemetry.primal_hits > 0
 
-    # 6. Hostile budget: the search completes, flagged degraded.
+    # 5. Hostile budget: the search completes, flagged degraded.
     tiny = refine_partitions_bound(
         dct_4x4(),
         ReconfigurableProcessor(R_MAX, 2048.0, C_T),
@@ -172,8 +162,7 @@ def test_portfolio_speedup_and_cache():
             "reduced_delta": REDUCED_DELTA,
         },
         "sequential": run_payload(seq, seq_wall),
-        "portfolio_warm_cache": run_payload(warm, warm_wall),
-        "portfolio_cold": run_payload(cold, cold_wall),
+        "sequential_warm_cache": run_payload(warm, warm_wall),
         "accelerated": run_payload(accel, accel_wall),
         "reduced_conclusive": run_payload(reduced, reduced_wall),
         "tiny_budget": {
@@ -181,9 +170,6 @@ def test_portfolio_speedup_and_cache():
             "feasible": tiny.feasible,
             "final_latency": tiny.achieved,
         },
-        "speedup_cold_vs_sequential": (
-            round(seq_wall / cold_wall, 3) if cold_wall > 0 else None
-        ),
     }
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_portfolio.json").write_text(

@@ -1,8 +1,8 @@
-"""Pre-solve model analysis: certify structure before racing backends.
+"""Pre-solve model analysis: certify structure before any backend runs.
 
 The paper's ILP is solved dozens of times per ``Reduce_Latency``
 bisection; a malformed or trivially infeasible model wastes a whole
-portfolio race before anyone notices.  This package certifies a model
+backend solve before anyone notices.  This package certifies a model
 *before* it reaches any backend:
 
 * :mod:`repro.analysis.structure` — structural defects of the compiled

@@ -232,12 +232,8 @@ def _cmd_partition(args: argparse.Namespace) -> int:
             chrome_events = MemorySink()
             sinks.append(chrome_events)
         tracer = Tracer(*sinks)
-    # "portfolio" races the scipy/HiGHS backend against the native branch
-    # & bound; the first conclusive verdict wins each window solve.
-    race = args.backend == "portfolio"
     solver = SolverSettings(
-        backend="highs" if race else args.backend,
-        portfolio=("highs", "bnb") if race else None,
+        backend=args.backend,
         time_limit=args.solve_limit,
         enable_cache=not args.no_cache,
         tracer=tracer,
@@ -866,9 +862,9 @@ def build_parser() -> argparse.ArgumentParser:
     partition.add_argument("--time-budget", type=float, default=300.0)
     partition.add_argument("--solve-limit", type=float, default=30.0)
     partition.add_argument("--backend", default="highs",
-                           choices=("highs", "bnb", "portfolio"),
-                           help="ILP backend; 'portfolio' races highs "
-                           "and bnb per window solve")
+                           choices=("highs", "bnb"),
+                           help="ILP backend that answers every window "
+                           "solve")
     partition.add_argument("--no-cache", action="store_true",
                            help="disable solve memoization")
     _add_scenario_arguments(partition)
@@ -889,14 +885,14 @@ def build_parser() -> argparse.ArgumentParser:
                            help="write a partition-clustered DOT file")
     partition.add_argument("--trace-jsonl", default=None,
                            help="record structured trace events (spans, "
-                           "backend races, cache hits) as JSONL; inspect "
+                           "backend attempts, cache hits) as JSONL; inspect "
                            "with 'repro-tp trace report'")
     partition.add_argument("--trace-chrome", default=None,
                            help="write a Chrome trace-event-format JSON "
                            "for chrome://tracing / Perfetto")
     partition.add_argument("--metrics-json", default=None,
                            help="record labeled counters/histograms "
-                           "(window solves, backend races, cache tiers) "
+                           "(window solves, backend attempts, cache tiers) "
                            "and write the snapshot as JSON; inspect with "
                            "'repro-tp metrics report'")
     partition.set_defaults(func=_cmd_partition)
@@ -1110,7 +1106,7 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help="run the repo's scope-aware static analysis (RL001-RL009)",
         description="Scope-aware static analysis over the repo sources: "
-        "compiled-model immutability, portfolio/process-pool worker "
+        "compiled-model immutability, thread/process-pool worker "
         "discipline, async non-blocking, fingerprint determinism and "
         "scenario-builder purity.  Rule catalog: docs/staticcheck.md.  "
         "Exit codes: 0 = clean, 1 = active findings, 2 = usage/IO "

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.arch.processor import ReconfigurableProcessor
 from repro.core.solution import PartitionedDesign, Placement
@@ -57,17 +56,14 @@ def cp_solve(
     node_limit: int = 2_000_000,
     time_limit: float | None = None,
     stats: CpStats | None = None,
-    should_stop: Callable[[], bool] | None = None,
     tracer=None,
 ) -> PartitionedDesign | None:
     """First assignment with total latency ``<= d_max``, or ``None``.
 
     ``d_max`` includes the reconfiguration overhead (``eta * C_T``),
-    matching the ILP's equation (9).  ``should_stop`` is a cooperative
-    cancellation predicate polled with the other budgets at every node;
-    a cancelled search reports ``stats.timed_out`` (it proves nothing).
-    ``tracer`` (:class:`repro.obs.Tracer`) receives periodic
-    ``cp_checkpoint`` events with the node and backtrack counters.
+    matching the ILP's equation (9).  ``tracer``
+    (:class:`repro.obs.Tracer`) receives periodic ``cp_checkpoint``
+    events with the node and backtrack counters.
     """
     if num_partitions < 1:
         raise ValueError("need at least one partition")
@@ -124,9 +120,6 @@ def cp_solve(
         if stats.nodes >= node_limit:
             return True
         if deadline is not None and time.perf_counter() > deadline:
-            stats.timed_out = True
-            return True
-        if should_stop is not None and should_stop():
             stats.timed_out = True
             return True
         return False

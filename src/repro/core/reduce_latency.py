@@ -16,7 +16,7 @@ trades solution quality against run time: the paper's Tables 5 vs 7 (and
 reproduces that trade-off.
 
 Each window question is executed by the solver execution layer
-(:class:`repro.solve.SolveExecutor`): backend portfolio racing, solve
+(:class:`repro.solve.SolveExecutor`): backend dispatch, solve
 memoization, deadline enforcement and graceful degradation all live
 there, not in this algorithm (see ``docs/solving.md``).  The executor
 also holds the run's :class:`repro.core.formulation.ModelTemplate`s, so
@@ -53,14 +53,9 @@ class SolverSettings:
     Attributes
     ----------
     backend:
-        ILP backend name (``"highs"`` or ``"bnb"``) used when no
-        portfolio is configured.
-    portfolio:
-        When set (e.g. ``("highs", "bnb")``), every window solve races
-        these backends concurrently and keeps the first conclusive
-        verdict, cancelling the rest (``"cp"`` adds the problem-specific
-        backtracker to the race).  ``None`` solves sequentially with
-        ``backend`` — the previous behavior.
+        The one backend that answers every window solve, inline:
+        ``"highs"`` or ``"bnb"`` (ILP backends) or ``"cp"`` (the
+        problem-specific backtracker).
     time_limit:
         Per-solve wall-clock budget, enforced on every backend.  A solve
         that exhausts it without an incumbent is treated as infeasible by
@@ -104,7 +99,7 @@ class SolverSettings:
     primal_first:
         Run a cheap primal stage (LP relaxation + rounding/diving from
         :mod:`repro.ilp.rounding`) under a small budget before the
-        portfolio race.  The paper's procedure only needs feasibility,
+        backend runs.  The paper's procedure only needs feasibility,
         so a primal hit skips the MILP entirely; an LP-infeasible
         relaxation is a proof of window emptiness and also skips it.
     symmetry_breaking:
@@ -155,7 +150,6 @@ class SolverSettings:
     """
 
     backend: str = "highs"
-    portfolio: tuple[str, ...] | None = None
     time_limit: float | None = 60.0
     node_limit: int | None = None
     use_lp_bound: bool = True
@@ -192,11 +186,7 @@ class SolverSettings:
 
         Enables all of :data:`ACCELERATION_FLAGS` (cross-window
         incumbent carry, primal-first pipeline, symmetry breaking) and
-        solves each window with the default ``backend`` alone.  There is
-        no portfolio race: on the layered benchmark (``perfbench/``) the
-        native branch & bound never won a window against HiGHS, and its
-        thread only competed for the same cores.  Pass
-        ``portfolio=("highs", "bnb")`` to race anyway.  Verdict-
+        solves each window with the default ``backend``.  Verdict-
         equivalent to the defaults; iteration-level traces may differ.
         """
         base: dict = {flag: True for flag in cls.ACCELERATION_FLAGS}

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -50,10 +49,6 @@ class BnbOptions:
     #: is discarded rather than silently repaired, because a wrong
     #: incumbent prunes optimal subtrees.
     warm_start: np.ndarray | None = None
-    #: Cooperative cancellation: polled alongside the wall-clock deadline
-    #: before every node, every diving re-solve and every root-cut round.
-    #: Used by the portfolio runner to stop a losing race early.
-    should_stop: Callable[[], bool] | None = None
     #: Rounds of knapsack cover cuts separated at the root node (0 = off).
     #: Valid for all integer points; tightens packing relaxations.
     root_cuts: int = 0
@@ -163,14 +158,10 @@ def branch_and_bound(form, options: BnbOptions | None = None) -> BnbResult:
     def out_of_time() -> bool:
         return deadline is not None and time.perf_counter() > deadline
 
-    def halted() -> bool:
-        """Budget predicate: deadline blown or cancelled from outside."""
-        if options.should_stop is not None and options.should_stop():
-            return True
-        return out_of_time()
-
     if options.root_cuts > 0:
-        form = _strengthen_with_cover_cuts(form, options.root_cuts, stop=halted)
+        form = _strengthen_with_cover_cuts(
+            form, options.root_cuts, stop=out_of_time
+        )
 
     # Basis reuse across node LPs (own engine only): the canonical
     # structure is identical at every node — only bound *values* change —
@@ -183,7 +174,7 @@ def branch_and_bound(form, options: BnbOptions | None = None) -> BnbResult:
         # diving re-solve) starts once it is spent, and scipy LPs inherit
         # whatever wall clock remains so one long relaxation cannot
         # overshoot the deadline.
-        if halted():
+        if out_of_time():
             return SolveStatus.TIME_LIMIT, None, math.nan
         if options.lp_engine == "own":
             result = solve_lp(
@@ -239,7 +230,7 @@ def branch_and_bound(form, options: BnbOptions | None = None) -> BnbResult:
     status_on_exit = SolveStatus.OPTIMAL
 
     while stack:
-        if halted():
+        if out_of_time():
             status_on_exit = SolveStatus.TIME_LIMIT
             break
         if nodes_explored >= options.node_limit:
@@ -369,7 +360,6 @@ def solve_with_bnb(model, **options) -> Solution:
         first_feasible=bool(options.get("first_feasible", False)),
         node_limit=options.get("node_limit") or 200_000,
         time_limit=options.get("time_limit"),
-        should_stop=options.get("should_stop"),
         tracer=options.get("tracer"),
     )
     if "dive_every" in options:

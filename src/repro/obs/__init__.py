@@ -1,7 +1,7 @@
 """Observability: structured tracing and profiling of the solve pipeline.
 
 The search procedures, the :class:`repro.solve.executor.SolveExecutor`,
-the backend portfolio and the ILP backends are instrumented with spans
+its backend attempts and the ILP backends are instrumented with spans
 and events through this package.  :class:`repro.solve.telemetry
 .RunTelemetry` is the cheap always-on aggregate, a view of the
 executor's metrics registry; tracing is the opt-in, high-resolution

@@ -10,7 +10,7 @@ contract shard workers rely on when they ship their snapshot back to
 the parent process as their one run record.
 
 The instrumented layers (:class:`repro.solve.executor.SolveExecutor`,
-the backend portfolio, both cache tiers and
+its backend attempts, both cache tiers and
 :class:`repro.service.facade.PartitionService`) find their registry on
 :class:`repro.core.reduce_latency.SolverSettings` exactly like the
 tracer.  The executor always records — into a private registry when
@@ -30,7 +30,7 @@ Label conventions
   per-process values is the correct aggregate.
 
 Everything is thread-safe: one registry lock guards family creation and
-every sample update, matching the portfolio's worker-thread model.
+every sample update, so worker threads may count concurrently.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ common cases:
   interchange format consumed by ``repro-tp trace report`` and
   :func:`repro.obs.profile.load_events`.
 
-Both are thread-safe: portfolio worker threads emit concurrently.
+Both are thread-safe: spans on several threads may emit concurrently.
 Events are plain dicts (schema documented in ``docs/observability.md``);
 values that are not JSON-serializable are stringified rather than
 raising mid-solve.

@@ -4,7 +4,7 @@ A :class:`Tracer` produces :class:`Span` context managers — named, timed,
 attributed, and linked into a tree by ``span_id``/``parent_id`` — and
 forwards structured events to pluggable sinks
 (:mod:`repro.obs.sinks`).  The search drivers, the
-:class:`repro.solve.executor.SolveExecutor`, the backend portfolio and
+:class:`repro.solve.executor.SolveExecutor`, its backend attempts and
 the ILP backends all open spans through the tracer they find on
 :class:`repro.core.reduce_latency.SolverSettings`; with no tracer
 configured they talk to the :data:`NULL_TRACER`, whose spans are a
@@ -15,9 +15,9 @@ Threading model
 ---------------
 Implicit span nesting uses a *thread-local* stack: a span opened while
 another is active on the same thread becomes its child automatically.
-Cross-thread parentage — the portfolio's worker threads recording their
-backend attempts under the window solve that spawned them — is explicit:
-pass ``parent=`` (a :class:`Span` or a span id) to :meth:`Tracer.span`.
+Cross-thread parentage — a worker thread recording its spans under a
+span opened on the thread that spawned it — is explicit: pass
+``parent=`` (a :class:`Span` or a span id) to :meth:`Tracer.span`.
 Span ids are allocated from one atomic counter, and sinks receive events
 from all threads (each sink locks its own write path), so concurrent
 spans never collide.

@@ -75,9 +75,6 @@ def _encode_settings(settings: SolverSettings) -> dict[str, Any]:
         for f in dataclasses.fields(settings)
         if f.name not in _LOCAL_SETTINGS_FIELDS
     }
-    payload["portfolio"] = (
-        None if settings.portfolio is None else list(settings.portfolio)
-    )
     payload["extra"] = dict(settings.extra)
     return payload
 
@@ -89,8 +86,6 @@ def _decode_settings(payload: dict[str, Any]) -> SolverSettings:
         for k, v in payload.items()
         if k in known and k not in _LOCAL_SETTINGS_FIELDS
     }
-    if kwargs.get("portfolio") is not None:
-        kwargs["portfolio"] = tuple(kwargs["portfolio"])
     return SolverSettings(**kwargs)
 
 

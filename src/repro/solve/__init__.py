@@ -1,4 +1,4 @@
-"""Solver execution layer: portfolio racing, memoization, telemetry.
+"""Solver execution layer: backend dispatch, memoization, telemetry.
 
 This package sits between the search algorithms of :mod:`repro.core` and
 the solver backends of :mod:`repro.ilp`.  The search asks *decision*
@@ -6,9 +6,8 @@ questions ("is there a design in this latency window?"); this layer
 decides *how* each question is answered:
 
 * :mod:`repro.solve.executor` — the :class:`SolveExecutor` entry point:
-  cache lookup, deadline policy, portfolio dispatch, greedy fallback;
-* :mod:`repro.solve.portfolio` — backend racing with cooperative
-  cancellation;
+  cache lookup, deadline policy, one inline backend attempt per window,
+  greedy fallback;
 * :mod:`repro.solve.cache` — window-monotonic solve memoization (and
   the :class:`TieredSolveCache` putting in-process memory in front of
   shared disk);
@@ -35,7 +34,6 @@ from repro.solve.fingerprint import (
     fingerprint_ilp,
     fingerprint_model,
 )
-from repro.solve.portfolio import SolveAttempt, race_backends
 from repro.solve.telemetry import RunTelemetry, SolveStats
 
 __all__ = [
@@ -45,7 +43,6 @@ __all__ = [
     "KNOWN_BACKENDS",
     "ModelFingerprint",
     "RunTelemetry",
-    "SolveAttempt",
     "SolveCache",
     "SolveCacheProtocol",
     "SolveExecutor",
@@ -55,5 +52,4 @@ __all__ = [
     "fingerprint_compiled",
     "fingerprint_ilp",
     "fingerprint_model",
-    "race_backends",
 ]

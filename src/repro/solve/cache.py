@@ -116,9 +116,9 @@ class SolveCacheProtocol(Protocol):
 class SolveCache:
     """Window-verdict memoization shared across a search run (or runs).
 
-    Thread-safe; the portfolio runner's worker threads never touch the
-    cache directly (the executor looks up before dispatch and stores
-    after), but a shared cache may serve several searches.
+    Thread-safe; backends never touch the cache directly (the executor
+    looks up before dispatch and stores after), but a shared cache may
+    serve several searches.
     """
 
     _entries: dict[str, list[CachedVerdict]] = field(default_factory=dict)

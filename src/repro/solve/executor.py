@@ -16,11 +16,11 @@
    runs (exact replays and window-monotone verdict reuse),
 3. **deadline policy** — the per-solve budget is the minimum of the
    settings' ``time_limit`` and whatever remains of the search's overall
-   deadline; an already-expired deadline skips the backends entirely,
-4. **portfolio execution** — the configured backends race in worker
-   threads (:func:`repro.solve.portfolio.race_backends`); the first
-   conclusive verdict wins and cooperative backends are cancelled,
-5. **graceful degradation** — when every backend exhausts its budget,
+   deadline; an already-expired deadline skips the backend entirely,
+4. **backend execution** — ``settings.backend`` (``highs``, ``bnb`` or
+   ``cp``) answers the window inline on the caller's thread, once; a
+   backend that raises is contained as an ``ERROR`` attempt,
+5. **graceful degradation** — when the backend exhausts its budget,
    the greedy level-packing heuristics are tried as a last resort and
    the outcome is marked ``degraded=True`` instead of raising or
    silently reporting infeasibility,
@@ -35,7 +35,6 @@ handed in by the caller to share the cache across runs).
 from __future__ import annotations
 
 import math
-import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -49,7 +48,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import as_tracer
 from repro.solve.cache import SolveCache, SolveCacheProtocol, TieredSolveCache
 from repro.solve.fingerprint import ModelFingerprint, fingerprint_model
-from repro.solve.portfolio import AttemptFn, SolveAttempt, race_backends
 from repro.solve.telemetry import RunTelemetry, SolveStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
@@ -63,7 +61,7 @@ __all__ = ["WindowOutcome", "SolveExecutor", "KNOWN_BACKENDS"]
 
 #: Backends the executor knows how to drive.  ``highs`` and ``bnb`` are
 #: ILP backends solving the built model; ``cp`` is the problem-specific
-#: backtracker, raced at the graph level.
+#: backtracker, run on the graph itself.
 KNOWN_BACKENDS = ("highs", "bnb", "cp")
 
 #: Greedy fallback policies, tried in this order (feasibility-friendly
@@ -89,8 +87,27 @@ class WindowOutcome:
         return self.design is not None
 
 
+@dataclass(frozen=True)
+class SolveAttempt:
+    """Outcome of the backend's try at a window solve."""
+
+    backend: str
+    status: SolveStatus
+    design: "PartitionedDesign | None"
+    wall_time: float
+    iterations: int = 0
+    error: str | None = None
+
+    @property
+    def conclusive(self) -> bool:
+        """A verdict the search can act on: a design or an emptiness proof."""
+        if self.design is not None:
+            return True
+        return self.status in (SolveStatus.INFEASIBLE, SolveStatus.UNBOUNDED)
+
+
 class SolveExecutor:
-    """Executes window solves with caching, racing, deadlines, telemetry."""
+    """Executes window solves with caching, deadlines, telemetry."""
 
     def __init__(
         self,
@@ -108,8 +125,8 @@ class SolveExecutor:
         self.tracer = as_tracer(settings.tracer)
         #: The run's one record of counters (:attr:`telemetry` reads it):
         #: ``settings.metrics``, else a private registry.  The caches
-        #: built here and the backend races count into it too; a cache
-        #: passed in counts into the registry it was built with.
+        #: built here count into it too; a cache passed in counts into
+        #: the registry it was built with.
         metrics = settings.metrics
         self.metrics = metrics if metrics and metrics.enabled else MetricsRegistry()
         self._register_metrics()
@@ -158,7 +175,11 @@ class SolveExecutor:
             tuple[int, int, int],
             tuple["TaskGraph", "ReconfigurableProcessor", float],
         ] = {}
-        self._validate_backends()
+        if settings.backend not in KNOWN_BACKENDS:
+            raise ValueError(
+                f"unknown solve backend {settings.backend!r}; "
+                f"known: {KNOWN_BACKENDS}"
+            )
 
     def _register_metrics(self) -> None:
         """Pre-resolve the executor's metric families (see
@@ -186,10 +207,25 @@ class SolveExecutor:
             "repro_template_builds_total",
             "Model templates built (one per graph/N/options structure).",
         )
+        self._m_backend_attempts = m.counter(
+            "repro_backend_attempts_total",
+            "Backend attempts started, one per window that reached a "
+            "backend.",
+            ("backend",),
+        )
+        self._m_backend_seconds = m.histogram(
+            "repro_backend_solve_seconds",
+            "Wall time of one backend attempt.",
+            ("backend",),
+        )
+        self._m_backend_wins = m.counter(
+            "repro_backend_wins_total",
+            "Backend attempts that ended with a conclusive verdict.",
+            ("backend",),
+        )
         self._m_backend_timeouts = m.counter(
             "repro_backend_timeouts_total",
-            "Backend attempts that exhausted their budget in a race "
-            "nobody won.",
+            "Backend attempts that exhausted their time or node budget.",
             ("backend",),
         )
         self._m_analyses = m.counter(
@@ -206,28 +242,11 @@ class SolveExecutor:
     def telemetry(self) -> RunTelemetry:
         """A fresh view of :attr:`metrics` and the window rows so far.
 
-        Executors sharing one registry see cumulative counters; in a
-        multi-backend race, ``backend_wall`` includes stragglers that
-        finished after the race was decided.
+        Executors sharing one registry see cumulative counters.
         """
         return RunTelemetry.from_snapshot(
             self.metrics.snapshot(), solves=self._solves
         )
-
-    def _validate_backends(self) -> None:
-        for name in self.backends:
-            if name not in KNOWN_BACKENDS:
-                raise ValueError(
-                    f"unknown solve backend {name!r}; "
-                    f"known: {KNOWN_BACKENDS}"
-                )
-
-    @property
-    def backends(self) -> tuple[str, ...]:
-        """The backends a window solve will run (portfolio or solo)."""
-        if self.settings.portfolio:
-            return tuple(self.settings.portfolio)
-        return (self.settings.backend,)
 
     # -- model preparation ---------------------------------------------------
 
@@ -416,70 +435,35 @@ class SolveExecutor:
                             options, fp, start, timed_out=True,
                         )
 
-            attempts = self._build_attempts(
+            attempt = self._run_attempt(
                 tp_model, graph, processor, num_partitions, d_max, options,
-                budget, warm_values=warm_values,
+                budget, warm_values,
             )
-            winner, completed = race_backends(
-                attempts, tracer=tracer, metrics=self.metrics
-            )
-            for attempt in completed:
-                # Count budget exhaustion only when the race as a whole
-                # was inconclusive — a loser cancelled mid-race also
-                # reports TIME_LIMIT, but nothing actually timed out then.
-                if winner is None and attempt.status in (
-                    SolveStatus.TIME_LIMIT,
-                    SolveStatus.NODE_LIMIT,
-                ):
-                    self._m_backend_timeouts.labels(attempt.backend).inc()
-                    tracer.event(
-                        "backend_timeout",
-                        backend=attempt.backend,
-                        status=attempt.status.value,
-                        wall_time=attempt.wall_time,
-                    )
-                elif winner is not None and attempt is winner:
-                    tracer.event(
-                        "backend_win",
-                        backend=attempt.backend,
-                        status=attempt.status.value,
-                        wall_time=attempt.wall_time,
-                        contenders=len(attempts),
-                    )
-                else:
-                    tracer.event(
-                        "backend_loss",
-                        backend=attempt.backend,
-                        status=attempt.status.value,
-                        wall_time=attempt.wall_time,
-                        cancelled=attempt.status
-                        in (SolveStatus.TIME_LIMIT, SolveStatus.NODE_LIMIT),
-                    )
-
-            if winner is not None and winner.design is not None:
-                achieved = winner.design.total_latency(processor)
+            if attempt.design is not None:
+                achieved = attempt.design.total_latency(processor)
                 if fp is not None:
                     self.cache.store_feasible(
-                        fp, winner.design, achieved, backend=winner.backend
+                        fp, attempt.design, achieved, backend=attempt.backend
                     )
                 return self._conclude(
-                    winner.design, achieved, winner.status, winner.backend,
+                    attempt.design, achieved, attempt.status, attempt.backend,
                     num_partitions, d_min, d_max, start,
-                    iterations=winner.iterations,
+                    iterations=attempt.iterations,
                 )
-            if winner is not None:  # proven INFEASIBLE (or UNBOUNDED)
-                if fp is not None and winner.status is SolveStatus.INFEASIBLE:
-                    self.cache.store_infeasible(fp, backend=winner.backend)
+            if attempt.conclusive:  # proven INFEASIBLE (or UNBOUNDED)
+                if fp is not None and attempt.status is SolveStatus.INFEASIBLE:
+                    self.cache.store_infeasible(fp, backend=attempt.backend)
                 return self._conclude(
-                    None, None, winner.status, winner.backend,
+                    None, None, attempt.status, attempt.backend,
                     num_partitions, d_min, d_max, start,
-                    iterations=winner.iterations,
+                    iterations=attempt.iterations,
                 )
 
-            # Every backend ran out of budget (or crashed): degrade.
+            # The backend ran out of budget or crashed: degrade.
             return self._degrade(
                 graph, processor, num_partitions, d_max, d_min,
-                options, fp, start, timed_out=True,
+                options, fp, start,
+                timed_out=attempt.status is not SolveStatus.ERROR,
             )
 
     # -- pre-solve analysis --------------------------------------------------
@@ -495,7 +479,7 @@ class SolveExecutor:
         counters) and continues; ``"strict"`` raises
         :class:`repro.analysis.ModelAnalysisError` on ERROR-severity
         findings *before any backend attempt* so a malformed model never
-        costs a portfolio race.
+        costs a backend solve.
         """
         from repro.analysis import ModelAnalysisError, analyze_model
 
@@ -637,7 +621,7 @@ class SolveExecutor:
         Returns ``(outcome, warm_values)``: a concluded outcome when the
         incumbent is still feasible (one sparse matrix-vector product,
         zero solver work), else the lifted variable assignment to offer
-        the backends as a validated warm start (or ``None`` if there is
+        the backend as a validated warm start (or ``None`` if there is
         no usable incumbent).
         """
         from repro.core.formulation import warm_values_from_design
@@ -693,7 +677,7 @@ class SolveExecutor:
         budget: float | None,
         start: float,
     ) -> WindowOutcome | None:
-        """Bound check, LP relaxation + primal heuristics, pre-race.
+        """Bound check, LP relaxation + primal heuristics, pre-backend.
 
         Four conclusive exits, all sound for the window model:
 
@@ -714,7 +698,7 @@ class SolveExecutor:
           backend burns its budget (and without the ``degraded`` mark:
           a valid design is a valid design, whoever found it).
         * Anything else (LP timeout, no primal point) returns ``None``
-          and the portfolio runs as usual, minus the spent budget.
+          and the backend runs as usual, minus the spent budget.
         """
         from repro.ilp.rounding import dive, round_nearest
         from repro.ilp.scipy_backend import solve_relaxation
@@ -739,7 +723,7 @@ class SolveExecutor:
         if budget is not None:
             # Keep the probe a sliver of the window budget: its job is
             # the cheap certificates, and every second it burns is a
-            # second the portfolio race loses on the hard windows.
+            # second the backend loses on the hard windows.
             probe_limit = max(0.2, min(2.0, 0.1 * budget))
         with self.tracer.span("primal_probe") as sp:
             status, x, _objective, _n = solve_relaxation(
@@ -765,7 +749,7 @@ class SolveExecutor:
                 # level packers are window-independent, so they can hit
                 # only while ``d_max`` is above their fixed latency —
                 # typically the wide opening window of each bisection,
-                # which is also the most expensive one to race.
+                # which is also the most expensive one to solve.
                 greedy = self._greedy_probe(
                     graph, processor, options, num_partitions,
                     d_min, d_max, fp, start, sp,
@@ -843,6 +827,47 @@ class SolveExecutor:
             self._packing_bounds[key] = held
         return held[2]
 
+    def _greedy_certificate(
+        self,
+        graph,
+        processor,
+        options,
+        num_partitions: int,
+        d_max: float,
+        span=None,
+    ) -> "tuple[str, PartitionedDesign, float] | None":
+        """The first greedy level-packing design that certifies the window.
+
+        A greedy design is a genuine feasibility certificate when it uses
+        at most ``N`` partitions, fits under ``d_max`` (a latency *below*
+        ``d_min`` is accepted — the window's lower edge only steers the
+        bisection bookkeeping and excludes no true design) and meets every
+        architectural constraint.  Policies are tried in
+        :data:`_FALLBACK_POLICIES` order; each one that fails a check is
+        reported as a ``fallback_rejected`` event on ``span``, when given.
+        Returns ``(policy, design, achieved)``, or ``None`` when no policy
+        qualifies.
+        """
+        from repro.core.heuristics import greedy_partition
+
+        for policy in _FALLBACK_POLICIES:
+            design = greedy_partition(
+                graph, processor, policy,
+                include_env_memory=options.include_env_memory,
+            ).design
+            achieved = design.total_latency(processor)
+            if design.num_partitions_used > num_partitions:
+                rejected = {"reason": "too_many_partitions"}
+            elif achieved > d_max + 1e-9:
+                rejected = {"reason": "over_latency", "achieved": achieved}
+            elif design.audit(processor, options.include_env_memory):
+                rejected = {"reason": "audit_failed"}
+            else:
+                return policy, design, achieved
+            if span is not None:
+                span.event("fallback_rejected", policy=policy, **rejected)
+        return None
+
     def _greedy_probe(
         self,
         graph,
@@ -857,37 +882,26 @@ class SolveExecutor:
     ) -> WindowOutcome | None:
         """Try the greedy level packers as a primal certificate.
 
-        Same acceptance rules as the degrade path (at most ``N``
-        partitions, clean audit, latency under ``d_max``; the window's
-        lower edge excludes no true design), but run up front as part of
-        the primal-first stage, so a hit costs microseconds instead of a
-        full backend race.  Returns ``None`` when no policy qualifies.
+        Same acceptance rule as the degrade path
+        (:meth:`_greedy_certificate`), but run up front as part of the
+        primal-first stage, so a hit costs microseconds instead of a
+        full backend solve.  Returns ``None`` when no policy qualifies.
         """
-        from repro.core.heuristics import greedy_partition
-
-        for policy in _FALLBACK_POLICIES:
-            result = greedy_partition(
-                graph, processor, policy,
-                include_env_memory=options.include_env_memory,
-            )
-            design = result.design
-            if design.num_partitions_used > num_partitions:
-                continue
-            achieved = design.total_latency(processor)
-            if achieved > d_max + 1e-9:
-                continue
-            if design.audit(processor, options.include_env_memory):
-                continue
-            label = f"primal:greedy:{policy}"
-            sp.annotate(result="hit", label=label, achieved=achieved)
-            self._m_primal_hits.labels("greedy").inc()
-            if fp is not None:
-                self.cache.store_feasible(fp, design, achieved, backend=label)
-            return self._conclude(
-                design, achieved, SolveStatus.FEASIBLE, label,
-                num_partitions, d_min, d_max, start,
-            )
-        return None
+        found = self._greedy_certificate(
+            graph, processor, options, num_partitions, d_max
+        )
+        if found is None:
+            return None
+        policy, design, achieved = found
+        label = f"primal:greedy:{policy}"
+        sp.annotate(result="hit", label=label, achieved=achieved)
+        self._m_primal_hits.labels("greedy").inc()
+        if fp is not None:
+            self.cache.store_feasible(fp, design, achieved, backend=label)
+        return self._conclude(
+            design, achieved, SolveStatus.FEASIBLE, label,
+            num_partitions, d_min, d_max, start,
+        )
 
     def _degrade(
         self,
@@ -903,39 +917,20 @@ class SolveExecutor:
     ) -> WindowOutcome:
         """Last resort: greedy level-packing instead of an exception.
 
-        A greedy design is a genuine feasibility certificate when it uses
-        at most ``N`` partitions, meets every architectural constraint
-        and fits under ``d_max`` (a latency *below* ``d_min`` is accepted
-        — the window's lower edge only steers the bisection bookkeeping
-        and excludes no true design).
+        A certifying greedy design (:meth:`_greedy_certificate`) concludes
+        the window ``FEASIBLE``; otherwise it concludes ``TIME_LIMIT``
+        after a budget ran out (``timed_out``) and ``ERROR`` after a
+        backend crash.  Either way the outcome is marked ``degraded``.
         """
         if self.settings.heuristic_fallback:
-            from repro.core.heuristics import greedy_partition
-
             with self.tracer.span(
                 "heuristic_fallback", num_partitions=num_partitions
             ) as sp:
-                for policy in _FALLBACK_POLICIES:
-                    result = greedy_partition(
-                        graph,
-                        processor,
-                        policy,
-                        include_env_memory=options.include_env_memory,
-                    )
-                    design = result.design
-                    if design.num_partitions_used > num_partitions:
-                        sp.event("fallback_rejected", policy=policy,
-                                 reason="too_many_partitions")
-                        continue
-                    achieved = design.total_latency(processor)
-                    if achieved > d_max + 1e-9:
-                        sp.event("fallback_rejected", policy=policy,
-                                 reason="over_latency", achieved=achieved)
-                        continue
-                    if design.audit(processor, options.include_env_memory):
-                        sp.event("fallback_rejected", policy=policy,
-                                 reason="audit_failed")
-                        continue
+                found = self._greedy_certificate(
+                    graph, processor, options, num_partitions, d_max, span=sp
+                )
+                if found is not None:
+                    policy, design, achieved = found
                     sp.annotate(policy=policy, achieved=achieved)
                     if fp is not None:
                         self.cache.store_feasible(
@@ -965,7 +960,7 @@ class SolveExecutor:
             return remaining
         return min(limit, remaining)
 
-    def _build_attempts(
+    def _run_attempt(
         self,
         tp_model,
         graph,
@@ -974,114 +969,128 @@ class SolveExecutor:
         d_max: float,
         options,
         time_limit: float | None,
-        warm_values: dict | None = None,
-    ) -> list[tuple[str, AttemptFn]]:
-        attempts: list[tuple[str, AttemptFn]] = []
-        for name in self.backends:
-            if name == "cp":
-                attempts.append(
-                    (
-                        name,
-                        self._cp_attempt(
-                            graph, processor, num_partitions, d_max,
-                            options, time_limit,
-                        ),
+        warm_values: dict | None,
+    ) -> SolveAttempt:
+        """Run ``settings.backend`` on the window, inline, and count it.
+
+        The attempt runs inside an ``attempt:<backend>`` span (a child of
+        ``solve_window``) and ends in exactly one of the
+        ``backend_win`` (conclusive), ``backend_timeout`` (time or node
+        budget spent) or ``backend_loss`` (anything else, such as a
+        crash) events.  A backend that raises becomes an ``ERROR``
+        attempt carrying the exception: a crash must not take the search
+        down, and the executor degrades the window instead.
+        """
+        name = self.settings.backend
+        start = time.perf_counter()
+        with self.tracer.span(f"attempt:{name}", backend=name) as sp:
+            try:
+                if name == "cp":
+                    attempt = self._cp_attempt(
+                        graph, processor, num_partitions, d_max, options,
+                        time_limit,
                     )
-                )
-            else:
-                attempts.append(
-                    (
-                        name,
-                        self._ilp_attempt(
-                            tp_model, name, time_limit,
-                            warm_values=warm_values,
-                        ),
+                else:
+                    attempt = self._ilp_attempt(
+                        tp_model, name, time_limit, warm_values
                     )
+            except Exception as exc:  # noqa: BLE001 - deliberate containment
+                attempt = SolveAttempt(
+                    backend=name,
+                    status=SolveStatus.ERROR,
+                    design=None,
+                    wall_time=time.perf_counter() - start,
+                    error=f"{type(exc).__name__}: {exc}",
                 )
-        return attempts
+            sp.annotate(
+                status=attempt.status.value,
+                iterations=attempt.iterations,
+                conclusive=attempt.conclusive,
+            )
+            if attempt.error:
+                sp.annotate(error=attempt.error)
+        self._m_backend_attempts.labels(name).inc()
+        self._m_backend_seconds.labels(name).observe(attempt.wall_time)
+        if attempt.conclusive:
+            self._m_backend_wins.labels(name).inc()
+            verdict = "backend_win"
+        elif attempt.status in (SolveStatus.TIME_LIMIT, SolveStatus.NODE_LIMIT):
+            self._m_backend_timeouts.labels(name).inc()
+            verdict = "backend_timeout"
+        else:
+            verdict = "backend_loss"
+        self.tracer.event(
+            verdict,
+            backend=name,
+            status=attempt.status.value,
+            wall_time=attempt.wall_time,
+        )
+        return attempt
 
     def _ilp_attempt(
-        self,
-        tp_model,
-        backend: str,
-        time_limit,
-        warm_values: dict | None = None,
-    ) -> AttemptFn:
-        settings = self.settings
-        tracer = self.tracer
-
-        def run(cancel: threading.Event) -> SolveAttempt:
-            start = time.perf_counter()
-            kwargs = dict(settings.extra)
-            if backend == "bnb":
-                kwargs.setdefault("should_stop", cancel.is_set)
-            if warm_values is not None:
-                # Validated by the backend: bnb installs it as the
-                # initial incumbent only after a full bounds/integrality
-                # /rows check; highs accepts-and-ignores it (scipy's
-                # milp has no MIP-start hook).
-                kwargs.setdefault("warm_start", warm_values)
-            if tracer.enabled:
-                # Only forwarded when tracing is live: test-registered
-                # backends need not accept the keyword otherwise.
-                kwargs.setdefault("tracer", tracer)
-            solution = tp_model.solve(
-                backend=backend,
-                first_feasible=True,
-                time_limit=time_limit,
-                node_limit=settings.node_limit,
-                **kwargs,
-            )
-            design = None
-            if solution.status.has_solution:
-                design = tp_model.design_from(solution)
-            return SolveAttempt(
-                backend=backend,
-                status=solution.status,
-                design=design,
-                wall_time=time.perf_counter() - start,
-                iterations=solution.iterations,
-            )
-
-        return run
+        self, tp_model, backend: str, time_limit, warm_values: dict | None
+    ) -> SolveAttempt:
+        start = time.perf_counter()
+        kwargs = dict(self.settings.extra)
+        if warm_values is not None:
+            # Validated by the backend: bnb installs it as the initial
+            # incumbent only after a full bounds/integrality/rows check;
+            # highs accepts-and-ignores it (scipy's milp has no MIP-start
+            # hook).
+            kwargs.setdefault("warm_start", warm_values)
+        if self.tracer.enabled:
+            # Only forwarded when tracing is live: test-registered
+            # backends need not accept the keyword otherwise.
+            kwargs.setdefault("tracer", self.tracer)
+        solution = tp_model.solve(
+            backend=backend,
+            first_feasible=True,
+            time_limit=time_limit,
+            node_limit=self.settings.node_limit,
+            **kwargs,
+        )
+        design = None
+        if solution.status.has_solution:
+            design = tp_model.design_from(solution)
+        return SolveAttempt(
+            backend=backend,
+            status=solution.status,
+            design=design,
+            wall_time=time.perf_counter() - start,
+            iterations=solution.iterations,
+        )
 
     def _cp_attempt(
         self, graph, processor, num_partitions, d_max, options, time_limit
-    ) -> AttemptFn:
-        tracer = self.tracer
+    ) -> SolveAttempt:
+        from repro.core.cp_solver import CpStats, cp_solve
 
-        def run(cancel: threading.Event) -> SolveAttempt:
-            from repro.core.cp_solver import CpStats, cp_solve
-
-            start = time.perf_counter()
-            stats = CpStats()
-            design = cp_solve(
-                graph,
-                processor,
-                num_partitions,
-                d_max,
-                include_env_memory=options.include_env_memory,
-                time_limit=time_limit,
-                stats=stats,
-                should_stop=cancel.is_set,
-                tracer=tracer if tracer.enabled else None,
-            )
-            if design is not None:
-                status = SolveStatus.FEASIBLE
-            elif stats.timed_out:
-                status = SolveStatus.TIME_LIMIT
-            elif stats.nodes >= 2_000_000:
-                status = SolveStatus.NODE_LIMIT
-            else:
-                # Exhaustive search: a genuine emptiness proof for the
-                # (stronger) question "any design with latency <= d_max".
-                status = SolveStatus.INFEASIBLE
-            return SolveAttempt(
-                backend="cp",
-                status=status,
-                design=design,
-                wall_time=time.perf_counter() - start,
-                iterations=stats.nodes,
-            )
-
-        return run
+        start = time.perf_counter()
+        stats = CpStats()
+        design = cp_solve(
+            graph,
+            processor,
+            num_partitions,
+            d_max,
+            include_env_memory=options.include_env_memory,
+            time_limit=time_limit,
+            stats=stats,
+            tracer=self.tracer if self.tracer.enabled else None,
+        )
+        if design is not None:
+            status = SolveStatus.FEASIBLE
+        elif stats.timed_out:
+            status = SolveStatus.TIME_LIMIT
+        elif stats.nodes >= 2_000_000:
+            status = SolveStatus.NODE_LIMIT
+        else:
+            # Exhaustive search: a genuine emptiness proof for the
+            # (stronger) question "any design with latency <= d_max".
+            status = SolveStatus.INFEASIBLE
+        return SolveAttempt(
+            backend="cp",
+            status=status,
+            design=design,
+            wall_time=time.perf_counter() - start,
+            iterations=stats.nodes,
+        )

@@ -86,9 +86,9 @@ class RunTelemetry:
     """
 
     solves: list[SolveStats] = field(default_factory=list)
-    #: Wall seconds per backend, including losing portfolio attempts.
+    #: Wall seconds per backend, over every attempt it ran.
     backend_wall: dict[str, float] = field(default_factory=dict)
-    #: Window solves each backend decided (portfolio wins or solo runs).
+    #: Window solves each backend (or primal stage) decided.
     backend_wins: dict[str, int] = field(default_factory=dict)
     #: Backend attempts that exhausted their budget without a verdict.
     timeouts: int = 0

@@ -157,7 +157,7 @@ class TestCrossThreadParentage:
         depth=st.integers(min_value=1, max_value=4),
     )
     def test_concurrent_span_trees_nest_correctly(self, workers, depth):
-        """Property: spans opened on portfolio-style worker threads form a
+        """Property: spans opened on fanned-out worker threads form a
         correct tree — every worker's chain hangs off the shared parent,
         ids never collide, and per-thread nesting is preserved."""
         sink = MemorySink()

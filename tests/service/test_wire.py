@@ -50,12 +50,16 @@ def test_config_round_trip_preserves_every_layer():
 
 def test_settings_with_retired_fields_still_decode():
     # Payloads written before reuse_basis/persistent_cuts/reuse_templates
-    # were removed carry those keys; decoding drops them.
+    # and the portfolio race were removed carry those keys; decoding
+    # drops them.
     payload = encode_config(
         PartitionerConfig(solver=SolverSettings.fast(time_limit=7.5))
     )
     payload["solver"].update(
-        reuse_basis=True, persistent_cuts=True, reuse_templates=False
+        reuse_basis=True,
+        persistent_cuts=True,
+        reuse_templates=False,
+        portfolio=["highs", "bnb"],
     )
     decoded = decode_config(json.loads(json.dumps(payload)))
     assert decoded.solver == SolverSettings.fast(time_limit=7.5)

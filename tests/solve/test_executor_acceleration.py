@@ -85,7 +85,7 @@ class TestIncumbentReuse:
 class TestPrimalFirst:
     def test_greedy_probe_answers_wide_window(self, processor):
         # The opening window is above the greedy packers' fixed latency,
-        # so the primal stage answers it without racing the portfolio.
+        # so the primal stage answers it without running the backend.
         executor = SolveExecutor(
             SolverSettings(time_limit=15.0, primal_first=True)
         )

@@ -53,7 +53,7 @@ OVERRIDE_SPACE = [
     {"backend": "bnb"},
     {"cache_path": "/tmp/cache.sqlite"},
     {"enable_cache": False, "time_limit": None},
-    {"portfolio": ("highs", "bnb")},
+    {"backend": "cp"},
     {"incumbent_reuse": True},
     {"symmetry_breaking": False},
 ]
@@ -93,7 +93,6 @@ def test_overrides_win_over_preset_choices(preset, hand_built):
 
 def test_fast_runs_highs_alone_with_all_accelerations():
     settings = SolverSettings.fast()
-    assert settings.portfolio is None
     assert settings.backend == "highs"
     assert all(getattr(settings, flag) for flag in ACCEL)
     assert settings == SolverSettings(

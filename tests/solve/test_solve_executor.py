@@ -6,7 +6,9 @@ import pytest
 
 from repro.arch import ReconfigurableProcessor
 from repro.core import SolverSettings, bounds
-from repro.ilp.status import SolveStatus
+from repro.core.formulation import TemporalPartitioningModel
+from repro.ilp.status import Solution, SolveStatus
+from repro.obs import MemorySink, Tracer
 from repro.solve import SolveExecutor
 from repro.taskgraph import ar_filter, dct_4x4
 
@@ -97,32 +99,120 @@ class TestDeadlinesAndDegradation:
         assert outcome.status is SolveStatus.TIME_LIMIT
 
 
-class TestPortfolioThroughExecutor:
-    def test_portfolio_matches_sequential_verdict(self, processor):
+class TestBackendsThroughExecutor:
+    @pytest.mark.parametrize("backend", ["bnb", "cp"])
+    def test_backend_agrees_with_highs(self, processor, backend):
         graph = ar_filter()
         d_max, d_min = window(graph, 3)
-        sequential = SolveExecutor(SolverSettings(time_limit=15.0))
-        portfolio = SolveExecutor(
-            SolverSettings(time_limit=15.0, portfolio=("highs", "bnb"))
-        )
-        a = sequential.solve_window(graph, processor, 3, d_max, d_min)
-        b = portfolio.solve_window(graph, processor, 3, d_max, d_min)
-        assert a.feasible == b.feasible
-        assert b.backend in ("highs", "bnb")
+        highs = SolveExecutor(SolverSettings(time_limit=15.0))
+        other = SolveExecutor(SolverSettings(time_limit=15.0, backend=backend))
+        a = highs.solve_window(graph, processor, 3, d_max, d_min)
+        b = other.solve_window(graph, processor, 3, d_max, d_min)
+        assert a.feasible and b.feasible
+        assert b.backend == backend
+        assert b.design.audit(processor) == []
 
     def test_unknown_backend_is_rejected(self):
         with pytest.raises(ValueError, match="unknown solve backend"):
             SolveExecutor(SolverSettings(backend="cplex"))
 
-    def test_cp_backend_participates(self, processor):
+
+def crashing_solve(self, **kwargs):
+    raise RuntimeError("backend exploded")
+
+
+def timed_out_solve(self, **kwargs):
+    return Solution(status=SolveStatus.TIME_LIMIT)
+
+
+def refuting_solve(self, **kwargs):
+    return Solution(status=SolveStatus.INFEASIBLE)
+
+
+class TestAttemptOutcomes:
+    """A backend that crashes or runs out of budget degrades the window;
+    one that proves the window empty concludes it."""
+
+    def traced_solve(self, processor, monkeypatch, solve, **settings):
+        monkeypatch.setattr(TemporalPartitioningModel, "solve", solve)
+        sink = MemorySink()
+        executor = SolveExecutor(
+            SolverSettings(time_limit=15.0, tracer=Tracer(sink), **settings)
+        )
         graph = ar_filter()
         d_max, d_min = window(graph, 3)
-        executor = SolveExecutor(
-            SolverSettings(time_limit=15.0, portfolio=("highs", "cp"))
-        )
         outcome = executor.solve_window(graph, processor, 3, d_max, d_min)
-        assert outcome.feasible
-        assert outcome.backend in ("highs", "cp")
+        return executor, outcome, sink.events
+
+    def test_crash_without_fallback_concludes_error(
+        self, processor, monkeypatch
+    ):
+        executor, outcome, _events = self.traced_solve(
+            processor, monkeypatch, crashing_solve, heuristic_fallback=False
+        )
+        assert outcome.status is SolveStatus.ERROR
+        assert outcome.degraded and not outcome.feasible
+        snapshot = executor.metrics.snapshot()
+        assert snapshot.value(
+            "repro_window_solves_total", "none", "error"
+        ) == 1
+        assert snapshot.total("repro_backend_timeouts_total") == 0
+
+    def test_crash_becomes_an_error_attempt(
+        self, processor, monkeypatch
+    ):
+        _executor, _outcome, events = self.traced_solve(
+            processor, monkeypatch, crashing_solve, heuristic_fallback=False
+        )
+        (attempt,) = [
+            e for e in events
+            if e["type"] == "span_end" and e["name"] == "attempt:highs"
+        ]
+        assert attempt["attrs"]["status"] == "error"
+        assert attempt["attrs"]["conclusive"] is False
+        assert "backend exploded" in attempt["attrs"]["error"]
+        verdicts = [
+            e["name"] for e in events
+            if e["type"] == "event" and e["name"].startswith("backend_")
+        ]
+        assert verdicts == ["backend_loss"]
+
+    def test_fallback_certifies_a_design_after_a_crash(
+        self, processor, monkeypatch
+    ):
+        _executor, outcome, _events = self.traced_solve(
+            processor, monkeypatch, crashing_solve
+        )
+        assert outcome.degraded and outcome.feasible
+        assert outcome.backend.startswith("heuristic:")
+        assert outcome.design.audit(processor) == []
+
+    def test_infeasibility_proof_is_conclusive(self, processor, monkeypatch):
+        executor, outcome, events = self.traced_solve(
+            processor, monkeypatch, refuting_solve
+        )
+        assert outcome.status is SolveStatus.INFEASIBLE
+        assert outcome.backend == "highs"
+        assert not outcome.degraded and not outcome.feasible
+        assert executor.metrics.snapshot().value(
+            "repro_backend_wins_total", "highs"
+        ) == 1
+        assert "backend_win" in {
+            e["name"] for e in events if e["type"] == "event"
+        }
+
+    def test_timeout_concludes_time_limit(
+        self, processor, monkeypatch
+    ):
+        executor, outcome, events = self.traced_solve(
+            processor, monkeypatch, timed_out_solve, heuristic_fallback=False
+        )
+        assert outcome.status is SolveStatus.TIME_LIMIT
+        assert outcome.degraded and not outcome.feasible
+        assert executor.telemetry.timeouts == 1
+        assert "backend_timeout" in {
+            e["name"] for e in events if e["type"] == "event"
+        }
 
 
 class TestTelemetry:

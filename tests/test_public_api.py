@@ -113,6 +113,17 @@ def test_solve_is_the_only_partitioner_entry_point():
     assert not hasattr(TemporalPartitioner, "partition")
 
 
+def test_backend_portfolio_is_gone():
+    import repro.solve
+    from repro import SolverSettings
+
+    for name in ("race_backends", "SolveAttempt"):
+        assert name not in repro.solve.__all__
+    assert "portfolio" not in {
+        f.name for f in dataclasses.fields(SolverSettings)
+    }
+
+
 class TestPartitionRequest:
     def test_fields_are_keyword_only(self, chain_graph):
         from repro import PartitionRequest
