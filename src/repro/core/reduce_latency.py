@@ -96,12 +96,6 @@ class SolverSettings:
         otherwise it is installed as a validated MILP warm start.
         Sound under the monotone window rules: the check is a full
         feasibility certificate, never a guess.
-    primal_first:
-        Run a cheap primal stage (LP relaxation + rounding/diving from
-        :mod:`repro.ilp.rounding`) under a small budget before the
-        backend runs.  The paper's procedure only needs feasibility,
-        so a primal hit skips the MILP entirely; an LP-infeasible
-        relaxation is a proof of window emptiness and also skips it.
     symmetry_breaking:
         Force :attr:`FormulationOptions.symmetry_breaking` on for every
         window model prepared by the executor (lexicographic
@@ -157,7 +151,6 @@ class SolverSettings:
     enable_cache: bool = True
     heuristic_fallback: bool = True
     incumbent_reuse: bool = False
-    primal_first: bool = False
     symmetry_breaking: bool = False
     cache_path: str | None = None
     analyze: str = "off"
@@ -176,7 +169,6 @@ class SolverSettings:
     #: The acceleration switches the presets toggle as a group.
     ACCELERATION_FLAGS = (
         "incumbent_reuse",
-        "primal_first",
         "symmetry_breaking",
     )
 
@@ -185,9 +177,9 @@ class SolverSettings:
         """Lowest wall time: HiGHS alone with every acceleration on.
 
         Enables all of :data:`ACCELERATION_FLAGS` (cross-window
-        incumbent carry, primal-first pipeline, symmetry breaking) and
-        solves each window with the default ``backend``.  Verdict-
-        equivalent to the defaults; iteration-level traces may differ.
+        incumbent carry, symmetry breaking) and solves each window with
+        the default ``backend``.  Verdict-equivalent to the defaults;
+        iteration-level traces may differ.
         """
         base: dict = {flag: True for flag in cls.ACCELERATION_FLAGS}
         base.update(overrides)

@@ -13,14 +13,12 @@ attribute lookups and nothing else.
 
 Threading model
 ---------------
-Implicit span nesting uses a *thread-local* stack: a span opened while
-another is active on the same thread becomes its child automatically.
-Cross-thread parentage — a worker thread recording its spans under a
-span opened on the thread that spawned it — is explicit: pass
-``parent=`` (a :class:`Span` or a span id) to :meth:`Tracer.span`.
-Span ids are allocated from one atomic counter, and sinks receive events
-from all threads (each sink locks its own write path), so concurrent
-spans never collide.
+Span nesting uses a *thread-local* stack: a span opened while another
+is active on the same thread becomes its child automatically, and a
+span opened on a thread with no open span is a root.  Span ids are
+allocated from one atomic counter, and sinks receive events from all
+threads (each sink locks its own write path), so concurrent spans never
+collide.
 
 All timestamps are seconds relative to the tracer's creation
 (``time.perf_counter`` based); ``wall_epoch`` records the corresponding
@@ -66,13 +64,12 @@ class Span:
         tracer: "Tracer",
         name: str,
         span_id: int,
-        parent_id: int | None,
         attrs: dict,
     ) -> None:
         self._tracer = tracer
         self.name = name
         self.span_id = span_id
-        self.parent_id = parent_id
+        self.parent_id: int | None = None
         self.attrs = attrs
         self.status = "ok"
         self.t_start = 0.0
@@ -99,10 +96,9 @@ class Span:
 
     def __enter__(self) -> "Span":
         tracer = self._tracer
-        if self.parent_id is None:
-            current = tracer.current_span()
-            if current is not None:
-                self.parent_id = current.span_id
+        current = tracer.current_span()
+        if current is not None:
+            self.parent_id = current.span_id
         self.thread_name = threading.current_thread().name
         tracer._push(self)
         self.t_start = tracer._now()
@@ -181,15 +177,10 @@ class Tracer:
 
     # -- span / event production --------------------------------------------
 
-    def span(self, name: str, parent: "Span | int | None" = None, **attrs) -> Span:
-        """A new span (enter it with ``with``).
-
-        ``parent`` overrides the implicit thread-local nesting — pass the
-        spawning span (or its id) when the span will be entered on a
-        different thread.
-        """
-        parent_id = parent.span_id if isinstance(parent, Span) else parent
-        return Span(self, name, next(self._ids), parent_id, attrs)
+    def span(self, name: str, **attrs) -> Span:
+        """A new span (enter it with ``with``); its parent is the span
+        open on the entering thread, if any."""
+        return Span(self, name, next(self._ids), attrs)
 
     def event(self, name: str, **attrs) -> None:
         """Emit an instantaneous event anchored to the current span."""
@@ -284,7 +275,7 @@ class NullTracer:
     enabled = False
     sinks: tuple = ()
 
-    def span(self, name: str, parent=None, **attrs) -> _NullSpan:
+    def span(self, name: str, **attrs) -> _NullSpan:
         return _NULL_SPAN
 
     def event(self, name: str, **attrs) -> None:

@@ -14,17 +14,21 @@
    the template path — no hashing) and the
    :class:`repro.solve.cache.SolveCache` consulted before any backend
    runs (exact replays and window-monotone verdict reuse),
-3. **deadline policy** — the per-solve budget is the minimum of the
+3. **incumbent carry-over** — with ``settings.incumbent_reuse`` the
+   best feasible design seen so far is checked against the window's
+   rows; if it still fits, the window is answered with zero solver work,
+4. **deadline policy** — the per-solve budget is the minimum of the
    settings' ``time_limit`` and whatever remains of the search's overall
    deadline; an already-expired deadline skips the backend entirely,
-4. **backend execution** — ``settings.backend`` (``highs``, ``bnb`` or
-   ``cp``) answers the window inline on the caller's thread, once; a
-   backend that raises is contained as an ``ERROR`` attempt,
-5. **graceful degradation** — when the backend exhausts its budget,
+5. **backend execution** — every window not answered by the cache or
+   the incumbent goes straight to ``settings.backend`` (``highs``,
+   ``bnb`` or ``cp``), inline on the caller's thread, once; a backend
+   that raises is contained as an ``ERROR`` attempt,
+6. **graceful degradation** — when the backend exhausts its budget,
    the greedy level-packing heuristics are tried as a last resort and
    the outcome is marked ``degraded=True`` instead of raising or
    silently reporting infeasibility,
-6. **instrumentation** — every step is counted in one
+7. **instrumentation** — every step is counted in one
    :class:`repro.obs.MetricsRegistry`; :attr:`SolveExecutor.telemetry`
    is a :class:`repro.solve.telemetry.RunTelemetry` view of it.
 
@@ -34,7 +38,6 @@ handed in by the caller to share the cache across runs).
 
 from __future__ import annotations
 
-import math
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -76,7 +79,7 @@ class WindowOutcome:
     design: "PartitionedDesign | None"
     achieved: float | None          # total latency incl. overhead
     status: SolveStatus
-    backend: str                    # winner, "cache", or "heuristic:<p>"
+    backend: str                    # backend, incumbent, cache, heuristic:<p>
     wall_time: float
     iterations: int = 0
     cache_hit: bool = False
@@ -164,16 +167,9 @@ class SolveExecutor:
         # value (and the graph via the design) so the id-based key can
         # never be recycled under a live entry.
         self.incumbent_reuse = settings.incumbent_reuse
-        self.primal_first = settings.primal_first
         self._incumbents: dict[
             tuple[int, int, "FormulationOptions"],
             tuple["PartitionedDesign", float, "ReconfigurableProcessor"],
-        ] = {}
-        #: Packing bounds per (graph, processor, N); the value pins both
-        #: objects so the id-based key can never be recycled live.
-        self._packing_bounds: dict[
-            tuple[int, int, int],
-            tuple["TaskGraph", "ReconfigurableProcessor", float],
         ] = {}
         if settings.backend not in KNOWN_BACKENDS:
             raise ValueError(
@@ -193,11 +189,6 @@ class SolveExecutor:
         self._m_window_seconds = m.histogram(
             "repro_window_solve_seconds",
             "End-to-end wall time of one window solve.",
-        )
-        self._m_primal_hits = m.counter(
-            "repro_primal_hits_total",
-            "Windows answered by the primal-first pipeline, by stage.",
-            ("stage",),
         )
         self._m_incumbent_reuses = m.counter(
             "repro_incumbent_reuses_total",
@@ -413,27 +404,6 @@ class SolveExecutor:
                     graph, processor, num_partitions, d_max, d_min,
                     options, fp, start, timed_out=True,
                 )
-
-            # Primal-first stage: LP relaxation + rounding/diving under a
-            # small budget; the paper's procedure only needs feasibility.
-            if self.primal_first and tp_model.compiled is not None:
-                probe_start = time.perf_counter()
-                probed = self._primal_probe(
-                    tp_model, graph, processor, options,
-                    num_partitions, d_min, d_max, fp, budget, start,
-                )
-                if probed is not None:
-                    return probed
-                if budget is not None:
-                    budget -= time.perf_counter() - probe_start
-                    if budget <= 0.0:
-                        tracer.event(
-                            "deadline_expired", phase="post_primal"
-                        )
-                        return self._degrade(
-                            graph, processor, num_partitions, d_max, d_min,
-                            options, fp, start, timed_out=True,
-                        )
 
             attempt = self._run_attempt(
                 tp_model, graph, processor, num_partitions, d_max, options,
@@ -664,169 +634,6 @@ class SolveExecutor:
             None,
         )
 
-    def _primal_probe(
-        self,
-        tp_model,
-        graph,
-        processor,
-        options,
-        num_partitions: int,
-        d_min: float,
-        d_max: float,
-        fp: ModelFingerprint | None,
-        budget: float | None,
-        start: float,
-    ) -> WindowOutcome | None:
-        """Bound check, LP relaxation + primal heuristics, pre-backend.
-
-        Four conclusive exits, all sound for the window model:
-
-        * the packing bound (:func:`repro.core.bounds.packing_min_latency`)
-          exceeds ``d_max`` — pure arithmetic proves the window empty
-          before even the LP is touched.  This is the exit that answers
-          the deep windows of area-tight instances, where the LP
-          relaxation is trivially feasible and the MILP refutation is
-          out of reach at any practical budget.
-        * LP INFEASIBLE — the relaxation is a superset of the integer
-          points, so the window is *provably* empty: cached and concluded like any backend's
-          infeasibility proof.
-        * ``round_nearest`` or ``dive`` lands an integer-feasible point
-          — a genuine design, decoded and audited like a backend win.
-        * A greedy level-packing design that audits clean, uses at most
-          ``N`` partitions and fits under ``d_max`` — the same
-          certificate argument as the degrade path, but *before* any
-          backend burns its budget (and without the ``degraded`` mark:
-          a valid design is a valid design, whoever found it).
-        * Anything else (LP timeout, no primal point) returns ``None``
-          and the backend runs as usual, minus the spent budget.
-        """
-        from repro.ilp.rounding import dive, round_nearest
-        from repro.ilp.scipy_backend import solve_relaxation
-        from repro.ilp.status import Solution
-
-        packing = self._packing_bound(graph, processor, num_partitions)
-        if packing > d_max + 1e-9:
-            self.tracer.event(
-                "packing_bound_refutes_window",
-                bound=packing, d_max=d_max,
-            )
-            self._m_primal_hits.labels("bound").inc()
-            if fp is not None:
-                self.cache.store_infeasible(fp, backend="primal:bound")
-            return self._conclude(
-                None, None, SolveStatus.INFEASIBLE, "primal:bound",
-                num_partitions, d_min, d_max, start,
-            )
-
-        form = tp_model.compiled
-        probe_limit = None
-        if budget is not None:
-            # Keep the probe a sliver of the window budget: its job is
-            # the cheap certificates, and every second it burns is a
-            # second the backend loses on the hard windows.
-            probe_limit = max(0.2, min(2.0, 0.1 * budget))
-        with self.tracer.span("primal_probe") as sp:
-            status, x, _objective, _n = solve_relaxation(
-                form, time_limit=probe_limit
-            )
-            if status is SolveStatus.INFEASIBLE:
-                sp.annotate(result="lp_infeasible")
-                self._m_primal_hits.labels("lp").inc()
-                if fp is not None:
-                    self.cache.store_infeasible(fp, backend="primal:lp")
-                return self._conclude(
-                    None, None, SolveStatus.INFEASIBLE, "primal:lp",
-                    num_partitions, d_min, d_max, start,
-                )
-            if status is not SolveStatus.OPTIMAL or x is None:
-                sp.annotate(result="lp_inconclusive", status=status.value)
-                return None
-
-            candidate = round_nearest(form, x)
-            label = "primal:round"
-            if candidate is None:
-                # Cheap structural heuristic before LP diving: the greedy
-                # level packers are window-independent, so they can hit
-                # only while ``d_max`` is above their fixed latency —
-                # typically the wide opening window of each bisection,
-                # which is also the most expensive one to solve.
-                greedy = self._greedy_probe(
-                    graph, processor, options, num_partitions,
-                    d_min, d_max, fp, start, sp,
-                )
-                if greedy is not None:
-                    return greedy
-            if candidate is None:
-                label = "primal:dive"
-                probe_deadline = (
-                    time.perf_counter() + probe_limit
-                    if probe_limit is not None
-                    else None
-                )
-
-                def solve_node(lb, ub):
-                    if (
-                        probe_deadline is not None
-                        and time.perf_counter() > probe_deadline
-                    ):
-                        return SolveStatus.TIME_LIMIT, None, math.nan
-                    remaining = None
-                    if probe_deadline is not None:
-                        remaining = max(
-                            probe_deadline - time.perf_counter(), 1e-3
-                        )
-                    node_status, node_x, node_obj, _ = solve_relaxation(
-                        form, extra_lb=lb, extra_ub=ub,
-                        time_limit=remaining,
-                    )
-                    return node_status, node_x, node_obj
-
-                resolves = int(
-                    self.settings.extra.get("primal_dive_resolves", 8)
-                )
-                dived = dive(
-                    form, x,
-                    form.lb.astype(float), form.ub.astype(float),
-                    solve_node, max_resolves=resolves,
-                )
-                candidate = dived[0] if dived is not None else None
-            if candidate is None:
-                sp.annotate(result="no_primal_point")
-                return None
-
-            solution = Solution(
-                status=SolveStatus.FEASIBLE,
-                objective=form.objective_at(candidate),
-                values=form.values_to_dict(candidate),
-            )
-            design = tp_model.design_from(solution)
-            achieved = design.total_latency(processor)
-            sp.annotate(result="hit", label=label, achieved=achieved)
-        self._m_primal_hits.labels(label.split(":", 1)[1]).inc()
-        if fp is not None:
-            self.cache.store_feasible(fp, design, achieved, backend=label)
-        return self._conclude(
-            design, achieved, SolveStatus.FEASIBLE, label,
-            num_partitions, d_min, d_max, start,
-        )
-
-    def _packing_bound(
-        self, graph, processor, num_partitions: int
-    ) -> float:
-        """Memoized :func:`repro.core.bounds.packing_min_latency`."""
-        from repro.core.bounds import packing_min_latency
-
-        key = (id(graph), id(processor), num_partitions)
-        held = self._packing_bounds.get(key)
-        if held is None:
-            held = (
-                graph,
-                processor,
-                packing_min_latency(graph, processor, num_partitions),
-            )
-            self._packing_bounds[key] = held
-        return held[2]
-
     def _greedy_certificate(
         self,
         graph,
@@ -834,7 +641,7 @@ class SolveExecutor:
         options,
         num_partitions: int,
         d_max: float,
-        span=None,
+        span,
     ) -> "tuple[str, PartitionedDesign, float] | None":
         """The first greedy level-packing design that certifies the window.
 
@@ -844,7 +651,7 @@ class SolveExecutor:
         bisection bookkeeping and excludes no true design) and meets every
         architectural constraint.  Policies are tried in
         :data:`_FALLBACK_POLICIES` order; each one that fails a check is
-        reported as a ``fallback_rejected`` event on ``span``, when given.
+        reported as a ``fallback_rejected`` event on ``span``.
         Returns ``(policy, design, achieved)``, or ``None`` when no policy
         qualifies.
         """
@@ -864,44 +671,8 @@ class SolveExecutor:
                 rejected = {"reason": "audit_failed"}
             else:
                 return policy, design, achieved
-            if span is not None:
-                span.event("fallback_rejected", policy=policy, **rejected)
+            span.event("fallback_rejected", policy=policy, **rejected)
         return None
-
-    def _greedy_probe(
-        self,
-        graph,
-        processor,
-        options,
-        num_partitions: int,
-        d_min: float,
-        d_max: float,
-        fp: ModelFingerprint | None,
-        start: float,
-        sp,
-    ) -> WindowOutcome | None:
-        """Try the greedy level packers as a primal certificate.
-
-        Same acceptance rule as the degrade path
-        (:meth:`_greedy_certificate`), but run up front as part of the
-        primal-first stage, so a hit costs microseconds instead of a
-        full backend solve.  Returns ``None`` when no policy qualifies.
-        """
-        found = self._greedy_certificate(
-            graph, processor, options, num_partitions, d_max
-        )
-        if found is None:
-            return None
-        policy, design, achieved = found
-        label = f"primal:greedy:{policy}"
-        sp.annotate(result="hit", label=label, achieved=achieved)
-        self._m_primal_hits.labels("greedy").inc()
-        if fp is not None:
-            self.cache.store_feasible(fp, design, achieved, backend=label)
-        return self._conclude(
-            design, achieved, SolveStatus.FEASIBLE, label,
-            num_partitions, d_min, d_max, start,
-        )
 
     def _degrade(
         self,

@@ -88,7 +88,7 @@ class RunTelemetry:
     solves: list[SolveStats] = field(default_factory=list)
     #: Wall seconds per backend, over every attempt it ran.
     backend_wall: dict[str, float] = field(default_factory=dict)
-    #: Window solves each backend (or primal stage) decided.
+    #: Window solves each backend (or the incumbent check) decided.
     backend_wins: dict[str, int] = field(default_factory=dict)
     #: Backend attempts that exhausted their budget without a verdict.
     timeouts: int = 0
@@ -103,9 +103,6 @@ class RunTelemetry:
     #: Window solves answered by a still-feasible previous incumbent
     #: (zero solver work; ``SolverSettings.incumbent_reuse``).
     incumbent_reuses: int = 0
-    #: Window solves answered by the primal-first stage (LP relaxation +
-    #: rounding/diving, or an LP infeasibility proof).
-    primal_hits: int = 0
     #: Window solves answered by the *persistent* disk tier of the solve
     #: cache (a verdict some other process — or a previous run — paid
     #: for); a subset of ``cache_hits``.
@@ -155,7 +152,6 @@ class RunTelemetry:
             template_builds=int(total("repro_template_builds_total")),
             template_instantiations=int(total("repro_window_solves_total")),
             incumbent_reuses=int(total("repro_incumbent_reuses_total")),
-            primal_hits=int(total("repro_primal_hits_total")),
             disk_hits=int(
                 _per_label(snapshot, "repro_solve_cache_hits_total", "tier")
                 .get("disk", 0)
@@ -260,7 +256,6 @@ class RunTelemetry:
             "timeouts": self.timeouts,
             "fallbacks": self.fallbacks,
             "incumbent_reuses": self.incumbent_reuses,
-            "primal_hits": self.primal_hits,
             "disk_hits": self.disk_hits,
             "workers_merged": self.workers_merged,
             "wall_time_percentiles": self.wall_time_percentiles(),
@@ -284,11 +279,8 @@ class RunTelemetry:
         ) or "none"
         pct = self.wall_time_percentiles()
         reuse = ""
-        if self.incumbent_reuses or self.primal_hits:
-            reuse = (
-                f", reuse: {self.incumbent_reuses} incumbent/"
-                f"{self.primal_hits} primal"
-            )
+        if self.incumbent_reuses:
+            reuse = f", reuse: {self.incumbent_reuses} incumbent"
         if self.total_solves:
             disk = ""
             if self.disk_hits:

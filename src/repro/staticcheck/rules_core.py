@@ -262,8 +262,8 @@ def _check_rl003(rule, ctx, project) -> Iterator[Finding]:
     rationale=(
         "Window solves must go through SolveExecutor.solve_window, "
         "which layers the solve cache, the incumbent check, the "
-        "primal-first stage and the portfolio race in front of the "
-        "backends; a direct backend call skips all of that."
+        "deadline policy and the greedy fallback around the backend; "
+        "a direct backend call skips all of that."
     ),
     fix_hint="Solve through SolveExecutor.solve_window.",
 )
@@ -282,7 +282,7 @@ def _check_rl004(rule, ctx, project) -> Iterator[Finding]:
                 f"direct call to backend entry point '{name}' in "
                 "library code — solve through "
                 "SolveExecutor.solve_window so the cache, incumbent "
-                "check, primal-first stage and portfolio race apply"
+                "check, deadline policy and greedy fallback apply"
             ))
 
 

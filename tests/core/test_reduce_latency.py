@@ -1,9 +1,18 @@
 """Unit tests for Algorithm Reduce_Latency (Figure 1)."""
 
+import math
+
 import pytest
 
 from repro.arch import ReconfigurableProcessor
 from repro.core import SolverSettings, bounds, reduce_latency
+from repro.solve import SolveExecutor
+from repro.taskgraph import ar_filter
+from repro.taskgraph.generators import (
+    fork_join_graph,
+    layered_graph,
+    random_dag,
+)
 
 
 def proc(r=400, c_t=20.0):
@@ -126,3 +135,76 @@ class TestDeadline:
         )
         # First solve always happens; refinement loop must not start.
         assert len(result.trace) == 1
+
+
+class RecordingExecutor(SolveExecutor):
+    """Records ``(N, d_max)`` of every window handed to the executor."""
+
+    def __init__(self, settings):
+        super().__init__(settings)
+        self.windows: list[tuple[int, float]] = []
+
+    def solve_window(self, graph, processor, num_partitions, d_max, *args,
+                     **kwargs):
+        self.windows.append((num_partitions, d_max))
+        return super().solve_window(
+            graph, processor, num_partitions, d_max, *args, **kwargs
+        )
+
+
+def _synthetic_device(graph):
+    # Room for under a third of the graph's minimum area: tight enough
+    # that the packing bound beats both the critical path and the LP
+    # bound, so it alone decides where the windows may start.
+    return ReconfigurableProcessor(
+        math.ceil(graph.total_min_area() / 3.5), 1024, 20.0
+    )
+
+
+class TestPackingInvariant:
+    """With ``use_lp_bound`` no window reaches the executor below the
+    packing bound: ``reduce_latency`` raises ``D_min`` to it (bisection
+    trials never undercut ``D_min``) and prunes any ``N`` whose ``D_max``
+    lies below it.  The executor relies on this and runs no per-window
+    packing check of its own."""
+
+    @pytest.mark.parametrize(
+        ("graph", "device", "partition_bounds"),
+        [
+            (ar_filter(), proc(), (2, 3, 4)),
+            *[
+                (g, _synthetic_device(g), n)
+                for g, n in (
+                    (layered_graph(3, 3, seed=1), (3, 4)),
+                    (fork_join_graph(3, 2, seed=2), (3, 4, 5)),
+                    (random_dag(8, seed=3), (3, 4, 5)),
+                )
+            ],
+        ],
+        ids=["ar_filter", "layered_s1", "fork_join_s2", "random_dag_s3"],
+    )
+    def test_every_window_clears_packing_min_latency(
+        self, graph, device, partition_bounds
+    ):
+        c_t = device.reconfiguration_time
+        settings = SolverSettings(time_limit=5.0)
+        assert settings.use_lp_bound
+        solved = 0
+        for n in partition_bounds:
+            packing = bounds.packing_min_latency(graph, device, n)
+            d_min = bounds.min_latency(graph, n, c_t)
+            d_maxes = [bounds.max_latency(graph, n, c_t)]
+            if math.isfinite(packing):
+                d_maxes.append(packing - 5.0)  # below the bound: pruned
+            for d_max in d_maxes:
+                executor = RecordingExecutor(settings)
+                reduce_latency(
+                    graph, device, n, d_max, d_min, 50.0,
+                    settings=settings, executor=executor,
+                )
+                for _, window_max in executor.windows:
+                    assert window_max >= packing - 1e-9
+                if d_max < packing:
+                    assert executor.windows == []
+                solved += len(executor.windows)
+        assert solved > 0  # the invariant was exercised, not vacuous

@@ -326,7 +326,6 @@ _TELEMETRY_COUNTERS = st.fixed_dictionaries(
         "fallbacks": st.integers(min_value=0, max_value=9),
         "template_builds": st.integers(min_value=0, max_value=9),
         "incumbent_reuses": st.integers(min_value=0, max_value=9),
-        "primal_hits": st.integers(min_value=0, max_value=9),
         "disk_hits": st.integers(min_value=0, max_value=9),
         "total_solves": st.integers(min_value=0, max_value=9),
         "cache_hits": st.integers(min_value=0, max_value=9),

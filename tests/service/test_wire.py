@@ -49,9 +49,9 @@ def test_config_round_trip_preserves_every_layer():
 
 
 def test_settings_with_retired_fields_still_decode():
-    # Payloads written before reuse_basis/persistent_cuts/reuse_templates
-    # and the portfolio race were removed carry those keys; decoding
-    # drops them.
+    # Payloads written before reuse_basis/persistent_cuts/reuse_templates,
+    # the portfolio race and the primal-first stage were removed carry
+    # those keys; decoding drops them.
     payload = encode_config(
         PartitionerConfig(solver=SolverSettings.fast(time_limit=7.5))
     )
@@ -60,6 +60,7 @@ def test_settings_with_retired_fields_still_decode():
         persistent_cuts=True,
         reuse_templates=False,
         portfolio=["highs", "bnb"],
+        primal_first=True,
     )
     decoded = decode_config(json.loads(json.dumps(payload)))
     assert decoded.solver == SolverSettings.fast(time_limit=7.5)

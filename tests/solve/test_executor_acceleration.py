@@ -1,11 +1,10 @@
-"""Cross-window acceleration: incumbents and the primal-first stage.
+"""Cross-window acceleration: the incumbent carry-over.
 
-The acceleration layer must be *transparent*: every shortcut is a
-feasibility certificate (a re-checked incumbent, a greedy design that
-audits clean, an LP infeasibility proof), so the search trajectory ends
-at the same latency whether the shortcuts fire or not.  These tests pin
-both halves — the shortcuts do fire (counters move, backends are
-labelled), and the finals do not move.
+The acceleration layer must be *transparent*: a reused incumbent is a
+feasibility certificate (re-checked against the window's rows), so the
+search trajectory ends at the same latency whether the shortcut fires
+or not.  These tests pin both halves — the shortcut does fire (the
+counter moves, the backend is labelled), and the finals do not move.
 """
 
 import pytest
@@ -15,7 +14,6 @@ from repro.arch import ReconfigurableProcessor
 from repro.core import SolverSettings, bounds
 from repro.core.reduce_latency import reduce_latency
 from repro.core.refine_partitions import refine_partitions_bound
-from repro.ilp.status import SolveStatus
 from repro.solve import SolveExecutor
 from repro.taskgraph import ar_filter
 
@@ -33,11 +31,7 @@ def window(graph, n, c_t=20.0):
 
 
 def accelerated(**overrides) -> SolverSettings:
-    kwargs = dict(
-        time_limit=15.0,
-        incumbent_reuse=True,
-        primal_first=True,
-    )
+    kwargs = dict(time_limit=15.0, incumbent_reuse=True)
     kwargs.update(overrides)
     return SolverSettings(**kwargs)
 
@@ -80,57 +74,6 @@ class TestIncumbentReuse:
         second = executor.solve_window(graph, processor, 4, *window(graph, 4))
         assert second.backend != "incumbent"
         assert executor.telemetry.incumbent_reuses == 0
-
-
-class TestPrimalFirst:
-    def test_greedy_probe_answers_wide_window(self, processor):
-        # The opening window is above the greedy packers' fixed latency,
-        # so the primal stage answers it without running the backend.
-        executor = SolveExecutor(
-            SolverSettings(time_limit=15.0, primal_first=True)
-        )
-        graph = ar_filter()
-        result = executor.solve_window(graph, processor, 3, *window(graph, 3))
-        assert result.feasible
-        assert result.backend.startswith("primal:")
-        assert not result.degraded
-        assert executor.telemetry.primal_hits == 1
-        assert not result.design.audit(processor)
-
-    def test_packing_bound_refutes_hopeless_window(self, processor):
-        # d_max below even the packing bound (340 at N=3 for the AR
-        # device): arithmetic proves the window empty before the LP is
-        # touched.
-        executor = SolveExecutor(
-            SolverSettings(time_limit=15.0, primal_first=True)
-        )
-        graph = ar_filter()
-        result = executor.solve_window(graph, processor, 3, 100.0, 0.0)
-        assert not result.feasible
-        assert result.status is SolveStatus.INFEASIBLE
-        assert result.backend == "primal:bound"
-        assert executor.telemetry.primal_hits == 1
-
-    def test_lp_infeasibility_is_a_window_emptiness_proof(self, processor):
-        # A window above the packing bound (340) but below the LP
-        # latency bound (~476.9 at N=3): the relaxation is infeasible,
-        # which proves the MILP window empty without any
-        # branch-and-bound work.
-        executor = SolveExecutor(
-            SolverSettings(time_limit=15.0, primal_first=True)
-        )
-        graph = ar_filter()
-        result = executor.solve_window(graph, processor, 3, 400.0, 0.0)
-        assert not result.feasible
-        assert result.status is SolveStatus.INFEASIBLE
-        assert result.backend == "primal:lp"
-        assert executor.telemetry.primal_hits == 1
-
-    def test_flag_off_no_primal_hits(self, processor):
-        executor = SolveExecutor(SolverSettings(time_limit=15.0))
-        graph = ar_filter()
-        executor.solve_window(graph, processor, 3, *window(graph, 3))
-        assert executor.telemetry.primal_hits == 0
 
 
 class TestFastPreset:
@@ -193,9 +136,8 @@ class TestTrajectoryIdentity:
             accel.design.num_partitions_used
             == base.design.num_partitions_used
         )
-        # The run exercised the shortcuts, not just tolerated them.
+        # The run exercised the shortcut, not just tolerated it.
         assert accel.telemetry.incumbent_reuses >= 1
-        assert accel.telemetry.primal_hits >= 1
 
 
 class TestTrajectoryIdentityDct:
@@ -203,9 +145,7 @@ class TestTrajectoryIdentityDct:
 
     At the paper's R_max = 576 device the 32-task DCT needs many
     partitions; below the boundary every window is provably empty, and
-    both search paths must agree on that emptiness quickly (the
-    accelerated path via the LP relaxation proof, the plain path via
-    the MILP).  Feasible-side identity at the full partition bound is
+    both search paths must agree on that emptiness quickly.  Feasible-side identity at the full partition bound is
     exercised by ``benchmarks/test_portfolio_speedup.py`` where the
     budgets allow it.
     """

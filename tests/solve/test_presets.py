@@ -96,8 +96,14 @@ def test_fast_runs_highs_alone_with_all_accelerations():
     assert settings.backend == "highs"
     assert all(getattr(settings, flag) for flag in ACCEL)
     assert settings == SolverSettings(
-        incumbent_reuse=True, primal_first=True, symmetry_breaking=True
+        incumbent_reuse=True, symmetry_breaking=True
     )
+
+
+def test_primal_stage_option_is_gone():
+    assert ACCEL == ("incumbent_reuse", "symmetry_breaking")
+    with pytest.raises(TypeError):
+        SolverSettings(primal_first=True)
 
 
 def test_paper_exact_disables_every_extension():

@@ -164,7 +164,6 @@ class TestSolverSettingsPresets:
 
         expected = SolverSettings(
             incumbent_reuse=True,
-            primal_first=True,
             symmetry_breaking=True,
         )
         assert SolverSettings.fast() == expected
