@@ -80,7 +80,7 @@ from repro.core.tradeoff import (
     TradeoffPoint,
     partition_latency_curve,
 )
-from repro.core.trace import IterationRecord, SearchTrace
+from repro.core.trace import SearchTrace
 
 __all__ = [
     "ConstraintFamily",
@@ -88,7 +88,6 @@ __all__ = [
     "CpStats",
     "FormulationOptions",
     "InfeasibilityReport",
-    "IterationRecord",
     "ModelTemplate",
     "OUTCOME_SCHEMA_VERSION",
     "OptimalAttempt",

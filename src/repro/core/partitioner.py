@@ -120,7 +120,7 @@ class PartitioningOutcome:
     delta: float
     stopped_by_min_latency_cut: bool
     stopped_by_time: bool
-    #: At least one window solve exhausted every backend's budget and fell
+    #: At least one window solve exhausted the backend's budget and fell
     #: back to the greedy heuristics — the design is valid but possibly
     #: weaker than an exhaustive search would return.
     degraded: bool = False

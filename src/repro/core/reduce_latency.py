@@ -28,7 +28,7 @@ compiled once and each window costs two right-hand-side patches (see
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from repro.arch.processor import ReconfigurableProcessor
@@ -38,7 +38,8 @@ from repro.core.formulation import (
     lp_latency_lower_bound,
 )
 from repro.core.solution import PartitionedDesign
-from repro.core.trace import IterationRecord, SearchTrace
+from repro.core.trace import SearchTrace
+from repro.ilp.status import SolveStatus
 from repro.solve.executor import SolveExecutor, WindowOutcome
 from repro.solve.telemetry import RunTelemetry
 from repro.taskgraph.graph import TaskGraph
@@ -57,7 +58,7 @@ class SolverSettings:
         ``"highs"`` or ``"bnb"`` (ILP backends) or ``"cp"`` (the
         problem-specific backtracker).
     time_limit:
-        Per-solve wall-clock budget, enforced on every backend.  A solve
+        Per-solve wall-clock budget, enforced on the backend.  A solve
         that exhausts it without an incumbent is treated as infeasible by
         the search — the same pragmatic convention the paper applies to
         CPLEX runs — unless the greedy fallback produces a certificate
@@ -85,7 +86,7 @@ class SolverSettings:
         (:mod:`repro.solve.cache`), reusing feasibility certificates and
         emptiness proofs across the run's near-identical ILPs.
     heuristic_fallback:
-        When every backend times out, fall back to the greedy
+        When the backend times out, fall back to the greedy
         level-packing heuristics and mark the outcome ``degraded=True``
         instead of silently reporting infeasibility.
     incumbent_reuse:
@@ -232,12 +233,16 @@ class ReduceLatencyResult:
     design: PartitionedDesign | None
     achieved: float | None           # total latency incl. reconfiguration
     trace: SearchTrace
-    degraded: bool = False           # some window fell back past every backend
     telemetry: RunTelemetry | None = None
 
     @property
     def feasible(self) -> bool:
         return self.design is not None
+
+    @property
+    def degraded(self) -> bool:
+        """Some window fell back past the backend's budget."""
+        return self.trace.degraded
 
 
 def reduce_latency(
@@ -267,7 +272,7 @@ def reduce_latency(
         Latency tolerance: the unexplored window the caller accepts.
     deadline:
         Absolute ``time.perf_counter()`` stamp after which no further ILP
-        is started (the paper's ``TimeExpired()``); also clips every
+        is started (the paper's ``TimeExpired()``); also clips the
         backend's per-solve budget.
     executor:
         The execution layer to solve through.  Passing one shares its
@@ -292,7 +297,6 @@ def reduce_latency(
     tracer = executor.tracer
     trace = SearchTrace()
     iteration = 1
-    degraded = False
 
     with tracer.span(
         "reduce_latency",
@@ -307,14 +311,13 @@ def reduce_latency(
                 feasible=design is not None,
                 achieved=achieved,
                 iterations=len(trace),
-                degraded=degraded,
+                degraded=trace.degraded,
             )
             return ReduceLatencyResult(
                 num_partitions,
                 design,
                 achieved,
                 trace,
-                degraded=degraded,
                 telemetry=executor.telemetry,
             )
 
@@ -344,19 +347,23 @@ def reduce_latency(
                     d_max=d_max,
                 )
                 trace.add(
-                    IterationRecord(
-                        num_partitions=num_partitions,
-                        iteration=iteration,
-                        d_max=d_max,
-                        d_min=d_min,
+                    WindowOutcome(
+                        design=None,
                         achieved=None,
+                        status=SolveStatus.INFEASIBLE,
+                        backend="",
+                        wall_time=0.0,
+                        num_partitions=num_partitions,
+                        d_min=d_min,
+                        d_max=d_max,
+                        iteration=iteration,
                     )
                 )
                 return result(None, None)
             d_min = max(d_min, tightened)
 
         def solve(window_max: float, window_min: float) -> WindowOutcome:
-            nonlocal iteration, degraded
+            nonlocal iteration
             with tracer.span(
                 "iteration",
                 iteration=iteration,
@@ -373,21 +380,7 @@ def reduce_latency(
                     options,
                     deadline=deadline,
                 )
-            degraded = degraded or outcome.degraded
-            trace.add(
-                IterationRecord(
-                    num_partitions=num_partitions,
-                    iteration=iteration,
-                    d_max=window_max,
-                    d_min=window_min,
-                    achieved=outcome.achieved,
-                    wall_time=outcome.wall_time,
-                    solver_iterations=outcome.iterations,
-                    backend=outcome.backend,
-                    cache_hit=outcome.cache_hit,
-                    degraded=outcome.degraded,
-                )
-            )
+            trace.add(replace(outcome, iteration=iteration))
             iteration += 1
             return outcome
 

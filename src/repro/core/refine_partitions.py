@@ -100,10 +100,6 @@ class RefinementResult:
     delta: float
     stopped_by_min_latency_cut: bool = False
     stopped_by_time: bool = False
-    #: Some window solve fell back to the greedy heuristics after every
-    #: backend exhausted its budget; the result is still valid but may be
-    #: weaker than an exhaustive search would have found.
-    degraded: bool = False
     #: Execution-layer metrics for the whole run (one shared
     #: :class:`repro.solve.SolveExecutor` serves every window solve).
     telemetry: RunTelemetry | None = None
@@ -111,6 +107,13 @@ class RefinementResult:
     @property
     def feasible(self) -> bool:
         return self.design is not None
+
+    @property
+    def degraded(self) -> bool:
+        """Some window solve fell back to the greedy heuristics after the
+        backend exhausted its budget; the result is still valid but may
+        be weaker than an exhaustive search would have found."""
+        return self.trace.degraded
 
 
 def partition_bound_window(
@@ -224,7 +227,6 @@ def refine_partitions_bound(
 
     trace = SearchTrace()
     explored: list[int] = []
-    degraded = False
 
     with tracer.span(
         "refine_partitions",
@@ -236,7 +238,6 @@ def refine_partitions_bound(
         def run_reduce(
             num_partitions, d_max, d_min, phase
         ) -> ReduceLatencyResult:
-            nonlocal degraded
             result = evaluate_partition_bound(
                 graph,
                 processor,
@@ -252,7 +253,6 @@ def refine_partitions_bound(
             )
             trace.extend(result.trace)
             explored.append(num_partitions)
-            degraded = degraded or result.degraded
             return result
 
         # Phase 1: find the first feasible partition bound.
@@ -270,7 +270,6 @@ def refine_partitions_bound(
                 return RefinementResult(
                     None, None, trace, tuple(explored), delta,
                     stopped_by_time=True,
-                    degraded=degraded,
                     telemetry=executor.telemetry,
                 )
             escalations += 1
@@ -281,7 +280,6 @@ def refine_partitions_bound(
                 root_span.annotate(feasible=False)
                 return RefinementResult(
                     None, None, trace, tuple(explored), delta,
-                    degraded=degraded,
                     telemetry=executor.telemetry,
                 )
             n += 1
@@ -342,6 +340,5 @@ def refine_partitions_bound(
             delta=delta,
             stopped_by_min_latency_cut=stopped_by_cut,
             stopped_by_time=stopped_by_time,
-            degraded=degraded,
             telemetry=executor.telemetry,
         )

@@ -330,6 +330,14 @@ class PartitionedDesign:
             for name, pl in self.placements.items()
         }
 
+    def __eq__(self, other: object) -> bool:
+        """Same graph object and the same placement of every task."""
+        if not isinstance(other, PartitionedDesign):
+            return NotImplemented
+        return self.graph is other.graph and self.placements == other.placements
+
+    __hash__ = None  # mutable placements; equality is by value
+
     def __repr__(self) -> str:
         return (
             f"PartitionedDesign(tasks={len(self.placements)}, "

@@ -13,104 +13,30 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-__all__ = ["IterationRecord", "SearchTrace"]
+from repro.solve.executor import WindowOutcome
 
-
-@dataclass(frozen=True)
-class IterationRecord:
-    """One ILP solve inside the iterative search (a table row).
-
-    ``d_max``/``d_min`` are the window handed to the solver **including**
-    the reconfiguration overhead; ``achieved`` is the true latency of the
-    decoded design (``None`` when the solve was infeasible).
-    """
-
-    num_partitions: int
-    iteration: int
-    d_max: float
-    d_min: float
-    achieved: float | None
-    wall_time: float = 0.0
-    solver_iterations: int = 0
-    #: Which backend decided this iteration: a solver name, ``"cache"``
-    #: for a memoized verdict, ``"heuristic:<policy>"`` for the degraded
-    #: fallback, or ``""`` (pre-execution-layer records / hard timeout).
-    backend: str = ""
-    #: The verdict came from the solve cache (no solver ran).
-    cache_hit: bool = False
-    #: Every backend exhausted its budget; the row reflects the fallback.
-    degraded: bool = False
-
-    @property
-    def feasible(self) -> bool:
-        return self.achieved is not None
-
-    def to_dict(self) -> dict:
-        """JSON-serializable form (inverse of :meth:`from_dict`)."""
-        return {
-            "num_partitions": self.num_partitions,
-            "iteration": self.iteration,
-            "d_max": self.d_max,
-            "d_min": self.d_min,
-            "achieved": self.achieved,
-            "wall_time": self.wall_time,
-            "solver_iterations": self.solver_iterations,
-            "backend": self.backend,
-            "cache_hit": self.cache_hit,
-            "degraded": self.degraded,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "IterationRecord":
-        return cls(
-            num_partitions=int(payload["num_partitions"]),
-            iteration=int(payload["iteration"]),
-            d_max=float(payload["d_max"]),
-            d_min=float(payload["d_min"]),
-            achieved=(
-                None
-                if payload.get("achieved") is None
-                else float(payload["achieved"])
-            ),
-            wall_time=float(payload.get("wall_time", 0.0)),
-            solver_iterations=int(payload.get("solver_iterations", 0)),
-            backend=str(payload.get("backend", "")),
-            cache_hit=bool(payload.get("cache_hit", False)),
-            degraded=bool(payload.get("degraded", False)),
-        )
-
-    def row(self, reconfiguration_time: float = 0.0) -> tuple:
-        """(N, I, D_min, D_max, D_a) with the overhead ``N*C_T`` removed.
-
-        The paper's tables print bounds "without N x C_T"; passing the
-        processor's ``C_T`` reproduces that convention.
-        """
-        overhead = self.num_partitions * reconfiguration_time
-        achieved = (
-            None if self.achieved is None else self.achieved - overhead
-        )
-        return (
-            self.num_partitions,
-            self.iteration,
-            self.d_min - overhead,
-            self.d_max - overhead,
-            achieved,
-        )
+__all__ = ["SearchTrace"]
 
 
 @dataclass
 class SearchTrace:
-    """Ordered list of iteration records across the whole search."""
+    """The search's window records, in order: one per ILP call.
 
-    records: list[IterationRecord] = field(default_factory=list)
+    Each entry is the executor's :class:`WindowOutcome` with its
+    ``iteration`` stamped by ``Reduce_Latency``, plus one record
+    (``backend=""``, not degraded) for each window the LP/packing bound
+    emptied before any solve.
+    """
 
-    def add(self, record: IterationRecord) -> None:
+    records: list[WindowOutcome] = field(default_factory=list)
+
+    def add(self, record: WindowOutcome) -> None:
         self.records.append(record)
 
-    def extend(self, records: Iterable[IterationRecord]) -> None:
+    def extend(self, records: Iterable[WindowOutcome]) -> None:
         self.records.extend(records)
 
-    def __iter__(self) -> Iterator[IterationRecord]:
+    def __iter__(self) -> Iterator[WindowOutcome]:
         return iter(self.records)
 
     def __len__(self) -> int:
@@ -124,20 +50,25 @@ class SearchTrace:
     def total_wall_time(self) -> float:
         return sum(r.wall_time for r in self.records)
 
+    @property
+    def degraded(self) -> bool:
+        """Some window fell back past the backend's budget."""
+        return any(r.degraded for r in self.records)
+
     def to_dict(self) -> dict:
         """JSON-serializable form (inverse of :meth:`from_dict`)."""
-        return {"records": [r.to_dict() for r in self.records]}
+        return {"records": [r.to_trace_dict() for r in self.records]}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SearchTrace":
         return cls(
             records=[
-                IterationRecord.from_dict(r)
+                WindowOutcome.from_trace_dict(r)
                 for r in payload.get("records", [])
             ]
         )
 
-    def for_partitions(self, num_partitions: int) -> list[IterationRecord]:
+    def for_partitions(self, num_partitions: int) -> list[WindowOutcome]:
         return [
             r for r in self.records if r.num_partitions == num_partitions
         ]
@@ -149,7 +80,7 @@ class SearchTrace:
                 seen.append(record.num_partitions)
         return tuple(seen)
 
-    def best(self) -> IterationRecord | None:
+    def best(self) -> WindowOutcome | None:
         feasible = [r for r in self.records if r.feasible]
         if not feasible:
             return None

@@ -214,7 +214,6 @@ def solve_sharded(
     explored: list[int] = []
     merged = MetricsSnapshot.empty()
     best_report: dict[str, Any] | None = None
-    degraded = False
     any_cut = False
     for report in reports:
         if report["skipped"] == "min_latency_cut":
@@ -224,7 +223,6 @@ def solve_sharded(
             trace.extend(SearchTrace.from_dict(report["trace"]))
             explored.append(report["num_partitions"])
             merged = merged.merge(MetricsSnapshot.from_dict(report["metrics"]))
-        degraded = degraded or bool(report["degraded"])
         if report["feasible"] and (
             best_report is None
             or report["achieved"] < best_report["achieved"]
@@ -255,7 +253,6 @@ def solve_sharded(
         delta=delta,
         stopped_by_min_latency_cut=any_cut,
         stopped_by_time=stopped_by_time,
-        degraded=degraded,
         telemetry=RunTelemetry.from_snapshot(
             merged, workers_merged=len(explored)
         ),

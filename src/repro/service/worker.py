@@ -105,7 +105,6 @@ def solve_shard(
             "feasible": False,
             "achieved": None,
             "assignment": None,
-            "degraded": False,
             "skipped": None,
             "trace": None,
             "metrics": None,
@@ -159,7 +158,6 @@ def solve_shard(
         assignment=(
             None if result.design is None else result.design.as_assignment()
         ),
-        degraded=result.degraded,
         trace=result.trace.to_dict(),
         metrics=executor.metrics.snapshot().to_dict(),
     )

@@ -34,7 +34,7 @@ from repro.solve.fingerprint import (
     fingerprint_ilp,
     fingerprint_model,
 )
-from repro.solve.telemetry import RunTelemetry, SolveStats
+from repro.solve.telemetry import RunTelemetry
 
 __all__ = [
     "CacheHit",
@@ -46,7 +46,6 @@ __all__ = [
     "SolveCache",
     "SolveCacheProtocol",
     "SolveExecutor",
-    "SolveStats",
     "TieredSolveCache",
     "WindowOutcome",
     "fingerprint_compiled",

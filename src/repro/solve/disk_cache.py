@@ -28,9 +28,12 @@ Operational properties (the production-shape requirements):
 * **schema versioning** — a ``meta`` table records the schema version;
   opening a file written by an incompatible version drops and recreates
   the tables rather than mis-reading rows;
-* **corruption tolerance** — a file SQLite cannot open is moved aside
-  (``<name>.corrupt``) and a fresh store is created; a fleet never
-  crashes on a torn write;
+* **corruption tolerance** — a file SQLite cannot read (not a database,
+  or a torn write) is moved aside (``<name>.corrupt``) and a fresh store
+  is created; a fleet never crashes on a torn write.  A file that is
+  merely *locked* by another process is never moved: the open is
+  retried a few times, and if the lock persists the disk tier answers
+  misses for this process;
 * **eviction** — the store is capped (``max_entries``); inserts beyond
   the cap evict the least-recently-used rows in batches;
 * **cross-process safety** — WAL journaling plus a busy timeout; a
@@ -64,6 +67,13 @@ SCHEMA_VERSION = 1
 #: Window-comparison tolerance — identical to the memory tier's.
 _EPS = 1e-9
 
+#: Opens tried while another process holds the store locked (switching a
+#: fresh file to WAL can fail with ``database is locked`` at once,
+#: without waiting out the busy timeout), and the back-off step between
+#: them in seconds.
+_OPEN_ATTEMPTS = 5
+_OPEN_BACKOFF_S = 0.05
+
 _TABLES = """
 CREATE TABLE IF NOT EXISTS meta (
     key   TEXT PRIMARY KEY,
@@ -84,6 +94,24 @@ CREATE TABLE IF NOT EXISTS verdicts (
 CREATE INDEX IF NOT EXISTS idx_verdicts_base ON verdicts(base);
 CREATE INDEX IF NOT EXISTS idx_verdicts_lru  ON verdicts(last_used);
 """
+
+
+def _is_locked(exc: sqlite3.Error) -> bool:
+    """``SQLITE_BUSY``/``SQLITE_LOCKED``: another connection holds a lock
+    (the file itself is fine)."""
+    return isinstance(exc, sqlite3.OperationalError) and "locked" in str(exc)
+
+
+class _Unavailable:
+    """Stands in for a store that stayed locked at open: every statement
+    fails like a locked database, so lookups miss and stores are
+    dropped through the cache's ordinary error handling."""
+
+    def execute(self, *args):
+        raise sqlite3.OperationalError("database is locked")
+
+    def close(self) -> None:
+        pass
 
 
 class DiskSolveCache:
@@ -128,23 +156,33 @@ class DiskSolveCache:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def _open(self) -> sqlite3.Connection:
-        try:
-            return self._connect()
-        except sqlite3.DatabaseError:
-            # Torn write, truncated file, or not SQLite at all: move the
-            # wreck aside (best effort) and start fresh.
-            self.recovered = True
+    def _open(self) -> "sqlite3.Connection | _Unavailable":
+        for attempt in range(_OPEN_ATTEMPTS):
+            if attempt:
+                time.sleep(_OPEN_BACKOFF_S * attempt)
             try:
-                self.path.replace(self.path.with_suffix(
-                    self.path.suffix + ".corrupt"
-                ))
+                return self._connect()
+            except sqlite3.DatabaseError as exc:
+                if not _is_locked(exc):
+                    return self._recreate()
+        # Still locked: serve misses rather than block the solve or
+        # quarantine a store another process is using.
+        return _Unavailable()
+
+    def _recreate(self) -> sqlite3.Connection:
+        # Torn write, truncated file, or not SQLite at all: move the
+        # wreck aside (best effort) and start fresh.
+        self.recovered = True
+        try:
+            self.path.replace(self.path.with_suffix(
+                self.path.suffix + ".corrupt"
+            ))
+        except OSError:
+            try:
+                self.path.unlink()
             except OSError:
-                try:
-                    self.path.unlink()
-                except OSError:
-                    pass
-            return self._connect()
+                pass
+        return self._connect()
 
     def _connect(self) -> sqlite3.Connection:
         conn = sqlite3.connect(
@@ -157,8 +195,11 @@ class DiskSolveCache:
             "SELECT value FROM meta WHERE key='schema_version'"
         ).fetchone()
         if row is None:
+            # OR IGNORE: a sibling process may have stamped the fresh
+            # store between our SELECT and this INSERT.
             conn.execute(
-                "INSERT INTO meta(key, value) VALUES('schema_version', ?)",
+                "INSERT OR IGNORE INTO meta(key, value) "
+                "VALUES('schema_version', ?)",
                 (str(SCHEMA_VERSION),),
             )
             conn.commit()

@@ -28,9 +28,12 @@
    the greedy level-packing heuristics are tried as a last resort and
    the outcome is marked ``degraded=True`` instead of raising or
    silently reporting infeasibility,
-7. **instrumentation** — every step is counted in one
-   :class:`repro.obs.MetricsRegistry`; :attr:`SolveExecutor.telemetry`
-   is a :class:`repro.solve.telemetry.RunTelemetry` view of it.
+7. **instrumentation** — each window concludes in one
+   :class:`WindowOutcome` record, from which its tracer event, span
+   annotations, metric labels and telemetry row are read; every step is
+   counted in one :class:`repro.obs.MetricsRegistry`;
+   :attr:`SolveExecutor.telemetry` is a
+   :class:`repro.solve.telemetry.RunTelemetry` view of both.
 
 One executor instance is created per ``Refine_Partitions_Bound`` run (or
 handed in by the caller to share the cache across runs).
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -51,7 +54,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import as_tracer
 from repro.solve.cache import SolveCache, SolveCacheProtocol, TieredSolveCache
 from repro.solve.fingerprint import ModelFingerprint, fingerprint_model
-from repro.solve.telemetry import RunTelemetry, SolveStats
+from repro.solve.telemetry import RunTelemetry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.arch.processor import ReconfigurableProcessor
@@ -74,39 +77,184 @@ _FALLBACK_POLICIES = ("min_area", "balanced", "min_latency", "max_area")
 
 @dataclass(frozen=True)
 class WindowOutcome:
-    """Verdict of one window solve, however it was produced."""
+    """One window solve: the query and its verdict, however produced.
 
-    design: "PartitionedDesign | None"
-    achieved: float | None          # total latency incl. overhead
+    The run's only per-window record.  :meth:`SolveExecutor._conclude`
+    builds exactly one per window; the ``window_verdict`` event, the
+    span annotations, the metric labels, the
+    :attr:`repro.solve.RunTelemetry.solves` rows and the entries of a
+    :class:`repro.core.trace.SearchTrace` are all read from it.
+
+    Attributes
+    ----------
+    design, achieved:
+        The certifying design and its total latency (incl. the
+        ``N * C_T`` overhead); both ``None`` when no design was found.
+        ``design`` is excluded from equality so a record restored from
+        JSON (which carries no design) compares equal to the live one.
+    status:
+        The window's :class:`repro.ilp.SolveStatus`.
+    backend:
+        Who produced the verdict: a solver backend name,
+        ``"incumbent"``, ``"cache"`` for a memoized answer,
+        ``"heuristic:<policy>"`` for the greedy fallback, or ``""`` when
+        nothing did (hard timeout, crash, or a window the search's
+        LP/packing bound emptied before any solve).
+    wall_time:
+        Wall-clock seconds of the whole window solve.
+    iterations:
+        Work measure reported by the backend (nodes / pivots).
+    cache_hit:
+        The verdict came from the solve cache; no backend ran.
+    degraded:
+        The backend exhausted its budget (or crashed) and the verdict,
+        if any, came from the greedy fallback.
+    num_partitions, d_min, d_max:
+        The query: partition bound and latency window (incl. overhead).
+    iteration:
+        The bisection step of ``Reduce_Latency`` that asked the query
+        (stamped by the search; ``0`` outside one).
+    """
+
+    design: "PartitionedDesign | None" = field(compare=False)
+    achieved: float | None
     status: SolveStatus
-    backend: str                    # backend, incumbent, cache, heuristic:<p>
+    backend: str
     wall_time: float
     iterations: int = 0
     cache_hit: bool = False
     degraded: bool = False
+    num_partitions: int = 0
+    d_min: float = 0.0
+    d_max: float = 0.0
+    iteration: int = 0
 
     @property
     def feasible(self) -> bool:
-        return self.design is not None
+        return self.achieved is not None
+
+    def row(self, reconfiguration_time: float = 0.0) -> tuple:
+        """(N, I, D_min, D_max, D_a) with the overhead ``N*C_T`` removed.
+
+        The paper's tables print bounds "without N x C_T"; passing the
+        processor's ``C_T`` reproduces that convention.
+        """
+        overhead = self.num_partitions * reconfiguration_time
+        achieved = (
+            None if self.achieved is None else self.achieved - overhead
+        )
+        return (
+            self.num_partitions,
+            self.iteration,
+            self.d_min - overhead,
+            self.d_max - overhead,
+            achieved,
+        )
+
+    def verdict_event(self) -> dict:
+        """Attributes of the ``window_verdict`` tracer event."""
+        return {
+            "num_partitions": self.num_partitions,
+            "d_min": self.d_min,
+            "d_max": self.d_max,
+            "feasible": self.feasible,
+            "achieved": self.achieved,
+            "backend": self.backend,
+            "status": self.status.value,
+            "cache_hit": self.cache_hit,
+            "degraded": self.degraded,
+        }
+
+    # -- the two JSON shapes -------------------------------------------------
+
+    def to_dict(self) -> dict:
+        """The :class:`RunTelemetry` row (``--telemetry-json`` solves)."""
+        return {
+            "num_partitions": self.num_partitions,
+            "d_min": self.d_min,
+            "d_max": self.d_max,
+            "backend": self.backend,
+            "status": self.status.value,
+            "wall_time": self.wall_time,
+            "iterations": self.iterations,
+            "cache_hit": self.cache_hit,
+            "degraded": self.degraded,
+        }
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "WindowOutcome":
+        """Inverse of :meth:`to_dict` (no design or latency)."""
+        return cls(
+            design=None,
+            achieved=None,
+            status=SolveStatus(payload["status"]),
+            backend=str(payload.get("backend", "")),
+            wall_time=float(payload.get("wall_time", 0.0)),
+            iterations=int(payload.get("iterations", 0)),
+            cache_hit=bool(payload.get("cache_hit", False)),
+            degraded=bool(payload.get("degraded", False)),
+            num_partitions=int(payload["num_partitions"]),
+            d_min=float(payload["d_min"]),
+            d_max=float(payload["d_max"]),
+        )
+
+    def to_trace_dict(self) -> dict:
+        """The :class:`repro.core.trace.SearchTrace` entry (a table row)."""
+        return {
+            "num_partitions": self.num_partitions,
+            "iteration": self.iteration,
+            "d_max": self.d_max,
+            "d_min": self.d_min,
+            "achieved": self.achieved,
+            "wall_time": self.wall_time,
+            "solver_iterations": self.iterations,
+            "backend": self.backend,
+            "cache_hit": self.cache_hit,
+            "degraded": self.degraded,
+        }
+
+    @classmethod
+    def from_trace_dict(cls, payload: dict) -> "WindowOutcome":
+        """Inverse of :meth:`to_trace_dict` (no design).
+
+        The trace shape carries no status; it is inferred: a latency
+        means ``FEASIBLE``, a degraded window without one ``TIME_LIMIT``,
+        anything else ``INFEASIBLE``.
+        """
+        achieved = payload.get("achieved")
+        degraded = bool(payload.get("degraded", False))
+        if achieved is not None:
+            status = SolveStatus.FEASIBLE
+        elif degraded:
+            status = SolveStatus.TIME_LIMIT
+        else:
+            status = SolveStatus.INFEASIBLE
+        return cls(
+            design=None,
+            achieved=None if achieved is None else float(achieved),
+            status=status,
+            backend=str(payload.get("backend", "")),
+            wall_time=float(payload.get("wall_time", 0.0)),
+            iterations=int(payload.get("solver_iterations", 0)),
+            cache_hit=bool(payload.get("cache_hit", False)),
+            degraded=degraded,
+            num_partitions=int(payload["num_partitions"]),
+            d_min=float(payload["d_min"]),
+            d_max=float(payload["d_max"]),
+            iteration=int(payload["iteration"]),
+        )
 
 
-@dataclass(frozen=True)
-class SolveAttempt:
-    """Outcome of the backend's try at a window solve."""
+#: The verdict attributes :meth:`SolveExecutor._conclude` annotates on the
+#: enclosing span.
+_SPAN_VERDICT_KEYS = ("backend", "status", "cache_hit", "degraded", "feasible")
 
-    backend: str
-    status: SolveStatus
-    design: "PartitionedDesign | None"
-    wall_time: float
-    iterations: int = 0
-    error: str | None = None
 
-    @property
-    def conclusive(self) -> bool:
-        """A verdict the search can act on: a design or an emptiness proof."""
-        if self.design is not None:
-            return True
-        return self.status in (SolveStatus.INFEASIBLE, SolveStatus.UNBOUNDED)
+def _conclusive(status: SolveStatus, design) -> bool:
+    """A verdict the search can act on: a design or an emptiness proof."""
+    if design is not None:
+        return True
+    return status in (SolveStatus.INFEASIBLE, SolveStatus.UNBOUNDED)
 
 
 class SolveExecutor:
@@ -146,8 +294,8 @@ class SolveExecutor:
             )
         else:
             self.cache = SolveCache(metrics=self.metrics)
-        #: One row per concluded window solve, in order.
-        self._solves: list[SolveStats] = []
+        #: The record of every concluded window solve, in order.
+        self._solves: list[WindowOutcome] = []
         self.analyze_mode = settings.analyze
         if self.analyze_mode not in ANALYZE_MODES:
             raise ValueError(
@@ -405,35 +553,36 @@ class SolveExecutor:
                     options, fp, start, timed_out=True,
                 )
 
-            attempt = self._run_attempt(
+            status, design, iterations = self._run_attempt(
                 tp_model, graph, processor, num_partitions, d_max, options,
                 budget, warm_values,
             )
-            if attempt.design is not None:
-                achieved = attempt.design.total_latency(processor)
+            backend = self.settings.backend
+            if design is not None:
+                achieved = design.total_latency(processor)
                 if fp is not None:
                     self.cache.store_feasible(
-                        fp, attempt.design, achieved, backend=attempt.backend
+                        fp, design, achieved, backend=backend
                     )
                 return self._conclude(
-                    attempt.design, achieved, attempt.status, attempt.backend,
+                    design, achieved, status, backend,
                     num_partitions, d_min, d_max, start,
-                    iterations=attempt.iterations,
+                    iterations=iterations,
                 )
-            if attempt.conclusive:  # proven INFEASIBLE (or UNBOUNDED)
-                if fp is not None and attempt.status is SolveStatus.INFEASIBLE:
-                    self.cache.store_infeasible(fp, backend=attempt.backend)
+            if _conclusive(status, design):  # proven INFEASIBLE (or UNBOUNDED)
+                if fp is not None and status is SolveStatus.INFEASIBLE:
+                    self.cache.store_infeasible(fp, backend=backend)
                 return self._conclude(
-                    None, None, attempt.status, attempt.backend,
+                    None, None, status, backend,
                     num_partitions, d_min, d_max, start,
-                    iterations=attempt.iterations,
+                    iterations=iterations,
                 )
 
             # The backend ran out of budget or crashed: degrade.
             return self._degrade(
                 graph, processor, num_partitions, d_max, d_min,
                 options, fp, start,
-                timed_out=attempt.status is not SolveStatus.ERROR,
+                timed_out=status is not SolveStatus.ERROR,
             )
 
     # -- pre-solve analysis --------------------------------------------------
@@ -495,54 +644,31 @@ class SolveExecutor:
         cache_hit: bool = False,
         degraded: bool = False,
     ) -> WindowOutcome:
-        wall = time.perf_counter() - start
-        self._m_windows.labels(backend or "none", status.value).inc()
-        self._m_window_seconds.observe(wall)
-        outcome = WindowOutcome(
+        """Build the window's one record and feed every view from it."""
+        record = WindowOutcome(
             design=design,
             achieved=achieved,
             status=status,
             backend=backend,
-            wall_time=wall,
+            wall_time=time.perf_counter() - start,
             iterations=iterations,
             cache_hit=cache_hit,
             degraded=degraded,
-        )
-        span = self.tracer.current_span()
-        if span is not None:
-            span.annotate(
-                backend=backend,
-                status=status.value,
-                cache_hit=cache_hit,
-                degraded=degraded,
-                feasible=design is not None,
-            )
-        self.tracer.event(
-            "window_verdict",
             num_partitions=num_partitions,
             d_min=d_min,
             d_max=d_max,
-            feasible=design is not None,
-            achieved=achieved,
-            backend=backend,
-            status=status.value,
-            cache_hit=cache_hit,
-            degraded=degraded,
         )
-        self._solves.append(
-            SolveStats(
-                num_partitions=num_partitions,
-                d_min=d_min,
-                d_max=d_max,
-                backend=backend,
-                status=status.value,
-                wall_time=wall,
-                iterations=iterations,
-                cache_hit=cache_hit,
-                degraded=degraded,
-            )
-        )
-        return outcome
+        self._m_windows.labels(
+            record.backend or "none", record.status.value
+        ).inc()
+        self._m_window_seconds.observe(record.wall_time)
+        verdict = record.verdict_event()
+        span = self.tracer.current_span()
+        if span is not None:
+            span.annotate(**{key: verdict[key] for key in _SPAN_VERDICT_KEYS})
+        self.tracer.event("window_verdict", **verdict)
+        self._solves.append(record)
+        return record
 
     def _from_cache(
         self, hit, num_partitions: int, d_min: float, d_max: float, start: float
@@ -741,67 +867,62 @@ class SolveExecutor:
         options,
         time_limit: float | None,
         warm_values: dict | None,
-    ) -> SolveAttempt:
+    ) -> "tuple[SolveStatus, PartitionedDesign | None, int]":
         """Run ``settings.backend`` on the window, inline, and count it.
 
-        The attempt runs inside an ``attempt:<backend>`` span (a child of
+        Returns ``(status, design, iterations)``.  The attempt runs
+        inside an ``attempt:<backend>`` span (a child of
         ``solve_window``) and ends in exactly one of the
         ``backend_win`` (conclusive), ``backend_timeout`` (time or node
         budget spent) or ``backend_loss`` (anything else, such as a
         crash) events.  A backend that raises becomes an ``ERROR``
-        attempt carrying the exception: a crash must not take the search
-        down, and the executor degrades the window instead.
+        attempt annotated with the exception: a crash must not take the
+        search down, and the executor degrades the window instead.
         """
         name = self.settings.backend
         start = time.perf_counter()
+        error = None
         with self.tracer.span(f"attempt:{name}", backend=name) as sp:
             try:
                 if name == "cp":
-                    attempt = self._cp_attempt(
+                    status, design, iterations = self._cp_attempt(
                         graph, processor, num_partitions, d_max, options,
                         time_limit,
                     )
                 else:
-                    attempt = self._ilp_attempt(
+                    status, design, iterations = self._ilp_attempt(
                         tp_model, name, time_limit, warm_values
                     )
             except Exception as exc:  # noqa: BLE001 - deliberate containment
-                attempt = SolveAttempt(
-                    backend=name,
-                    status=SolveStatus.ERROR,
-                    design=None,
-                    wall_time=time.perf_counter() - start,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
+                status, design, iterations = SolveStatus.ERROR, None, 0
+                error = f"{type(exc).__name__}: {exc}"
+            wall = time.perf_counter() - start
+            conclusive = _conclusive(status, design)
             sp.annotate(
-                status=attempt.status.value,
-                iterations=attempt.iterations,
-                conclusive=attempt.conclusive,
+                status=status.value,
+                iterations=iterations,
+                conclusive=conclusive,
             )
-            if attempt.error:
-                sp.annotate(error=attempt.error)
+            if error:
+                sp.annotate(error=error)
         self._m_backend_attempts.labels(name).inc()
-        self._m_backend_seconds.labels(name).observe(attempt.wall_time)
-        if attempt.conclusive:
+        self._m_backend_seconds.labels(name).observe(wall)
+        if conclusive:
             self._m_backend_wins.labels(name).inc()
             verdict = "backend_win"
-        elif attempt.status in (SolveStatus.TIME_LIMIT, SolveStatus.NODE_LIMIT):
+        elif status in (SolveStatus.TIME_LIMIT, SolveStatus.NODE_LIMIT):
             self._m_backend_timeouts.labels(name).inc()
             verdict = "backend_timeout"
         else:
             verdict = "backend_loss"
         self.tracer.event(
-            verdict,
-            backend=name,
-            status=attempt.status.value,
-            wall_time=attempt.wall_time,
+            verdict, backend=name, status=status.value, wall_time=wall
         )
-        return attempt
+        return status, design, iterations
 
     def _ilp_attempt(
         self, tp_model, backend: str, time_limit, warm_values: dict | None
-    ) -> SolveAttempt:
-        start = time.perf_counter()
+    ) -> "tuple[SolveStatus, PartitionedDesign | None, int]":
         kwargs = dict(self.settings.extra)
         if warm_values is not None:
             # Validated by the backend: bnb installs it as the initial
@@ -823,20 +944,13 @@ class SolveExecutor:
         design = None
         if solution.status.has_solution:
             design = tp_model.design_from(solution)
-        return SolveAttempt(
-            backend=backend,
-            status=solution.status,
-            design=design,
-            wall_time=time.perf_counter() - start,
-            iterations=solution.iterations,
-        )
+        return solution.status, design, solution.iterations
 
     def _cp_attempt(
         self, graph, processor, num_partitions, d_max, options, time_limit
-    ) -> SolveAttempt:
+    ) -> "tuple[SolveStatus, PartitionedDesign | None, int]":
         from repro.core.cp_solver import CpStats, cp_solve
 
-        start = time.perf_counter()
         stats = CpStats()
         design = cp_solve(
             graph,
@@ -858,10 +972,4 @@ class SolveExecutor:
             # Exhaustive search: a genuine emptiness proof for the
             # (stronger) question "any design with latency <= d_max".
             status = SolveStatus.INFEASIBLE
-        return SolveAttempt(
-            backend="cp",
-            status=status,
-            design=design,
-            wall_time=time.perf_counter() - start,
-            iterations=stats.nodes,
-        )
+        return status, design, stats.nodes

@@ -1,78 +1,26 @@
 """Machine-readable run metrics of the solver execution layer.
 
 Every window solve executed by :class:`repro.solve.executor.SolveExecutor`
-produces one :class:`SolveStats` row and a handful of updates to the
-executor's :class:`repro.obs.MetricsRegistry`.  A :class:`RunTelemetry`
-is a *view* of that record: :meth:`RunTelemetry.from_snapshot` reads the
-run's counters out of a :class:`repro.obs.MetricsSnapshot` (counts,
-per-backend wall time, cache hit rate, timeout and fallback events) and
-takes the rows for the per-window percentiles.  The structures are plain
-data with ``to_dict()`` serializers so the CLI (``--telemetry-json``),
-the experiment harness and downstream dashboards can persist them as
-JSON.
+produces one :class:`repro.solve.executor.WindowOutcome` record and a
+handful of updates to the executor's :class:`repro.obs.MetricsRegistry`.
+A :class:`RunTelemetry` is a *view* of both: :meth:`RunTelemetry.from_snapshot`
+reads the run's counters out of a :class:`repro.obs.MetricsSnapshot`
+(counts, per-backend wall time, cache hit rate, timeout and fallback
+events) and keeps the records for the per-window percentiles.  The
+structures are plain data with ``to_dict()`` serializers so the CLI
+(``--telemetry-json``), the experiment harness and downstream dashboards
+can persist them as JSON.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, asdict, dataclass, field, fields
-from typing import Iterable
+from dataclasses import MISSING, dataclass, field, fields
+from typing import TYPE_CHECKING, Iterable
 
-__all__ = ["SolveStats", "RunTelemetry"]
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.solve.executor import WindowOutcome
 
-
-@dataclass(frozen=True)
-class SolveStats:
-    """One window solve as executed (possibly answered from the cache).
-
-    Attributes
-    ----------
-    num_partitions, d_min, d_max:
-        The query: partition bound and latency window (incl. overhead).
-    backend:
-        Who produced the verdict: a solver backend name, ``"cache"`` for a
-        memoized answer, ``"heuristic:<policy>"`` for the greedy fallback,
-        or ``""`` when no backend produced anything (hard timeout).
-    status:
-        The :class:`repro.ilp.SolveStatus` value name (``"feasible"``,
-        ``"infeasible"``, ``"time_limit"``, ...).
-    wall_time:
-        Wall-clock seconds of the whole window solve (all backends).
-    iterations:
-        Work measure reported by the winning backend (nodes / pivots).
-    cache_hit:
-        The verdict came from the solve cache; no backend ran.
-    degraded:
-        All backends exhausted their budgets and the verdict (if any)
-        came from the greedy fallback.
-    """
-
-    num_partitions: int
-    d_min: float
-    d_max: float
-    backend: str
-    status: str
-    wall_time: float
-    iterations: int = 0
-    cache_hit: bool = False
-    degraded: bool = False
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SolveStats":
-        """Inverse of :meth:`to_dict` (process-boundary transport)."""
-        return cls(
-            num_partitions=int(payload["num_partitions"]),
-            d_min=float(payload["d_min"]),
-            d_max=float(payload["d_max"]),
-            backend=str(payload.get("backend", "")),
-            status=str(payload.get("status", "")),
-            wall_time=float(payload.get("wall_time", 0.0)),
-            iterations=int(payload.get("iterations", 0)),
-            cache_hit=bool(payload.get("cache_hit", False)),
-            degraded=bool(payload.get("degraded", False)),
-        )
+__all__ = ["RunTelemetry"]
 
 
 @dataclass
@@ -85,7 +33,9 @@ class RunTelemetry:
     each read, so a result keeps the numbers of the moment it was built.
     """
 
-    solves: list[SolveStats] = field(default_factory=list)
+    #: The executor's window records, in order (cumulative when several
+    #: runs share one executor).
+    solves: list["WindowOutcome"] = field(default_factory=list)
     #: Wall seconds per backend, over every attempt it ran.
     backend_wall: dict[str, float] = field(default_factory=dict)
     #: Window solves each backend (or the incumbent check) decided.
@@ -127,7 +77,7 @@ class RunTelemetry:
     def from_snapshot(
         cls,
         snapshot,
-        solves: Iterable[SolveStats] = (),
+        solves: Iterable["WindowOutcome"] = (),
         workers_merged: int = 0,
     ) -> "RunTelemetry":
         """The telemetry a :class:`repro.obs.MetricsSnapshot` records.
@@ -186,6 +136,8 @@ class RunTelemetry:
         ``basis_restarts``/``pooled_cuts`` counters of older payloads)
         are ignored.
         """
+        from repro.solve.executor import WindowOutcome
+
         counters = {
             f.name: type(f.default)(payload.get(f.name, f.default))
             for f in fields(cls)
@@ -193,7 +145,8 @@ class RunTelemetry:
         }
         return cls(
             solves=[
-                SolveStats.from_dict(s) for s in payload.get("solves", [])
+                WindowOutcome.from_dict(s)
+                for s in payload.get("solves", [])
             ],
             backend_wall={
                 str(k): float(v)
@@ -224,7 +177,7 @@ class RunTelemetry:
 
     @property
     def degraded(self) -> bool:
-        """``True`` when any window solve fell back past every backend."""
+        """``True`` when any window solve fell back past the backend."""
         return self.fallbacks > 0
 
     def wall_time_percentiles(self) -> dict[str, float]:

@@ -152,7 +152,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-tp lint",
         description="Scope-aware repo static analysis (RL001-RL009): "
-        "compiled-model immutability, portfolio/process-pool worker "
+        "compiled-model immutability, cancellable/process-pool worker "
         "discipline, async non-blocking, fingerprint determinism and "
         "scenario-builder purity.  Exit codes: 0 = clean, 1 = active "
         "findings, 2 = usage/IO error.",

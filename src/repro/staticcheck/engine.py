@@ -5,11 +5,10 @@ One :class:`FileContext` per module carries the parsed tree, the
 path classification the rules scope themselves by (library code,
 solver-client code, fingerprint-affecting modules, ...).  A
 :class:`Project` wraps all contexts of one run and builds the
-cross-module *worker index*: functions submitted to a process pool or
-raced by the portfolio in module A are checked where they are defined,
-even when that is module B (``service/sharding.py`` submits
-``repro.service.worker.solve_shard`` — the RL006 checks run against
-``worker.py``).
+cross-module *worker index*: functions submitted to a process pool in
+module A are checked where they are defined, even when that is module
+B (``service/sharding.py`` submits ``repro.service.worker.solve_shard``
+— the RL006 checks run against ``worker.py``).
 
 Suppression comments (``# repro-lint: ignore`` /
 ``# repro-lint: ignore[RL001, RL006]``) attach to the *full line span*
@@ -230,11 +229,8 @@ class Project:
         #: Dotted names of functions submitted to a process pool
         #: anywhere in the run (``repro.service.worker.solve_shard``).
         self.process_worker_targets: set[str] = set()
-        #: Dotted names of functions raced by the portfolio /
-        #: submitted to the portfolio thread pool.
-        self.portfolio_worker_targets: set[str] = set()
-        #: Per-file local worker defs: (id(FunctionDef) -> kind).
-        self.local_workers: dict[int, str] = {}
+        #: Per-file local worker defs, by ``id(FunctionDef)``.
+        self.local_workers: set[int] = set()
         for ctx in self.files:
             if ctx.tree is not None:
                 self._index_file(ctx)
@@ -245,7 +241,7 @@ class Project:
     # pool as a parameter literally named ``pool``.
     _POOL_NAME = re.compile(r"(^|_)pool$")
 
-    def _pool_kind(self, ctx: FileContext, receiver: ast.expr) -> str | None:
+    def _is_process_pool(self, ctx: FileContext, receiver: ast.expr) -> bool:
         scopes = ctx.scopes
         assert scopes is not None
         candidates: list[ast.expr] = []
@@ -268,41 +264,28 @@ class Project:
                 else None
             )
             if callee_name == "ProcessPoolExecutor":
-                return "process"
+                return True
             if callee_name == "ThreadPoolExecutor":
-                prefix = next(
-                    (kw.value for kw in value.keywords
-                     if kw.arg == "thread_name_prefix"), None
-                )
-                if (isinstance(prefix, ast.Constant)
-                        and isinstance(prefix.value, str)
-                        and "portfolio" in prefix.value):
-                    return "portfolio"
-                return None
-        if name is not None and self._POOL_NAME.search(name):
-            return "process"
-        return None
+                return False
+        return name is not None and bool(self._POOL_NAME.search(name))
 
-    def _mark_worker(self, ctx: FileContext, func: ast.expr,
-                     kind: str) -> None:
+    def _mark_worker(self, ctx: FileContext, func: ast.expr) -> None:
         scopes = ctx.scopes
         assert scopes is not None
         if isinstance(func, ast.Call):
             # functools.partial(fn, ...) and friends: the wrapped
             # callable is the first argument.
             if func.args:
-                self._mark_worker(ctx, func.args[0], kind)
+                self._mark_worker(ctx, func.args[0])
             return
         if isinstance(func, ast.Name):
             binding = scopes.resolve(func)
             if binding is None:
                 return
             if binding.kind == "def" and binding.node is not None:
-                self.local_workers[id(binding.node)] = kind
+                self.local_workers.add(id(binding.node))
             elif binding.kind == "import" and binding.qualname:
-                target = (self.process_worker_targets if kind == "process"
-                          else self.portfolio_worker_targets)
-                target.add(binding.qualname)
+                self.process_worker_targets.add(binding.qualname)
 
     def _index_file(self, ctx: FileContext) -> None:
         for node in ast.walk(ctx.tree):
@@ -311,40 +294,23 @@ class Project:
             func = node.func
             # pool.submit(fn, ...) / pool.map(fn, ...)
             if (isinstance(func, ast.Attribute)
-                    and func.attr in ("submit", "map") and node.args):
-                kind = self._pool_kind(ctx, func.value)
-                if kind == "process":
-                    self._mark_worker(ctx, node.args[0], "process")
-                elif kind == "portfolio":
-                    self._mark_worker(ctx, node.args[0], "portfolio")
-            # race_backends([(name, fn), ...]) — every callable
-            # referenced in the attempts argument races in a thread.
-            qual = ctx.qualname(func)
-            callee = qual.rsplit(".", 1)[-1] if qual else None
-            if callee == "race_backends" and node.args:
-                for name_node in ast.walk(node.args[0]):
-                    if isinstance(name_node, ast.Name):
-                        self._mark_worker(ctx, name_node, "portfolio")
+                    and func.attr in ("submit", "map") and node.args
+                    and self._is_process_pool(ctx, func.value)):
+                self._mark_worker(ctx, node.args[0])
 
     # -- queries -------------------------------------------------------------
 
-    def worker_kind(self, ctx: FileContext, funcdef) -> str | None:
-        """Is ``funcdef`` (in ``ctx``) a process/portfolio worker?
+    def is_process_worker(self, ctx: FileContext, funcdef) -> bool:
+        """Is ``funcdef`` (in ``ctx``) submitted to a process pool?
 
         Matches functions marked at a local submission site and
         functions whose dotted name was submitted from *another* module
         in this run.
         """
-        kind = self.local_workers.get(id(funcdef))
-        if kind is not None:
-            return kind
+        if id(funcdef) in self.local_workers:
+            return True
         dotted = ctx.dotted(funcdef.name)
-        if dotted is not None:
-            if dotted in self.process_worker_targets:
-                return "process"
-            if dotted in self.portfolio_worker_targets:
-                return "portfolio"
-        return None
+        return dotted is not None and dotted in self.process_worker_targets
 
 
 # -- orchestration -------------------------------------------------------------

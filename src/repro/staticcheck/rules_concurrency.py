@@ -60,7 +60,7 @@ def _check_rl006(rule, ctx, project) -> Iterator[Finding]:
         if not isinstance(funcdef, (ast.FunctionDef,
                                     ast.AsyncFunctionDef)):
             continue
-        if project.worker_kind(ctx, funcdef) != "process":
+        if not project.is_process_worker(ctx, funcdef):
             continue
         symbol = ctx.symbol_at(funcdef)
         for node, description in module_state_writes(ctx, funcdef):

@@ -4,9 +4,7 @@ These rules shipped first in ``tools/repro_lint.py``; the port keeps
 their ids and intent but queries the symbol table instead of raw AST
 spellings — ``Tracer(...)`` only fires when ``Tracer`` actually is an
 import (or unshadowed global), a compiled-model base is recognized by
-what it was *assigned from* as well as by name, and portfolio workers
-are recognized by where they are *submitted*, not only by their
-``cancel`` parameter.
+what it was *assigned from* as well as by name.
 """
 
 from __future__ import annotations
@@ -146,36 +144,19 @@ def _check_rl001(rule, ctx, project) -> Iterator[Finding]:
                     ))
 
 
-def _worker_marker(ctx, project, funcdef) -> str | None:
-    """Why ``funcdef`` counts as a portfolio worker, or ``None``.
-
-    The legacy marker is a parameter literally named ``cancel``; the
-    symbol table adds functions passed to ``race_backends`` or
-    submitted to the portfolio thread pool — catching workers the old
-    heuristic missed.
-    """
-    args = funcdef.args
-    names = [a.arg for a in (*args.posonlyargs, *args.args,
-                             *args.kwonlyargs)]
-    if "cancel" in names:
-        return "parameter 'cancel'"
-    if project.worker_kind(ctx, funcdef) == "portfolio":
-        return "raced by the portfolio"
-    return None
-
-
 @register_rule(
     "RL002",
-    title="no shared-state writes in portfolio workers",
+    title="no shared-state writes in cancellable workers",
     severity="error",
     rationale=(
-        "Portfolio attempt functions race in threads; any write to "
-        "self, global or nonlocal state from a worker is a data race "
-        "that can corrupt the verdict another backend is producing."
+        "A function taking a 'cancel' parameter is written to run on "
+        "another thread while its caller waits; any write to self, "
+        "global or nonlocal state from it is a data race with the "
+        "caller."
     ),
     fix_hint=(
-        "Return results via the worker's SolveAttempt; communicate "
-        "only through the cancellation event."
+        "Return the result to the caller instead of storing it; use "
+        "'cancel' only to stop early."
     ),
 )
 def _check_rl002(rule, ctx, project) -> Iterator[Finding]:
@@ -184,8 +165,10 @@ def _check_rl002(rule, ctx, project) -> Iterator[Finding]:
         if not isinstance(funcdef, (ast.FunctionDef,
                                     ast.AsyncFunctionDef)):
             continue
-        marker = _worker_marker(ctx, project, funcdef)
-        if marker is None:
+        args = funcdef.args
+        if "cancel" not in {
+            a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)
+        }:
             continue
         for stmt in funcdef.body:
             for node in ast.walk(stmt):
@@ -199,22 +182,19 @@ def _check_rl002(rule, ctx, project) -> Iterator[Finding]:
                                 and target.value.id == "self"):
                             finding = rule.finding(ctx, target, (
                                 f"write to 'self.{target.attr}' inside "
-                                f"a portfolio attempt ({marker}) — "
-                                "workers race in threads; return "
-                                "results via SolveAttempt instead"
+                                "a cancellable worker (parameter "
+                                "'cancel') — it runs on another thread; "
+                                "return the result instead"
                             ))
-                elif isinstance(node, ast.Global):
+                elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                    keyword = (
+                        "global" if isinstance(node, ast.Global)
+                        else "nonlocal"
+                    )
                     finding = rule.finding(ctx, node, (
-                        f"'global {', '.join(node.names)}' inside a "
-                        f"portfolio attempt ({marker}) — workers race "
-                        "in threads; return results via SolveAttempt "
-                        "instead"
-                    ))
-                elif isinstance(node, ast.Nonlocal):
-                    finding = rule.finding(ctx, node, (
-                        f"'nonlocal {', '.join(node.names)}' inside a "
-                        f"portfolio attempt ({marker}) — workers race "
-                        "in threads; return results via SolveAttempt "
+                        f"'{keyword} {', '.join(node.names)}' inside a "
+                        "cancellable worker (parameter 'cancel') — it "
+                        "runs on another thread; return the result "
                         "instead"
                     ))
                 if finding is not None:

@@ -58,6 +58,20 @@ class TestConstruction:
         rebuilt = PartitionedDesign.from_labels(design.graph, assignment)
         assert rebuilt.as_assignment() == assignment
 
+    def test_equality_is_by_placement_on_the_same_graph(self):
+        design = fig4_design()
+        rebuilt = PartitionedDesign.from_labels(
+            design.graph, design.as_assignment()
+        )
+        assert rebuilt == design
+        moved = dict(design.placements)
+        moved["x"] = Placement(3, design.design_point_of("x"))
+        assert PartitionedDesign(design.graph, moved) != design
+        # Another graph object with the same tasks is another design.
+        assert fig4_design() != design
+        with pytest.raises(TypeError):
+            hash(design)
+
 
 class TestLatency:
     def test_figure4_partition_latencies(self):

@@ -1,19 +1,31 @@
 """Unit tests for iteration traces."""
 
+import json
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
-from repro.core import IterationRecord, SearchTrace
+from repro.core import SearchTrace
+from repro.ilp.status import SolveStatus
+from repro.solve import WindowOutcome
 
 
 def record(n=3, i=1, d_max=100.0, d_min=10.0, achieved=50.0):
-    return IterationRecord(
-        num_partitions=n,
-        iteration=i,
-        d_max=d_max,
-        d_min=d_min,
+    return WindowOutcome(
+        design=None,
         achieved=achieved,
+        status=(
+            SolveStatus.INFEASIBLE if achieved is None
+            else SolveStatus.FEASIBLE
+        ),
+        backend="highs",
         wall_time=0.5,
-        solver_iterations=7,
+        iterations=7,
+        num_partitions=n,
+        d_min=d_min,
+        d_max=d_max,
+        iteration=i,
     )
 
 
@@ -37,6 +49,55 @@ class TestIterationRecord:
     def test_frozen(self):
         with pytest.raises(AttributeError):
             record().iteration = 99
+
+
+class TestJsonShapes:
+    """One record, two JSON shapes, both as they were before the record
+    types merged."""
+
+    GOLDEN = Path(__file__).resolve().parent.parent / "golden"
+
+    @pytest.mark.parametrize(
+        "name", ["outcome_v1.json", "outcome_v2.json", "outcome_v3.json"]
+    )
+    def test_golden_trace_round_trips_byte_for_byte(self, name):
+        payload = json.loads((self.GOLDEN / name).read_text())["trace"]
+        restored = SearchTrace.from_dict(payload)
+        assert json.dumps(restored.to_dict(), sort_keys=True) == json.dumps(
+            payload, sort_keys=True
+        )
+
+    def test_trace_shape_infers_status(self):
+        feasible = record()
+        proof = record(achieved=None)
+        gave_up = replace(
+            record(achieved=None),
+            status=SolveStatus.TIME_LIMIT, backend="", degraded=True,
+        )
+        for live in (feasible, proof, gave_up):
+            restored = WindowOutcome.from_trace_dict(live.to_trace_dict())
+            assert restored == live
+            assert restored.design is None
+        assert WindowOutcome.from_trace_dict(
+            gave_up.to_trace_dict()
+        ).status is SolveStatus.TIME_LIMIT
+
+    def test_telemetry_row_round_trips(self):
+        live = record(achieved=None)
+        assert list(live.to_dict()) == [
+            "num_partitions", "d_min", "d_max", "backend", "status",
+            "wall_time", "iterations", "cache_hit", "degraded",
+        ]
+        assert WindowOutcome.from_dict(live.to_dict()) == replace(
+            live, iteration=0
+        )
+
+    def test_degraded_is_any_degraded_record(self):
+        trace = SearchTrace()
+        trace.add(record())
+        assert not trace.degraded
+        trace.add(replace(record(achieved=None), degraded=True))
+        assert trace.degraded
 
 
 class TestSearchTrace:

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core.refine_partitions import RefinementResult
-from repro.core.trace import IterationRecord, SearchTrace
+from repro.core.trace import SearchTrace
+from repro.ilp.status import SolveStatus
+from repro.solve import WindowOutcome
 from repro.experiments import DctExperiment, ExperimentResult, SMALL_CT
 
 
@@ -29,9 +31,11 @@ def fabricated_result(records, design=None, achieved=None):
 
 
 def rec(n, i, d_max, d_min, achieved):
-    return IterationRecord(
-        num_partitions=n, iteration=i, d_max=d_max, d_min=d_min,
-        achieved=achieved,
+    status = SolveStatus.INFEASIBLE if achieved is None else SolveStatus.FEASIBLE
+    return WindowOutcome(
+        design=None, achieved=achieved, status=status, backend="highs",
+        wall_time=0.0, num_partitions=n, d_min=d_min, d_max=d_max,
+        iteration=i,
     )
 
 

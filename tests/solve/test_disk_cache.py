@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import sqlite3
 from pathlib import Path
 
@@ -131,6 +132,54 @@ class TestDurability:
         recovered.store_infeasible(fp(0.0, 10.0))
         assert recovered.lookup(fp(1.0, 9.0), graph=graph) is not None
 
+    def test_locked_store_is_retried_not_quarantined(
+        self, tmp_path, graph, design, monkeypatch
+    ):
+        path = tmp_path / "c.sqlite"
+        with DiskSolveCache(path) as cache:
+            cache.store_feasible(fp(0.0, 100.0), design, 52.0)
+        connect = DiskSolveCache._connect
+        calls = []
+
+        def locked_once(self):
+            calls.append(None)
+            if len(calls) == 1:
+                raise sqlite3.OperationalError("database is locked")
+            return connect(self)
+
+        monkeypatch.setattr(DiskSolveCache, "_connect", locked_once)
+        reopened = DiskSolveCache(path)
+        assert len(calls) == 2
+        assert not Path(str(path) + ".corrupt").exists()
+        assert reopened.recovered is False
+        # The old verdict survived, and the store takes new ones.
+        assert reopened.lookup(fp(0.0, 100.0), graph=graph).rule == "exact"
+        reopened.store_infeasible(fp(0.0, 10.0))
+        assert reopened.lookup(fp(1.0, 9.0), graph=graph) is not None
+
+    def test_store_locked_throughout_answers_misses(
+        self, tmp_path, graph, design, monkeypatch
+    ):
+        path = tmp_path / "c.sqlite"
+        with DiskSolveCache(path) as cache:
+            cache.store_feasible(fp(0.0, 100.0), design, 52.0)
+
+        def always_locked(self):
+            raise sqlite3.OperationalError("database is locked")
+
+        monkeypatch.setattr(DiskSolveCache, "_connect", always_locked)
+        monkeypatch.setattr("repro.solve.disk_cache.time.sleep", lambda s: None)
+        offline = DiskSolveCache(path)
+        assert offline.recovered is False
+        assert offline.lookup(fp(0.0, 100.0), graph=graph) is None
+        offline.store_infeasible(fp(0.0, 10.0))  # dropped, no raise
+        assert len(offline) == 0
+        offline.close()
+        assert not Path(str(path) + ".corrupt").exists()
+        monkeypatch.undo()
+        with DiskSolveCache(path) as cache:
+            assert cache.lookup(fp(0.0, 100.0), graph=graph) is not None
+
     def test_schema_mismatch_drops_and_recreates(self, tmp_path, design):
         path = tmp_path / "c.sqlite"
         cache = DiskSolveCache(path)
@@ -180,3 +229,31 @@ class TestTiered:
             == "exact"
         )
         assert tiered.lookup(fp(0.0, 100.0), graph=graph).tier == "memory"
+
+
+def _open_at_barrier(path, barrier, results) -> None:
+    barrier.wait()
+    cache = DiskSolveCache(path)
+    results.put(cache.recovered)
+    cache.close()
+
+
+@pytest.mark.slow
+def test_two_processes_opening_a_fresh_store_never_quarantine_it(tmp_path):
+    """Two processes racing to create one store both end up using it:
+    the loser of the lock retries instead of moving the file aside."""
+    ctx = multiprocessing.get_context("fork")
+    for trial in range(20):
+        path = tmp_path / f"race{trial}.sqlite"
+        barrier, results = ctx.Barrier(2), ctx.Queue()
+        workers = [
+            ctx.Process(target=_open_at_barrier, args=(path, barrier, results))
+            for _ in range(2)
+        ]
+        for worker in workers:
+            worker.start()
+        recovered = [results.get(timeout=30) for _ in workers]
+        for worker in workers:
+            worker.join(timeout=30)
+        assert recovered == [False, False], trial
+        assert not Path(str(path) + ".corrupt").exists(), trial

@@ -4,12 +4,15 @@ import time
 
 import pytest
 
+from dataclasses import replace
+
 from repro.arch import ReconfigurableProcessor
-from repro.core import SolverSettings, bounds
+from repro.core import SolverSettings, bounds, reduce_latency
 from repro.core.formulation import TemporalPartitioningModel
+from repro.ilp import model as ilp_model
 from repro.ilp.status import Solution, SolveStatus
 from repro.obs import MemorySink, Tracer
-from repro.solve import SolveExecutor
+from repro.solve import SolveCache, SolveExecutor
 from repro.taskgraph import ar_filter, dct_4x4
 
 
@@ -213,6 +216,72 @@ class TestAttemptOutcomes:
         assert "backend_timeout" in {
             e["name"] for e in events if e["type"] == "event"
         }
+
+
+def gives_up_on_time(model, **options):
+    return Solution(status=SolveStatus.TIME_LIMIT)
+
+
+def gives_up_on_nodes(model, **options):
+    return Solution(status=SolveStatus.NODE_LIMIT)
+
+
+def explodes(model, **options):
+    raise RuntimeError("backend exploded")
+
+
+class TestUnknownVerdicts:
+    """A window the backend gave up on is never stored as an emptiness
+    proof, and the search sees the same status the executor recorded."""
+
+    @pytest.mark.parametrize(
+        "fallback", [True, False], ids=["fallback", "no_fallback"]
+    )
+    @pytest.mark.parametrize(
+        "solve, expected",
+        [
+            (gives_up_on_time, SolveStatus.TIME_LIMIT),
+            # The executor reports every budget exhaustion as TIME_LIMIT.
+            (gives_up_on_nodes, SolveStatus.TIME_LIMIT),
+            (explodes, SolveStatus.ERROR),
+        ],
+        ids=["time_limit", "node_limit", "raises"],
+    )
+    def test_unknown_is_never_a_proof(
+        self, processor, monkeypatch, solve, expected, fallback
+    ):
+        monkeypatch.setitem(ilp_model._BACKENDS, "highs", solve)
+        cache = SolveCache()
+        proofs = []
+        monkeypatch.setattr(
+            cache, "store_infeasible",
+            lambda fp, backend="": proofs.append((fp, backend)),
+        )
+        settings = SolverSettings(
+            time_limit=15.0, heuristic_fallback=fallback
+        )
+        executor = SolveExecutor(settings, cache=cache)
+        graph = ar_filter()
+        d_max, d_min = window(graph, 3)
+        result = reduce_latency(
+            graph, processor, 3, d_max, d_min, delta=1.0,
+            settings=settings, executor=executor,
+        )
+
+        assert proofs == []
+        records = list(result.trace)
+        # One record, two views: the trace keeps the executor's records,
+        # stamped with the bisection step.
+        assert [replace(r, iteration=0) for r in records] == (
+            executor.telemetry.solves
+        )
+        unknown = [r for r in records if not r.feasible]
+        assert unknown
+        for record in unknown:
+            assert record.status is expected
+            assert record.degraded
+            assert not record.cache_hit
+        assert result.degraded
 
 
 class TestTelemetry:

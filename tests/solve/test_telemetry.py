@@ -2,24 +2,28 @@
 
 from __future__ import annotations
 
+from repro.ilp.status import SolveStatus
 from repro.obs import MetricsRegistry, MetricsSnapshot
-from repro.solve.telemetry import RunTelemetry, SolveStats
+from repro.solve import WindowOutcome
+from repro.solve.telemetry import RunTelemetry
 
 
-def stats(**overrides) -> SolveStats:
+def stats(status: str = "feasible", **overrides) -> WindowOutcome:
     base = dict(
+        design=None,
+        achieved=None,
+        status=SolveStatus(status),
         num_partitions=4,
         d_min=100.0,
         d_max=200.0,
         backend="highs",
-        status="feasible",
         wall_time=0.5,
     )
     base.update(overrides)
-    return SolveStats(**base)
+    return WindowOutcome(**base)
 
 
-def counted(*rows: SolveStats, disk_hits: int = 0) -> MetricsRegistry:
+def counted(*rows: WindowOutcome, disk_hits: int = 0) -> MetricsRegistry:
     """A registry that counted ``rows`` the way the executor counts a
     concluded window (backend ``""`` is labelled ``none``)."""
     registry = MetricsRegistry()
@@ -28,7 +32,7 @@ def counted(*rows: SolveStats, disk_hits: int = 0) -> MetricsRegistry:
     )
     seconds = registry.histogram("repro_window_solve_seconds")
     for row in rows:
-        windows.labels(row.backend or "none", row.status).inc()
+        windows.labels(row.backend or "none", row.status.value).inc()
         seconds.observe(row.wall_time)
     if disk_hits:
         registry.counter(
@@ -37,7 +41,7 @@ def counted(*rows: SolveStats, disk_hits: int = 0) -> MetricsRegistry:
     return registry
 
 
-def view(*rows: SolveStats, disk_hits: int = 0) -> RunTelemetry:
+def view(*rows: WindowOutcome, disk_hits: int = 0) -> RunTelemetry:
     snapshot = counted(*rows, disk_hits=disk_hits).snapshot()
     return RunTelemetry.from_snapshot(snapshot, rows)
 

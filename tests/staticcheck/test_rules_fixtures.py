@@ -88,16 +88,7 @@ class TestFixturePairs:
 
 
 class TestTightenedWorkerDetection:
-    """The RL002 satellite: the legacy heuristic (a parameter literally
-    named ``cancel``) false-negatives on functions raced through
-    ``race_backends``; the symbol-table detection catches them."""
-
-    def test_old_heuristic_false_negative_is_caught(self):
-        source = read_fixture("rl002_race_offending.py")
-        result = lint("src/repro/solve/attempts.py", source)
-        assert [f.rule for f in result.active] == ["RL002"]
-        assert result.active[0].line == 7  # the ``global`` declaration
-        assert "raced by the portfolio" in result.active[0].message
+    """RL002 marks a worker by its ``cancel`` parameter."""
 
     def test_legacy_cancel_marker_still_works(self):
         result = lint(
@@ -106,20 +97,3 @@ class TestTightenedWorkerDetection:
         )
         assert [f.rule for f in result.active] == ["RL002"]
         assert "parameter 'cancel'" in result.active[0].message
-
-    def test_portfolio_threadpool_submission_is_recognized(self):
-        source = (
-            "from concurrent.futures import ThreadPoolExecutor\n"
-            "\n"
-            "def _attempt(model):\n"
-            "    global _BEST\n"
-            "    return model\n"
-            "\n"
-            "def race(models):\n"
-            "    pool = ThreadPoolExecutor(\n"
-            "        max_workers=2, thread_name_prefix='solve-portfolio')\n"
-            "    return [pool.submit(_attempt, m) for m in models]\n"
-        )
-        result = lint("src/repro/solve/attempts.py", source)
-        assert [f.rule for f in result.active] == ["RL002"]
-        assert result.active[0].line == 4

@@ -124,6 +124,21 @@ def test_backend_portfolio_is_gone():
     }
 
 
+def test_window_outcome_is_the_only_window_record():
+    import repro.core
+    import repro.solve
+    import repro.solve.executor
+    import repro.solve.telemetry
+
+    assert not hasattr(repro.core, "IterationRecord")
+    assert "IterationRecord" not in repro.core.__all__
+    assert not hasattr(repro.solve, "SolveStats")
+    assert "SolveStats" not in repro.solve.__all__
+    assert not hasattr(repro.solve.telemetry, "SolveStats")
+    assert not hasattr(repro.solve.executor, "SolveAttempt")
+    assert "WindowOutcome" in repro.solve.__all__
+
+
 class TestPartitionRequest:
     def test_fields_are_keyword_only(self, chain_graph):
         from repro import PartitionRequest
