@@ -8,24 +8,19 @@ decides *how* each question is answered:
 * :mod:`repro.solve.executor` — the :class:`SolveExecutor` entry point:
   cache lookup, deadline policy, one inline backend attempt per window,
   greedy fallback;
-* :mod:`repro.solve.cache` — window-monotonic solve memoization (and
-  the :class:`TieredSolveCache` putting in-process memory in front of
-  shared disk);
-* :mod:`repro.solve.disk_cache` — the persistent SQLite verdict store
-  shared across processes and runs (``SolverSettings(cache_path=...)``);
+* :mod:`repro.solve.cache` — window-monotonic solve memoization: the
+  one reuse rule and :class:`SolveCache`, whose in-process records sit
+  in front of an optional disk store;
+* :mod:`repro.solve.disk_cache` — that store, the persistent SQLite
+  verdict file shared across processes and runs
+  (``SolverSettings(cache_path=...)``);
 * :mod:`repro.solve.fingerprint` — canonical model fingerprints;
 * :mod:`repro.solve.telemetry` — machine-readable run metrics.
 
 See ``docs/solving.md`` for the full design.
 """
 
-from repro.solve.cache import (
-    CachedVerdict,
-    CacheHit,
-    SolveCache,
-    SolveCacheProtocol,
-    TieredSolveCache,
-)
+from repro.solve.cache import CachedVerdict, CacheHit, SolveCache
 from repro.solve.disk_cache import DiskSolveCache
 from repro.solve.executor import KNOWN_BACKENDS, SolveExecutor, WindowOutcome
 from repro.solve.fingerprint import (
@@ -44,9 +39,7 @@ __all__ = [
     "ModelFingerprint",
     "RunTelemetry",
     "SolveCache",
-    "SolveCacheProtocol",
     "SolveExecutor",
-    "TieredSolveCache",
     "WindowOutcome",
     "fingerprint_compiled",
     "fingerprint_ilp",

@@ -5,7 +5,7 @@ constraint system under a sliding latency window, and whole windows are
 revisited verbatim when an experiment (or a replayed run) repeats a
 query.  The cache keys entries by the *windowless* model digest of
 :mod:`repro.solve.fingerprint` and stores per-window verdicts, serving
-three kinds of hits:
+three kinds of hits, in this order of precedence:
 
 ``exact``
     The same window was solved before — replay the stored verdict
@@ -23,31 +23,69 @@ three kinds of hits:
     ``[lo, hi] ⊆ [a, b]``.  Only verdicts with status ``INFEASIBLE`` are
     stored this way: a time-limited solve that found nothing proves
     nothing and is never cached.
+
+:func:`_rank` is the one place these rules are written; the memory tier
+of :class:`SolveCache` and the optional persistent store
+(:class:`repro.solve.disk_cache.DiskSolveCache`) both call it.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable
 
 from repro.obs.metrics import as_metrics
 from repro.solve.fingerprint import ModelFingerprint
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.solution import PartitionedDesign
+    from repro.solve.disk_cache import DiskSolveCache
     from repro.taskgraph.graph import TaskGraph
 
-__all__ = [
-    "CachedVerdict",
-    "CacheHit",
-    "SolveCache",
-    "SolveCacheProtocol",
-    "TieredSolveCache",
-]
+__all__ = ["CachedVerdict", "CacheHit", "SolveCache"]
 
 #: Tolerance for window comparisons (floats produced by bisection).
 _EPS = 1e-9
+
+
+def _same_window(
+    a_min: float, a_max: float, b_min: float, b_max: float
+) -> bool:
+    return abs(a_min - b_min) <= _EPS and abs(a_max - b_max) <= _EPS
+
+
+def _rank(
+    lo: float,
+    hi: float,
+    candidates: Iterable[tuple],
+) -> list[tuple[str, object]]:
+    """The stored verdicts that answer the query window ``[lo, hi]``.
+
+    ``candidates`` yields ``(d_min, d_max, feasible, achieved, item)``
+    for each stored verdict, in storage order.  Returns ``(rule, item)``
+    for the first candidate matching each rule, in precedence order:
+    ``exact`` replays (they preserve the search trajectory bit-for-bit),
+    then ``feasible`` certificates, then ``infeasible`` proofs.
+    """
+    exact = feasible = infeasible = None
+    for d_min, d_max, is_feasible, achieved, item in candidates:
+        if exact is None and _same_window(d_min, d_max, lo, hi):
+            exact = ("exact", item)
+        if is_feasible:
+            if (
+                feasible is None
+                and achieved is not None
+                and lo - _EPS <= achieved <= hi + _EPS
+            ):
+                feasible = ("feasible", item)
+        elif (
+            infeasible is None
+            and d_min <= lo + _EPS
+            and hi <= d_max + _EPS
+        ):
+            infeasible = ("infeasible", item)
+    return [m for m in (exact, feasible, infeasible) if m is not None]
 
 
 @dataclass(frozen=True)
@@ -73,62 +111,36 @@ class CacheHit:
     verdict: CachedVerdict
     rule: str  # "exact", "feasible", or "infeasible"
     #: Which cache layer answered: ``"memory"`` for the in-process
-    #: :class:`SolveCache`, ``"disk"`` for the persistent
+    #: records of :class:`SolveCache`, ``"disk"`` for the persistent
     #: :class:`repro.solve.disk_cache.DiskSolveCache`.
     tier: str = "memory"
 
 
-@runtime_checkable
-class SolveCacheProtocol(Protocol):
-    """What the :class:`repro.solve.executor.SolveExecutor` needs from a
-    solve cache.
-
-    Three implementations exist: the in-process :class:`SolveCache`, the
-    persistent :class:`repro.solve.disk_cache.DiskSolveCache`, and the
-    :class:`TieredSolveCache` composing the two.  ``lookup`` takes the
-    query's :class:`~repro.taskgraph.graph.TaskGraph` so tiers that store
-    designs as plain assignments (the disk tier) can decode them back
-    into :class:`~repro.core.solution.PartitionedDesign` certificates;
-    the in-memory tier ignores it.
-    """
-
-    def lookup(
-        self, fp: ModelFingerprint, graph: "TaskGraph | None" = None
-    ) -> CacheHit | None:
-        ...  # pragma: no cover - protocol
-
-    def store_feasible(
-        self,
-        fp: ModelFingerprint,
-        design: "PartitionedDesign",
-        achieved: float,
-        backend: str = "",
-    ) -> None:
-        ...  # pragma: no cover - protocol
-
-    def store_infeasible(
-        self, fp: ModelFingerprint, backend: str = ""
-    ) -> None:
-        ...  # pragma: no cover - protocol
-
-
-@dataclass
 class SolveCache:
     """Window-verdict memoization shared across a search run (or runs).
 
+    The records live in process memory.  With a ``disk`` store
+    (:class:`repro.solve.disk_cache.DiskSolveCache`) lookups that miss
+    in memory consult the store, and its hits are promoted into memory
+    so each verdict is decoded at most once per process; stores write
+    through to both, which is how one worker's verdict becomes visible
+    to the whole fleet.
+
     Thread-safe; backends never touch the cache directly (the executor
     looks up before dispatch and stores after), but a shared cache may
-    serve several searches.
+    serve several searches.  Lookups are counted in ``metrics`` (a
+    :class:`repro.obs.MetricsRegistry`) as
+    ``repro_solve_cache_{hits,misses}_total{tier="memory"}``; the store
+    counts its own ``tier="disk"`` lookups.
     """
 
-    _entries: dict[str, list[CachedVerdict]] = field(default_factory=dict)
-    _lock: threading.Lock = field(default_factory=threading.Lock)
-    #: Optional :class:`repro.obs.MetricsRegistry`; lookups are counted
-    #: as ``repro_solve_cache_{hits,misses}_total{tier="memory"}``.
-    metrics: object = None
-
-    def __post_init__(self) -> None:
-        registry = as_metrics(self.metrics)
+    def __init__(
+        self, disk: "DiskSolveCache | None" = None, metrics: object = None
+    ) -> None:
+        self.disk = disk
+        self._entries: dict[str, list[CachedVerdict]] = {}
+        self._lock = threading.Lock()
+        registry = as_metrics(metrics)
         self._m_hits = registry.counter(
             "repro_solve_cache_hits_total",
             "Solve-cache lookups answered, by tier and matching rule.",
@@ -141,6 +153,7 @@ class SolveCache:
         )
 
     def __len__(self) -> int:
+        """Verdicts held in memory."""
         with self._lock:
             return sum(len(v) for v in self._entries.values())
 
@@ -151,50 +164,25 @@ class SolveCache:
     ) -> CacheHit | None:
         """Return a stored verdict valid for ``fp``'s window, or ``None``.
 
-        ``graph`` is part of the :class:`SolveCacheProtocol` signature
-        (the disk tier needs it to decode stored assignments); the
-        in-memory cache holds live designs and ignores it.
+        ``graph`` lets the disk store decode its stored assignments back
+        into designs; the memory records hold live designs.
         """
-        lo, hi = fp.d_min, fp.d_max
         with self._lock:
-            records = self._entries.get(fp.base, ())
-            exact = None
-            feasible = None
-            infeasible = None
-            for record in records:
-                same_window = (
-                    abs(record.d_min - lo) <= _EPS
-                    and abs(record.d_max - hi) <= _EPS
-                )
-                if same_window and exact is None:
-                    exact = record
-                if (
-                    record.feasible
-                    and record.achieved is not None
-                    and lo - _EPS <= record.achieved <= hi + _EPS
-                    and feasible is None
-                ):
-                    feasible = record
-                if (
-                    not record.feasible
-                    and record.d_min <= lo + _EPS
-                    and hi <= record.d_max + _EPS
-                    and infeasible is None
-                ):
-                    infeasible = record
-            # Exact replays win (they preserve the search trajectory
-            # bit-for-bit); then certificates, then emptiness proofs.
-            if exact is not None:
-                hit = CacheHit(exact, "exact")
-            elif feasible is not None:
-                hit = CacheHit(feasible, "feasible")
-            elif infeasible is not None:
-                hit = CacheHit(infeasible, "infeasible")
-            else:
-                self._m_misses.labels("memory").inc()
-                return None
-            self._m_hits.labels("memory", hit.rule).inc()
-            return hit
+            ranked = _rank(fp.d_min, fp.d_max, (
+                (r.d_min, r.d_max, r.feasible, r.achieved, r)
+                for r in self._entries.get(fp.base, ())
+            ))
+        if ranked:
+            rule, verdict = ranked[0]
+            self._m_hits.labels("memory", rule).inc()
+            return CacheHit(verdict, rule)
+        self._m_misses.labels("memory").inc()
+        if self.disk is None:
+            return None
+        hit = self.disk.lookup(fp, graph)
+        if hit is not None:
+            self._remember(fp.base, hit.verdict)
+        return hit
 
     # -- store --------------------------------------------------------------
 
@@ -206,17 +194,16 @@ class SolveCache:
         backend: str = "",
     ) -> None:
         """Record a feasibility certificate for ``fp``'s window."""
-        self._store(
-            fp,
-            CachedVerdict(
-                d_min=fp.d_min,
-                d_max=fp.d_max,
-                feasible=True,
-                achieved=float(achieved),
-                design=design,
-                backend=backend,
-            ),
-        )
+        self._remember(fp.base, CachedVerdict(
+            d_min=fp.d_min,
+            d_max=fp.d_max,
+            feasible=True,
+            achieved=float(achieved),
+            design=design,
+            backend=backend,
+        ))
+        if self.disk is not None:
+            self.disk.store_feasible(fp, design, achieved, backend=backend)
 
     def store_infeasible(self, fp: ModelFingerprint, backend: str = "") -> None:
         """Record a *proven* emptiness verdict for ``fp``'s window.
@@ -225,88 +212,27 @@ class SolveCache:
         ``INFEASIBLE`` — never a timeout treated as infeasible by the
         search's pragmatic convention.
         """
-        self._store(
-            fp,
-            CachedVerdict(
-                d_min=fp.d_min,
-                d_max=fp.d_max,
-                feasible=False,
-                backend=backend,
-            ),
-        )
+        self._remember(fp.base, CachedVerdict(
+            d_min=fp.d_min,
+            d_max=fp.d_max,
+            feasible=False,
+            backend=backend,
+        ))
+        if self.disk is not None:
+            self.disk.store_infeasible(fp, backend=backend)
 
-    def insert(self, base: str, record: CachedVerdict) -> None:
-        """Adopt a verdict produced elsewhere (tier promotion).
-
-        Used by :class:`TieredSolveCache` to pull disk hits into memory
-        so repeated queries in the same process never touch SQLite again.
-        """
-        fp = ModelFingerprint(
-            base=base, num_partitions=0,
-            d_min=record.d_min, d_max=record.d_max,
-        )
-        self._store(fp, record)
-
-    def _store(self, fp: ModelFingerprint, record: CachedVerdict) -> None:
+    def _remember(self, base: str, record: CachedVerdict) -> None:
         with self._lock:
-            bucket = self._entries.setdefault(fp.base, [])
+            bucket = self._entries.setdefault(base, [])
             for existing in bucket:
-                if (
-                    existing.feasible == record.feasible
-                    and abs(existing.d_min - record.d_min) <= _EPS
-                    and abs(existing.d_max - record.d_max) <= _EPS
+                if existing.feasible == record.feasible and _same_window(
+                    existing.d_min, existing.d_max,
+                    record.d_min, record.d_max,
                 ):
                     return  # duplicate verdict
             bucket.append(record)
 
     def clear(self) -> None:
+        """Forget the memory records; the disk store is left as it is."""
         with self._lock:
             self._entries.clear()
-
-
-class TieredSolveCache:
-    """Two-level solve cache: in-process memory in front of shared disk.
-
-    Lookups consult the memory tier first (no I/O on the hot path); disk
-    hits are promoted into memory so each verdict is decoded at most once
-    per process.  Stores write through to both tiers, which is how one
-    worker's verdict becomes visible to the whole fleet: the memory tier
-    dies with the process, the disk tier (``DiskSolveCache``) is the
-    durable, cross-process store.
-    """
-
-    def __init__(self, memory: SolveCache, disk) -> None:
-        self.memory = memory
-        self.disk = disk
-
-    def __len__(self) -> int:
-        return len(self.memory)
-
-    def lookup(
-        self, fp: ModelFingerprint, graph: "TaskGraph | None" = None
-    ) -> CacheHit | None:
-        hit = self.memory.lookup(fp, graph)
-        if hit is not None:
-            return hit
-        hit = self.disk.lookup(fp, graph)
-        if hit is not None:
-            self.memory.insert(fp.base, hit.verdict)
-        return hit
-
-    def store_feasible(
-        self,
-        fp: ModelFingerprint,
-        design: "PartitionedDesign",
-        achieved: float,
-        backend: str = "",
-    ) -> None:
-        self.memory.store_feasible(fp, design, achieved, backend=backend)
-        self.disk.store_feasible(fp, design, achieved, backend=backend)
-
-    def store_infeasible(self, fp: ModelFingerprint, backend: str = "") -> None:
-        self.memory.store_infeasible(fp, backend=backend)
-        self.disk.store_infeasible(fp, backend=backend)
-
-    def clear(self) -> None:
-        self.memory.clear()
-        self.disk.clear()

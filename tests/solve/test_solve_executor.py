@@ -115,6 +115,26 @@ class TestBackendsThroughExecutor:
         assert b.backend == backend
         assert b.design.audit(processor) == []
 
+    def test_cp_stops_at_the_node_limit(self, processor):
+        sink = MemorySink()
+        executor = SolveExecutor(SolverSettings(
+            backend="cp", node_limit=5, time_limit=15.0,
+            heuristic_fallback=False, tracer=Tracer(sink),
+        ))
+        graph = ar_filter()
+        d_max, d_min = window(graph, 3)
+        outcome = executor.solve_window(graph, processor, 3, d_max, d_min)
+        (attempt,) = [
+            e for e in sink.events
+            if e["type"] == "span_end" and e["name"] == "attempt:cp"
+        ]
+        # Placing 28 tasks takes at least 28 nodes, so the search stops
+        # at the limit instead of finding the design it otherwise finds.
+        assert attempt["attrs"]["status"] == "node_limit"
+        assert 5 <= attempt["attrs"]["iterations"] < 28
+        assert outcome.degraded and not outcome.feasible
+        assert executor.telemetry.timeouts == 1
+
     def test_unknown_backend_is_rejected(self):
         with pytest.raises(ValueError, match="unknown solve backend"):
             SolveExecutor(SolverSettings(backend="cplex"))
@@ -216,6 +236,32 @@ class TestAttemptOutcomes:
         assert "backend_timeout" in {
             e["name"] for e in events if e["type"] == "event"
         }
+
+
+def times_out_after_work(self, **kwargs):
+    return Solution(status=SolveStatus.TIME_LIMIT, iterations=123)
+
+
+class TestDegradedRecords:
+    @pytest.mark.parametrize(
+        "fallback", [True, False], ids=["fallback", "no_fallback"]
+    )
+    def test_degraded_record_keeps_the_backend_work(
+        self, processor, monkeypatch, fallback
+    ):
+        monkeypatch.setattr(
+            TemporalPartitioningModel, "solve", times_out_after_work
+        )
+        executor = SolveExecutor(
+            SolverSettings(time_limit=15.0, heuristic_fallback=fallback)
+        )
+        graph = ar_filter()
+        d_max, d_min = window(graph, 3)
+        outcome = executor.solve_window(graph, processor, 3, d_max, d_min)
+        assert outcome.degraded
+        assert outcome.feasible is fallback
+        assert outcome.iterations == 123
+        assert executor.telemetry.solves[0].iterations == 123
 
 
 def gives_up_on_time(model, **options):
