@@ -9,7 +9,10 @@ latency window ``[D_min, D_max]`` it repeatedly
 3. on failure, pushes the lower bound up to the tried upper bound,
 
 until the window is narrower than the *latency tolerance* ``delta`` or
-the incumbent sits within ``delta`` of the lower bound.  The tolerance
+the incumbent sits within ``delta`` of the lower bound.  With
+``SolverSettings.dual_bound`` the trials after the first window are
+gap-limited minimize solves instead, whose dual bounds lift the lower
+bound (see ``docs/solving.md``, "Dual-bound trials").  The tolerance
 trades solution quality against run time: the paper's Tables 5 vs 7 (and
 6 vs 8) show ``delta = 100`` finding better solutions than
 ``delta = 800`` at the cost of more iterations — our ablation benchmark
@@ -102,6 +105,17 @@ class SolverSettings:
         window model prepared by the executor (lexicographic
         partition-index ordering over interchangeable tasks, added at
         template-compile time).
+    dual_bound:
+        Replace the bisection's midpoint trials with gap-limited
+        *minimize* trials (``backend="highs"`` only; ``bnb`` and ``cp``
+        keep the midpoint rule).  After the first window, each trial
+        minimizes latency on ``[D_min, D_a - delta]`` until HiGHS's
+        gap is at most ``delta``: a design becomes the new ``D_a`` and
+        the solver's dual bound raises ``D_min``; an ``INFEASIBLE``
+        verdict ends the partition bound, proven within ``delta``; a
+        trial that ends with neither sends the partition bound back to
+        the midpoint rule.  ``D_a`` stays within ``delta`` of the
+        default search's, but the windows asked differ.
     cache_path:
         When set, back the in-process solve cache with the persistent
         :class:`repro.solve.disk_cache.DiskSolveCache` at this path
@@ -153,6 +167,7 @@ class SolverSettings:
     heuristic_fallback: bool = True
     incumbent_reuse: bool = False
     symmetry_breaking: bool = False
+    dual_bound: bool = False
     cache_path: str | None = None
     analyze: str = "off"
     extra: dict = field(default_factory=dict)
@@ -171,6 +186,7 @@ class SolverSettings:
     ACCELERATION_FLAGS = (
         "incumbent_reuse",
         "symmetry_breaking",
+        "dual_bound",
     )
 
     @classmethod
@@ -178,9 +194,9 @@ class SolverSettings:
         """Lowest wall time: HiGHS alone with every acceleration on.
 
         Enables all of :data:`ACCELERATION_FLAGS` (cross-window
-        incumbent carry, symmetry breaking) and solves each window with
-        the default ``backend``.  Verdict-equivalent to the defaults;
-        iteration-level traces may differ.
+        incumbent carry, symmetry breaking, dual-bound trials) and
+        solves each window with the default ``backend``.  ``D_a`` within
+        ``delta`` of the default search; iteration-level traces differ.
         """
         base: dict = {flag: True for flag in cls.ACCELERATION_FLAGS}
         base.update(overrides)
@@ -362,7 +378,9 @@ def reduce_latency(
                 return result(None, None)
             d_min = max(d_min, tightened)
 
-        def solve(window_max: float, window_min: float) -> WindowOutcome:
+        def solve(
+            window_max: float, window_min: float, gap: float | None = None
+        ) -> WindowOutcome:
             nonlocal iteration
             with tracer.span(
                 "iteration",
@@ -379,6 +397,7 @@ def reduce_latency(
                     window_min,
                     options,
                     deadline=deadline,
+                    gap=gap,
                 )
             trace.add(replace(outcome, iteration=iteration))
             iteration += 1
@@ -390,6 +409,7 @@ def reduce_latency(
             return result(None, None)
         achieved = first.achieved
         best = first.design
+        gap_trials = settings.dual_bound and settings.backend == "highs"
 
         while (d_max - d_min >= delta) and (achieved - d_min >= delta):
             if deadline is not None and time.perf_counter() > deadline:
@@ -398,6 +418,24 @@ def reduce_latency(
             if should_stop is not None and should_stop():
                 tracer.event("cancelled", phase="bisection")
                 break
+            if gap_trials:
+                # Extension (dual_bound): minimize below the incumbent
+                # until the solver's gap is under delta.
+                candidate = solve(achieved - delta, d_min, gap=delta)
+                if candidate.design is not None:
+                    achieved = candidate.achieved
+                    best = candidate.design
+                    d_max = achieved
+                    if candidate.bound is not None:
+                        # No design in the window lies below the bound.
+                        d_min = max(d_min, candidate.bound)
+                elif candidate.status is SolveStatus.INFEASIBLE:
+                    break  # nothing below achieved - delta: within delta
+                else:
+                    # Neither a design nor a proof (a timeout): this N
+                    # goes back to the midpoint rule.
+                    gap_trials = False
+                continue
             # Bisect, then keep halving until the trial bound undercuts the
             # incumbent — otherwise the solve could return the same solution.
             trial = (d_max + d_min) / 2.0

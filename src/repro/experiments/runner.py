@@ -115,11 +115,19 @@ class ExperimentResult:
         for record in self.result.trace:
             n, i, d_min, d_max, achieved = record.row(c_t)
             table.add_row(n, i, round(d_min, 1), round(d_max, 1), achieved)
-        best = self.best_latency
-        note = "infeasible" if best is None else (
-            f"best D_a = {best:,.0f} ns at N = {self.best_partitions} "
-            f"({self.iterations} ILP solves, {self.wall_time:.1f}s)"
-        )
+        best = self.result.trace.best()
+        if best is None:
+            note = "infeasible"
+        else:
+            # In the columns' convention (the bound N, overhead as the
+            # columns print it), then the total and the partitions used.
+            n, _i, _lo, _hi, achieved = best.row(c_t)
+            note = (
+                f"best D_a = {achieved:,.0f} ns at N = {n}; total "
+                f"{self.best_latency:,.0f} ns on {self.best_partitions} "
+                f"partitions used ({self.iterations} ILP solves, "
+                f"{self.wall_time:.1f}s)"
+            )
         if self.result.stopped_by_min_latency_cut:
             note += "; stopped early: MinLatency(N) >= D_a"
         if self.result.degraded:

@@ -402,21 +402,25 @@ def _dispatch(target, maximize: bool, backend: str, **options) -> Solution:
 _TRACER_SUPPORT: dict[int, bool] = {}
 
 
+def accepts_keyword(func: Callable, name: str) -> bool:
+    """Whether ``func`` can be called with the keyword argument ``name``."""
+    import inspect
+
+    try:
+        params = inspect.signature(func).parameters
+    except (TypeError, ValueError):  # builtins without signatures
+        return False
+    return name in params or any(
+        p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
+    )
+
+
 def _accepts_tracer(solver: Callable) -> bool:
     """Whether ``solver`` can be called with a ``tracer=`` keyword."""
     key = id(solver)
     cached = _TRACER_SUPPORT.get(key)
     if cached is None:
-        import inspect
-
-        try:
-            params = inspect.signature(solver).parameters
-            cached = "tracer" in params or any(
-                p.kind is inspect.Parameter.VAR_KEYWORD
-                for p in params.values()
-            )
-        except (TypeError, ValueError):  # builtins without signatures
-            cached = False
+        cached = accepts_keyword(solver, "tracer")
         _TRACER_SUPPORT[key] = cached
     return cached
 

@@ -124,17 +124,23 @@ def _presolve(model, max_rounds: int) -> PresolveResult:
                 j = int(cols[0])
                 coef = float(coefs[0])
                 limit = rhs / coef
+                upper_limit = lower_limit = limit
+                if compiled.is_integral[j]:
+                    # An integer variable's bounds stay integral (HiGHS
+                    # misreads a fractional bound on one).
+                    upper_limit = math.floor(limit + 1e-9)
+                    lower_limit = math.ceil(limit - 1e-9)
                 # An inequality tightens one side; an equality both.
                 tighten_upper = [coef > 0] if kind == 0 else [True, False]
                 for upper in tighten_upper:
                     if upper:
-                        if limit < ub[j] - 1e-12:
-                            ub[j] = limit
+                        if upper_limit < ub[j] - 1e-12:
+                            ub[j] = upper_limit
                             bounds_tightened += 1
                             changed = True
                     else:
-                        if limit > lb[j] + 1e-12:
-                            lb[j] = limit
+                        if lower_limit > lb[j] + 1e-12:
+                            lb[j] = lower_limit
                             bounds_tightened += 1
                             changed = True
                 rows_removed += 1

@@ -52,21 +52,36 @@ def _linear_constraints(form) -> list[optimize.LinearConstraint]:
     return constraints
 
 
+#: HiGHS's ``kSolutionLimit`` model status: the MIP stopped at its node
+#: limit.  scipy has no code for it and reports it as status 4, the same
+#: code as a solve error, so it is told apart by the status number that
+#: scipy copies into ``result.message``.
+_HIGHS_NODE_LIMIT = "HiGHS Status 16:"
+
+
 def solve_with_highs(model, **options) -> Solution:
     """Solve a MILP with scipy's HiGHS engine.
 
     Honors ``first_feasible`` by setting a HiGHS MIP gap so large that the
     search stops as soon as an incumbent exists, which reproduces the
-    paper's use of CPLEX as a constraint-satisfaction engine.
+    paper's use of CPLEX as a constraint-satisfaction engine.  Otherwise
+    ``mip_rel_gap`` (when given) is the relative gap at which HiGHS
+    stops a minimization.
 
     Accepts either a :class:`repro.ilp.model.Model` or a pre-compiled
     :class:`repro.ilp.compile.CompiledModel`; the sparse rows of the
     compiled form are handed to HiGHS without densification.
 
+    ``node_limit`` caps the branch-and-bound nodes; a solve stopped by
+    it ends ``FEASIBLE`` when it holds an incumbent and ``NODE_LIMIT``
+    otherwise.  The returned ``bound`` is HiGHS's dual bound plus the
+    objective constant, so it is on the scale of ``objective``; it is
+    ``None`` when scipy reports none (a timeout without an incumbent).
+
     ``warm_start`` (a name -> value mapping) is accepted for interface
     parity with :func:`repro.ilp.branch_and_bound.solve_with_bnb` but
     ignored: :func:`scipy.optimize.milp` exposes no MIP-start hook.  It
-    *is* honored by the status-4 fallback, which re-dispatches to the
+    *is* honored by the solve-error fallback, which re-dispatches to the
     from-scratch branch & bound with the original options.
     """
     form = ensure_compiled(model)
@@ -81,26 +96,29 @@ def solve_with_highs(model, **options) -> Solution:
         # Accept any incumbent: a relative gap of 1e20 terminates HiGHS as
         # soon as a primal solution is known.
         milp_options["mip_rel_gap"] = 1e20
+    elif options.get("mip_rel_gap") is not None:
+        milp_options["mip_rel_gap"] = float(options["mip_rel_gap"])
 
-    result = optimize.milp(
-        c=form.c,
-        constraints=_linear_constraints(form),
-        integrality=form.is_integral.astype(int),
-        bounds=_bounds(form),
-        options=milp_options,
-    )
-    if result.status == 4:
-        # HiGHS occasionally aborts with "Solve error" (status 4) on
-        # models its presolve mishandles; re-running without presolve
-        # solves most of them cleanly.
-        result = optimize.milp(
+    def run(**extra):
+        # A fresh options dict per call: milp pops ``node_limit`` out of
+        # the dict it is handed.
+        return optimize.milp(
             c=form.c,
             constraints=_linear_constraints(form),
             integrality=form.is_integral.astype(int),
             bounds=_bounds(form),
-            options={**milp_options, "presolve": False},
+            options={**milp_options, **extra},
         )
-    if result.status == 4:
+
+    result = run()
+    node_limited = _HIGHS_NODE_LIMIT in (result.message or "")
+    if result.status == 4 and not node_limited:
+        # HiGHS occasionally aborts with "Solve error" (status 4) on
+        # models its presolve mishandles; re-running without presolve
+        # solves most of them cleanly.
+        result = run(presolve=False)
+        node_limited = _HIGHS_NODE_LIMIT in (result.message or "")
+    if result.status == 4 and not node_limited:
         # Still erroring: hand the model to the native branch & bound
         # instead of reporting ERROR for a perfectly well-posed MILP
         # (scipy's vendored HiGHS has rare MIP-transform failures).
@@ -115,9 +133,11 @@ def solve_with_highs(model, **options) -> Solution:
         status = SolveStatus.INFEASIBLE
     elif result.status == 3:
         status = SolveStatus.UNBOUNDED
-    elif result.status == 1 and result.x is not None:
-        # Iteration/time limit with an incumbent.
+    elif (result.status == 1 or node_limited) and result.x is not None:
+        # Time or node limit with an incumbent.
         status = SolveStatus.FEASIBLE
+    elif node_limited:
+        status = SolveStatus.NODE_LIMIT
     elif result.status == 1:
         status = (
             SolveStatus.TIME_LIMIT
@@ -141,7 +161,11 @@ def solve_with_highs(model, **options) -> Solution:
         values = form.values_to_dict(x)
         objective = form.objective_at(x)
     bound = getattr(result, "mip_dual_bound", None)
-    if bound is not None and not math.isfinite(bound):
+    if bound is not None and math.isfinite(bound):
+        # HiGHS sees ``form.c`` only; the constant is added back here,
+        # as ``objective_at`` does for the objective.
+        bound = float(bound) + form.c0
+    else:
         bound = None
     return Solution(
         status=status,

@@ -93,7 +93,9 @@ class CachedVerdict:
     """One stored window verdict.
 
     ``feasible`` entries carry the certificate design and its total
-    latency; ``infeasible`` entries carry only the proven-empty window.
+    latency, and the dual ``bound`` of the gap-limited solve that found
+    it (``None`` for any other solve); ``infeasible`` entries carry only
+    the proven-empty window.
     """
 
     d_min: float
@@ -102,6 +104,7 @@ class CachedVerdict:
     achieved: float | None = None
     design: "PartitionedDesign | None" = None
     backend: str = ""
+    bound: float | None = None
 
 
 @dataclass(frozen=True)
@@ -114,6 +117,15 @@ class CacheHit:
     #: records of :class:`SolveCache`, ``"disk"`` for the persistent
     #: :class:`repro.solve.disk_cache.DiskSolveCache`.
     tier: str = "memory"
+
+    @property
+    def bound(self) -> float | None:
+        """The stored dual bound, replayed by exact hits only.
+
+        The bound speaks for the stored window; a monotone hit answers
+        a different window, which it may not bound from below.
+        """
+        return self.verdict.bound if self.rule == "exact" else None
 
 
 class SolveCache:
@@ -192,6 +204,7 @@ class SolveCache:
         design: "PartitionedDesign",
         achieved: float,
         backend: str = "",
+        bound: float | None = None,
     ) -> None:
         """Record a feasibility certificate for ``fp``'s window."""
         self._remember(fp.base, CachedVerdict(
@@ -201,9 +214,12 @@ class SolveCache:
             achieved=float(achieved),
             design=design,
             backend=backend,
+            bound=bound,
         ))
         if self.disk is not None:
-            self.disk.store_feasible(fp, design, achieved, backend=backend)
+            self.disk.store_feasible(
+                fp, design, achieved, backend=backend, bound=bound
+            )
 
     def store_infeasible(self, fp: ModelFingerprint, backend: str = "") -> None:
         """Record a *proven* emptiness verdict for ``fp``'s window.

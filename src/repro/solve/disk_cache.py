@@ -57,7 +57,7 @@ __all__ = ["DiskSolveCache", "SCHEMA_VERSION"]
 
 #: Bump when the table layout or row semantics change; an on-disk store
 #: with a different version is dropped and recreated on open.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Opens tried while another process holds the store locked (switching a
 #: fresh file to WAL can fail with ``database is locked`` at once,
@@ -80,6 +80,7 @@ CREATE TABLE IF NOT EXISTS verdicts (
     achieved   REAL,
     assignment TEXT,
     backend    TEXT    NOT NULL DEFAULT '',
+    bound      REAL,
     created    REAL    NOT NULL,
     last_used  REAL    NOT NULL
 );
@@ -246,7 +247,7 @@ class DiskSolveCache:
             try:
                 rows = self._conn.execute(
                     "SELECT id, d_min, d_max, feasible, achieved, "
-                    "assignment, backend FROM verdicts WHERE base=? "
+                    "assignment, backend, bound FROM verdicts WHERE base=? "
                     "ORDER BY id",
                     (fp.base,),
                 ).fetchall()
@@ -271,7 +272,10 @@ class DiskSolveCache:
     ) -> CacheHit | None:
         from repro.core.solution import PartitionedDesign
 
-        _id, r_min, r_max, r_feasible, achieved, assignment, backend = row
+        (
+            _id, r_min, r_max, r_feasible, achieved, assignment, backend,
+            bound,
+        ) = row
         design = None
         if r_feasible:
             if graph is None:
@@ -297,6 +301,7 @@ class DiskSolveCache:
             achieved=None if achieved is None else float(achieved),
             design=design,
             backend=str(backend),
+            bound=None if bound is None else float(bound),
         )
         return CacheHit(verdict, rule, tier="disk")
 
@@ -329,12 +334,14 @@ class DiskSolveCache:
         design: "PartitionedDesign",
         achieved: float,
         backend: str = "",
+        bound: float | None = None,
     ) -> None:
-        """Persist a feasibility certificate for ``fp``'s window."""
+        """Persist a feasibility certificate (and the dual ``bound`` of
+        the solve that found it) for ``fp``'s window."""
         assignment = json.dumps(design.as_assignment(), sort_keys=True)
         self._insert(
             fp, feasible=True, achieved=float(achieved),
-            assignment=assignment, backend=backend,
+            assignment=assignment, backend=backend, bound=bound,
         )
 
     def store_infeasible(self, fp: ModelFingerprint, backend: str = "") -> None:
@@ -345,7 +352,7 @@ class DiskSolveCache:
         """
         self._insert(
             fp, feasible=False, achieved=None, assignment=None,
-            backend=backend,
+            backend=backend, bound=None,
         )
 
     def _insert(
@@ -355,6 +362,7 @@ class DiskSolveCache:
         achieved: float | None,
         assignment: str | None,
         backend: str,
+        bound: float | None,
     ) -> None:
         now = time.time()
         with self._lock:
@@ -371,11 +379,11 @@ class DiskSolveCache:
                     return
                 self._conn.execute(
                     "INSERT INTO verdicts(base, d_min, d_max, feasible, "
-                    "achieved, assignment, backend, created, last_used) "
-                    "VALUES(?,?,?,?,?,?,?,?,?)",
+                    "achieved, assignment, backend, bound, created, "
+                    "last_used) VALUES(?,?,?,?,?,?,?,?,?,?)",
                     (
                         fp.base, fp.d_min, fp.d_max, int(feasible),
-                        achieved, assignment, backend, now, now,
+                        achieved, assignment, backend, bound, now, now,
                     ),
                 )
                 self._conn.commit()

@@ -49,6 +49,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.analysis.analyzer import ANALYZE_MODES
+from repro.ilp.model import accepts_keyword
 from repro.ilp.status import SolveStatus
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import as_tracer
@@ -114,6 +115,10 @@ class WindowOutcome:
     iteration:
         The bisection step of ``Reduce_Latency`` that asked the query
         (stamped by the search; ``0`` outside one).
+    bound:
+        The solver's proven lower bound on the latency of any design in
+        the window, from a gap-limited minimize solve (``solve_window(...,
+        gap=...)``) or an exact cache replay of one; ``None`` otherwise.
     """
 
     design: "PartitionedDesign | None" = field(compare=False)
@@ -128,6 +133,7 @@ class WindowOutcome:
     d_min: float = 0.0
     d_max: float = 0.0
     iteration: int = 0
+    bound: float | None = None
 
     @property
     def feasible(self) -> bool:
@@ -163,6 +169,7 @@ class WindowOutcome:
             "status": self.status.value,
             "cache_hit": self.cache_hit,
             "degraded": self.degraded,
+            "bound": self.bound,
         }
 
     # -- the two JSON shapes -------------------------------------------------
@@ -199,8 +206,12 @@ class WindowOutcome:
         )
 
     def to_trace_dict(self) -> dict:
-        """The :class:`repro.core.trace.SearchTrace` entry (a table row)."""
-        return {
+        """The :class:`repro.core.trace.SearchTrace` entry (a table row).
+
+        ``bound`` is written only when the window has one, so a search
+        without dual-bound trials keeps the outcome v3 record shape.
+        """
+        payload = {
             "num_partitions": self.num_partitions,
             "iteration": self.iteration,
             "d_max": self.d_max,
@@ -212,6 +223,9 @@ class WindowOutcome:
             "cache_hit": self.cache_hit,
             "degraded": self.degraded,
         }
+        if self.bound is not None:
+            payload["bound"] = self.bound
+        return payload
 
     @classmethod
     def from_trace_dict(cls, payload: dict) -> "WindowOutcome":
@@ -222,6 +236,7 @@ class WindowOutcome:
         anything else ``INFEASIBLE``.
         """
         achieved = payload.get("achieved")
+        bound = payload.get("bound")
         degraded = bool(payload.get("degraded", False))
         if achieved is not None:
             status = SolveStatus.FEASIBLE
@@ -242,6 +257,7 @@ class WindowOutcome:
             d_min=float(payload["d_min"]),
             d_max=float(payload["d_max"]),
             iteration=int(payload["iteration"]),
+            bound=None if bound is None else float(bound),
         )
 
 
@@ -296,6 +312,11 @@ class SolveExecutor:
 
                 disk = DiskSolveCache(settings.cache_path, metrics=self.metrics)
             self.cache = SolveCache(disk, metrics=self.metrics)
+        # A cache passed in may predate the ``bound`` keyword: it still
+        # stores designs, and its exact hits replay no bound.
+        self._cache_takes_bound = self.cache is not None and accepts_keyword(
+            self.cache.store_feasible, "bound"
+        )
         #: The record of every concluded window solve, in order.
         self._solves: list[WindowOutcome] = []
         self.analyze_mode = settings.analyze
@@ -404,7 +425,11 @@ class SolveExecutor:
         from repro.core.formulation import FormulationOptions
 
         options = options or FormulationOptions()
-        if self.settings.guide_with_objective and not options.minimize_latency:
+        # Dual-bound trials minimize latency, so they need the objective.
+        wants_objective = (
+            self.settings.guide_with_objective or self.settings.dual_bound
+        )
+        if wants_objective and not options.minimize_latency:
             options = _replace(options, minimize_latency=True)
         if self.settings.symmetry_breaking and not options.symmetry_breaking:
             options = _replace(options, symmetry_breaking=True)
@@ -453,12 +478,19 @@ class SolveExecutor:
         d_min: float,
         options: "FormulationOptions | None" = None,
         deadline: float | None = None,
+        gap: float | None = None,
     ) -> WindowOutcome:
         """Answer "is there a design in ``[d_min, d_max]`` at ``N``?".
 
         ``deadline`` is an absolute ``time.perf_counter()`` stamp (the
         search's overall budget); the per-backend budget is clipped to
         whatever remains of it.
+
+        ``gap`` (``highs`` only) turns the backend's first-feasible solve
+        into a latency minimization that stops once its incumbent is
+        within ``gap`` of its dual bound (a relative gap of
+        ``gap / d_max``).  The outcome then carries that dual bound as
+        ``bound``: no design in the window has a lower latency.
 
         Model preparation is incremental: the window is instantiated
         from the shared :class:`ModelTemplate` (two RHS patches on the
@@ -471,9 +503,14 @@ class SolveExecutor:
         options)`` and offered to the next window, first as a zero-work
         feasibility certificate, then as a validated MILP warm start.
         """
+        if gap is not None and self.settings.backend != "highs":
+            raise ValueError(
+                "gap-limited window solves need the 'highs' backend, not "
+                f"{self.settings.backend!r}"
+            )
         outcome = self._solve_window(
             graph, processor, num_partitions, d_max, d_min, options,
-            deadline,
+            deadline, gap,
         )
         if self.incumbent_reuse and outcome.design is not None:
             key = (
@@ -499,6 +536,7 @@ class SolveExecutor:
         d_min: float,
         options: "FormulationOptions | None" = None,
         deadline: float | None = None,
+        gap: float | None = None,
     ) -> WindowOutcome:
         start = time.perf_counter()
         tracer = self.tracer
@@ -555,9 +593,9 @@ class SolveExecutor:
                     options, fp, start, timed_out=True,
                 )
 
-            status, design, iterations = self._run_attempt(
+            status, design, iterations, bound = self._run_attempt(
                 tp_model, graph, processor, num_partitions, d_max, options,
-                budget, warm_values,
+                budget, warm_values, gap,
             )
             if _conclusive(status, design):  # a design, or proven empty
                 achieved = (
@@ -567,7 +605,7 @@ class SolveExecutor:
                 return self._conclude(
                     design, achieved, status, self.settings.backend,
                     num_partitions, d_min, d_max, fp, start,
-                    iterations=iterations,
+                    iterations=iterations, bound=bound,
                 )
 
             # The backend ran out of budget or crashed: degrade.
@@ -637,15 +675,16 @@ class SolveExecutor:
         iterations: int = 0,
         cache_hit: bool = False,
         degraded: bool = False,
+        bound: float | None = None,
     ) -> WindowOutcome:
         """Build the window's one record and feed every view from it.
 
         This is also the cache's only writer (``fp`` is the window's
         fingerprint, ``None`` when caching is off): a design is stored
-        as a feasibility certificate, and only a backend's
-        ``INFEASIBLE`` verdict as an emptiness proof.  A timeout, a
-        crash or an ``UNBOUNDED`` verdict is never stored, and neither
-        is a cache hit.
+        as a feasibility certificate, with the solve's dual ``bound``,
+        and only a backend's ``INFEASIBLE`` verdict as an emptiness
+        proof.  A timeout, a crash or an ``UNBOUNDED`` verdict is never
+        stored, and neither is a cache hit.
         """
         record = WindowOutcome(
             design=design,
@@ -659,6 +698,7 @@ class SolveExecutor:
             num_partitions=num_partitions,
             d_min=d_min,
             d_max=d_max,
+            bound=bound,
         )
         self._m_windows.labels(
             record.backend or "none", record.status.value
@@ -672,8 +712,9 @@ class SolveExecutor:
         self._solves.append(record)
         if fp is not None and not cache_hit:
             if design is not None:
+                extra = {"bound": bound} if self._cache_takes_bound else {}
                 self.cache.store_feasible(
-                    fp, design, achieved, backend=record.backend
+                    fp, design, achieved, backend=record.backend, **extra
                 )
             elif status is SolveStatus.INFEASIBLE:
                 self.cache.store_infeasible(fp, backend=record.backend)
@@ -688,7 +729,7 @@ class SolveExecutor:
             return self._conclude(
                 verdict.design, verdict.achieved, SolveStatus.FEASIBLE,
                 "cache", num_partitions, d_min, d_max, fp, start,
-                cache_hit=True,
+                cache_hit=True, bound=hit.bound,
             )
         return self._conclude(
             None, None, SolveStatus.INFEASIBLE,
@@ -871,11 +912,13 @@ class SolveExecutor:
         options,
         time_limit: float | None,
         warm_values: dict | None,
-    ) -> "tuple[SolveStatus, PartitionedDesign | None, int]":
+        gap: float | None = None,
+    ) -> "tuple[SolveStatus, PartitionedDesign | None, int, float | None]":
         """Run ``settings.backend`` on the window, inline, and count it.
 
-        Returns ``(status, design, iterations)``.  The attempt runs
-        inside an ``attempt:<backend>`` span (a child of
+        Returns ``(status, design, iterations, bound)``; ``bound`` is
+        the dual bound of a ``gap``-limited solve, else ``None``.  The
+        attempt runs inside an ``attempt:<backend>`` span (a child of
         ``solve_window``) and ends in exactly one of the
         ``backend_win`` (conclusive), ``backend_timeout`` (time or node
         budget spent) or ``backend_loss`` (anything else, such as a
@@ -886,6 +929,7 @@ class SolveExecutor:
         name = self.settings.backend
         start = time.perf_counter()
         error = None
+        bound = None
         with self.tracer.span(f"attempt:{name}", backend=name) as sp:
             try:
                 if name == "cp":
@@ -894,8 +938,8 @@ class SolveExecutor:
                         time_limit,
                     )
                 else:
-                    status, design, iterations = self._ilp_attempt(
-                        tp_model, name, time_limit, warm_values
+                    status, design, iterations, bound = self._ilp_attempt(
+                        tp_model, name, time_limit, warm_values, gap, d_max
                     )
             except Exception as exc:  # noqa: BLE001 - deliberate containment
                 status, design, iterations = SolveStatus.ERROR, None, 0
@@ -922,12 +966,22 @@ class SolveExecutor:
         self.tracer.event(
             verdict, backend=name, status=status.value, wall_time=wall
         )
-        return status, design, iterations
+        return status, design, iterations, bound
 
     def _ilp_attempt(
-        self, tp_model, backend: str, time_limit, warm_values: dict | None
-    ) -> "tuple[SolveStatus, PartitionedDesign | None, int]":
+        self,
+        tp_model,
+        backend: str,
+        time_limit,
+        warm_values: dict | None,
+        gap: float | None,
+        d_max: float,
+    ) -> "tuple[SolveStatus, PartitionedDesign | None, int, float | None]":
         kwargs = dict(self.settings.extra)
+        if gap is not None:
+            # No incumbent in the window exceeds d_max, so a relative
+            # gap of gap / d_max is at most gap in absolute terms.
+            kwargs["mip_rel_gap"] = gap / max(d_max, gap)
         if warm_values is not None:
             # Validated by the backend: bnb installs it as the initial
             # incumbent only after a full bounds/integrality/rows check;
@@ -940,15 +994,21 @@ class SolveExecutor:
             kwargs.setdefault("tracer", self.tracer)
         solution = tp_model.solve(
             backend=backend,
-            first_feasible=True,
+            first_feasible=gap is None,
             time_limit=time_limit,
             node_limit=self.settings.node_limit,
             **kwargs,
         )
-        design = None
-        if solution.status.has_solution:
+        status, design, bound = solution.status, None, None
+        if status.has_solution:
             design = tp_model.design_from(solution)
-        return solution.status, design, solution.iterations
+        if gap is not None:
+            bound = solution.bound
+            if status is SolveStatus.OPTIMAL:
+                # The window's verdict is that it holds a design; how
+                # close to the minimum it is, is what ``bound`` says.
+                status = SolveStatus.FEASIBLE
+        return status, design, solution.iterations, bound
 
     def _cp_attempt(
         self, graph, processor, num_partitions, d_max, options, time_limit

@@ -1,5 +1,7 @@
 """Tests for ExperimentResult presentation (no solving involved)."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.refine_partitions import RefinementResult
@@ -68,6 +70,23 @@ class TestTableRendering:
         )
         table = result.table()
         assert "infeasible" in table.footer
+
+    def test_footer_uses_the_columns_convention(self):
+        # Table 3's shape: the best total (6,720 ns) comes from the N=12
+        # bound on a design that uses 11 partitions; N=8 gives 6,960.
+        result = fabricated_result(
+            [
+                rec(8, 1, 27120.0, 1685.3, 6960.0),
+                rec(12, 1, 6840.0, 1155.0, 6720.0),
+            ],
+            design=SimpleNamespace(num_partitions_used=11),
+            achieved=6720.0,
+        )
+        footer = result.table().footer
+        assert footer.startswith("best D_a = 6,360 ns at N = 12; ")
+        assert "total 6,720 ns on 11 partitions used" in footer
+        with_overhead = result.table(include_overhead=True).footer
+        assert with_overhead.startswith("best D_a = 6,720 ns at N = 12; ")
 
     def test_accessors_for_infeasible_run(self):
         result = fabricated_result([rec(8, 1, 1.0, 0.0, None)])

@@ -1,6 +1,7 @@
 """Budget-exhaustion behaviour of the from-scratch solvers."""
 
 import numpy as np
+import pytest
 
 from repro.ilp import Model, SolveStatus
 from repro.ilp.simplex import solve_lp
@@ -69,3 +70,41 @@ class TestSimplexLimits:
             time_limit=0.0,
         )
         assert result.status is SolveStatus.TIME_LIMIT
+
+
+class TestHighsLimits:
+    def test_node_limit_reaches_every_milp_call(self):
+        # scipy's milp pops ``node_limit`` out of the options it is
+        # handed, and HiGHS reports a node-limit stop with the code of a
+        # solve error; the no-presolve retry used to run unlimited.
+        from repro.arch import ReconfigurableProcessor
+        from repro.core.formulation import FormulationOptions, ModelTemplate
+        from repro.taskgraph import generators
+
+        graph = generators.fork_join_graph(
+            branches=3, branch_length=2, seed=5
+        )
+        template = ModelTemplate(
+            graph,
+            ReconfigurableProcessor(400.0, 128.0, 20.0),
+            6,
+            FormulationOptions(minimize_latency=True, symmetry_breaking=True),
+        )
+        model = template.instantiate(560.0, 600.0)
+        solution = model.solve(
+            backend="highs", first_feasible=True, node_limit=1,
+            time_limit=60.0,
+        )
+        assert solution.iterations <= 1
+        assert solution.status in (SolveStatus.NODE_LIMIT, SolveStatus.FEASIBLE)
+
+    def test_bound_includes_the_objective_constant(self):
+        m = Model("shifted")
+        x = m.add_integer("x", lb=0, ub=10)
+        y = m.add_integer("y", lb=0, ub=10)
+        m.add_constr(2 * x + 3 * y >= 7)
+        m.set_objective(x + y + 100)
+        solution = m.solve(backend="highs")
+        assert solution.status is SolveStatus.OPTIMAL
+        assert solution.objective == 103
+        assert solution.bound == pytest.approx(solution.objective)

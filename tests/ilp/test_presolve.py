@@ -37,6 +37,25 @@ class TestSingletonRows:
         assert result.fixed_variables == {"x": pytest.approx(5.0)}
 
 
+    def test_integer_bounds_stay_integral(self):
+        # min x1 s.t. 2 x0 >= 1, x0 + x1 >= 1: x0 = 1, x1 = 0.  A bound
+        # of 0.5 on binary x0 made HiGHS answer 1.
+        m = Model()
+        x0, x1 = m.add_binary("x0"), m.add_binary("x1")
+        m.add_constr(2 * x0 >= 1)
+        m.add_constr(x0 + x1 >= 1)
+        m.set_objective(x1.to_expr())
+        result = presolve(m)
+        assert result.model.variable("x0").lb == 1.0
+        assert result.model.solve(backend="highs").objective == 0.0
+
+    def test_fractional_integer_equality_is_infeasible(self):
+        m = Model()
+        x = m.add_integer("x", lb=0, ub=5)
+        m.add_constr(2 * x == 3)
+        assert presolve(m).proven_infeasible
+
+
 class TestRedundancyAndInfeasibility:
     def test_redundant_row_removed(self):
         m = Model()

@@ -100,6 +100,21 @@ class TestExactReplay:
             assert not hit.verdict.feasible
 
 
+class TestBoundReplay:
+    def test_only_exact_hits_replay_the_bound(self, tiers, graph, design):
+        for tier in tiers:
+            tier.cache.store_feasible(
+                make_fp(d_min=100.0, d_max=500.0), design, achieved=321.0,
+                bound=300.0,
+            )
+            exact = tier.lookup(make_fp(d_min=100.0, d_max=500.0), graph)
+            assert exact.rule == "exact" and exact.bound == 300.0, tier.name
+            # A wider window may hold designs below the stored bound.
+            wider = tier.lookup(make_fp(d_min=50.0, d_max=900.0), graph)
+            assert wider.rule == "feasible", tier.name
+            assert wider.verdict.bound == 300.0 and wider.bound is None
+
+
 class TestFeasibleMonotonicity:
     def test_design_inside_wider_window_hits(self, tiers, graph, design):
         for tier in tiers:

@@ -219,6 +219,28 @@ class TestDurability:
         assert fresh.stats()["schema_version"] == SCHEMA_VERSION
 
 
+    def test_version_1_store_is_recreated(self, tmp_path, graph, design):
+        # The layout before the ``bound`` column.
+        path = tmp_path / "v1.sqlite"
+        with sqlite3.connect(path) as conn:
+            conn.executescript(
+                "CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);"
+                "INSERT INTO meta VALUES ('schema_version', '1');"
+                "CREATE TABLE verdicts (id INTEGER PRIMARY KEY, base TEXT "
+                "NOT NULL, d_min REAL NOT NULL, d_max REAL NOT NULL, feasible "
+                "INTEGER NOT NULL, achieved REAL, assignment TEXT, backend "
+                "TEXT NOT NULL DEFAULT '', created REAL NOT NULL, last_used "
+                "REAL NOT NULL);"
+                "INSERT INTO verdicts(base, d_min, d_max, feasible, created, "
+                "last_used) VALUES ('m', 0, 100, 0, 0, 0);"
+            )
+        with DiskSolveCache(path) as cache:
+            assert cache.recovered and len(cache) == 0
+            cache.store_feasible(fp(0.0, 100.0), design, 52.0, bound=50.0)
+            hit = cache.lookup(fp(0.0, 100.0), graph=graph)
+            assert hit.rule == "exact" and hit.bound == 50.0
+
+
 class TestTiered:
     """A :class:`SolveCache` in front of a disk store."""
 

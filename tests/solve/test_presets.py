@@ -56,6 +56,7 @@ OVERRIDE_SPACE = [
     {"backend": "cp"},
     {"incumbent_reuse": True},
     {"symmetry_breaking": False},
+    {"dual_bound": False},
 ]
 
 
@@ -96,12 +97,12 @@ def test_fast_runs_highs_alone_with_all_accelerations():
     assert settings.backend == "highs"
     assert all(getattr(settings, flag) for flag in ACCEL)
     assert settings == SolverSettings(
-        incumbent_reuse=True, symmetry_breaking=True
+        incumbent_reuse=True, symmetry_breaking=True, dual_bound=True
     )
 
 
 def test_primal_stage_option_is_gone():
-    assert ACCEL == ("incumbent_reuse", "symmetry_breaking")
+    assert ACCEL == ("incumbent_reuse", "symmetry_breaking", "dual_bound")
     with pytest.raises(TypeError):
         SolverSettings(primal_first=True)
 
@@ -114,6 +115,13 @@ def test_paper_exact_disables_every_extension():
     assert not any(getattr(settings, flag) for flag in ACCEL)
     # Trajectory-preserving machinery stays on.
     assert settings.enable_cache is True
+
+
+def test_dual_bound_is_off_unless_fast():
+    assert SolverSettings().dual_bound is False
+    assert SolverSettings.paper_exact().dual_bound is False
+    assert SolverSettings.debug().dual_bound is False
+    assert SolverSettings.fast().dual_bound is True
 
 
 def test_debug_is_strict_and_uncached():

@@ -180,6 +180,7 @@ class TestSolverSettingsPresets:
         expected = SolverSettings(
             incumbent_reuse=True,
             symmetry_breaking=True,
+            dual_bound=True,
         )
         assert SolverSettings.fast() == expected
 
