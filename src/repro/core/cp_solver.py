@@ -71,7 +71,7 @@ def cp_solve(
     if num_partitions < 1:
         raise ValueError("need at least one partition")
     stats = stats if stats is not None else CpStats()
-    node_limit = node_limit or 2_000_000
+    node_limit = 2_000_000 if node_limit is None else node_limit
     start = time.perf_counter()
     deadline = None if time_limit is None else start + time_limit
     checkpoint_every = 10_000

@@ -90,8 +90,7 @@ def _without_families(model: Model, prefixes: tuple[str, ...]) -> Model:
 
 
 def _lp_feasible(model: Model) -> bool:
-    form = model.to_standard_form()
-    status, _x, _obj, _n = solve_relaxation(form)
+    status, _x, _obj, _n = solve_relaxation(model.compile())
     return status is SolveStatus.OPTIMAL or status is SolveStatus.UNBOUNDED
 
 

@@ -18,7 +18,6 @@ import numpy as np
 from scipy import optimize
 
 from repro.core.formulation import TemporalPartitioningModel
-from repro.ilp.expr import Sense
 from repro.report import TextTable
 
 __all__ = ["SensitivityReport", "capacity_shadow_prices"]
@@ -91,22 +90,13 @@ def capacity_shadow_prices(
     the duals are all zero and meaningless.  Returns ``None`` when the LP
     relaxation is infeasible or unbounded.
     """
-    model = tp_model.model
-    form = model.to_standard_form()
-
-    # Rebuild the <=-row order exactly as StandardForm does, so dual
-    # positions can be mapped back to constraint names.
-    ub_names: list[str | None] = []
-    for constr in model.constraints:
-        if constr.sense in (Sense.LE, Sense.GE):
-            ub_names.append(constr.name)
-
+    form = tp_model.model.compile()
     result = optimize.linprog(
         c=form.c,
-        A_ub=form.a_ub if form.a_ub.shape[0] else None,
-        b_ub=form.b_ub if form.a_ub.shape[0] else None,
-        A_eq=form.a_eq if form.a_eq.shape[0] else None,
-        b_eq=form.b_eq if form.a_eq.shape[0] else None,
+        A_ub=form.a_ub_csr() if form.num_ub_rows else None,
+        b_ub=form.b_ub if form.num_ub_rows else None,
+        A_eq=form.a_eq_csr() if form.num_eq_rows else None,
+        b_eq=form.b_eq if form.num_eq_rows else None,
         bounds=np.column_stack([form.lb, form.ub]),
         method="highs",
     )
@@ -115,7 +105,8 @@ def capacity_shadow_prices(
     marginals = np.asarray(result.ineqlin.marginals)
 
     report = SensitivityReport(lp_latency=float(result.fun) + form.c0)
-    for name, dual in zip(ub_names, marginals):
+    # ``ub_names`` names the <= rows in the order the duals come back.
+    for name, dual in zip(form.ub_names, marginals):
         partition = _row_partition(name, "resource")
         if partition is not None:
             report.resource_prices[partition] = float(dual)

@@ -4,12 +4,13 @@ This subpackage replaces the CPLEX solver used in the paper.  It provides:
 
 * a modeling layer (:class:`Variable`, :class:`LinExpr`, :class:`Model`)
   with PuLP-like operator syntax,
+* the sparse :class:`CompiledModel`, the one form every backend reads,
 * three interchangeable backends — scipy/HiGHS (``"highs"``), a
   from-scratch branch & bound over LP relaxations (``"bnb"``), and a
   from-scratch two-phase simplex for pure LPs (``"simplex"``),
 * linearization helpers for binary products (used by the memory
   constraints of the temporal-partitioning formulation),
-* a conservative presolver and a CPLEX LP-format writer.
+* knapsack cover cuts and a CPLEX LP-format writer.
 
 Quick example::
 
@@ -35,7 +36,6 @@ from repro.ilp.compile import (
     CompiledModel,
     RowGroup,
     compile_model,
-    ensure_compiled,
 )
 from repro.ilp.expr import Constraint, LinExpr, Sense, Variable, VarType, lin_sum
 from repro.ilp.linearize import product_binary, product_of_sums
@@ -43,11 +43,9 @@ from repro.ilp.lp_writer import lp_string, write_lp
 from repro.ilp.model import (
     Model,
     ObjectiveSense,
-    StandardForm,
     register_backend,
     solve_compiled,
 )
-from repro.ilp.presolve import PresolveResult, presolve
 from repro.ilp.status import Solution, SolveStatus
 
 __all__ = [
@@ -61,20 +59,16 @@ __all__ = [
     "Model",
     "ModelError",
     "ObjectiveSense",
-    "PresolveResult",
     "Sense",
     "Solution",
     "SolveStatus",
     "SolverError",
-    "StandardForm",
     "UnboundedError",
     "VarType",
     "Variable",
     "compile_model",
-    "ensure_compiled",
     "lin_sum",
     "lp_string",
-    "presolve",
     "solve_compiled",
     "product_binary",
     "product_of_sums",

@@ -82,34 +82,26 @@ class _Node:
 def _strengthen_with_cover_cuts(form, rounds: int, stop=None):
     """Append violated knapsack cover cuts to the form (root node only).
 
-    Cuts remove only fractional points, so the returned form is
-    equivalent on integers; all node relaxations inherit the tightening.
-    ``stop`` (the solver's budget predicate) bounds the separation loop:
-    cut rounds are an optimization, not worth blowing the deadline for.
+    Cuts remove only fractional points, so the returned compiled sibling
+    is equivalent on integers; all node relaxations inherit the
+    tightening.  ``stop`` (the solver's budget predicate) bounds the
+    separation loop: cut rounds are an optimization, not worth blowing
+    the deadline for.
     """
-    import dataclasses
-
-    from repro.ilp.compile import CompiledModel
     from repro.ilp.cuts import apply_cuts, find_cover_cuts
 
-    # The cut loop grows the inequality block row by row; do that on the
-    # dense StandardForm (cuts are a cold, optional path).
-    work = form.to_standard_form() if isinstance(form, CompiledModel) else form
+    is_binary = form.is_integral & (form.lb >= 0.0) & (form.ub <= 1.0)
     for _ in range(rounds):
         if stop is not None and stop():
             break
-        status, x, _objective, _n = solve_relaxation(work)
+        status, x, _objective, _n = solve_relaxation(form)
         if status is not SolveStatus.OPTIMAL or x is None:
             break
-        is_binary = work.is_integral & (work.lb >= 0.0) & (work.ub <= 1.0)
-        cuts = find_cover_cuts(work.a_ub, work.b_ub, is_binary, x)
+        cuts = find_cover_cuts(form.a_ub, form.b_ub, is_binary, x)
         if not cuts:
             break
-        a_ub, b_ub = apply_cuts(
-            work.a_ub, work.b_ub, cuts, work.num_vars
-        )
-        work = dataclasses.replace(work, a_ub=a_ub, b_ub=b_ub)
-    return work
+        form = apply_cuts(form, cuts)
+    return form
 
 
 def _validate_warm_start(
@@ -134,19 +126,16 @@ def _validate_warm_start(
     snapped = point.copy()
     snapped[mask] = np.round(snapped[mask])
     snapped = np.clip(snapped, form.lb, form.ub)
-    if not rounding.feasible_point(form, snapped):
+    if not form.point_feasible(snapped):
         return None
     return snapped
 
 
 def branch_and_bound(form, options: BnbOptions | None = None) -> BnbResult:
-    """Minimize a standard-form MILP.
+    """Minimize a compiled MILP (:class:`repro.ilp.compile.CompiledModel`).
 
-    ``form`` is a :class:`repro.ilp.model.StandardForm` or a
-    :class:`repro.ilp.compile.CompiledModel` — both expose the matrix
-    attributes the node loop reads.  The returned objective excludes the
-    form's constant ``c0`` (callers add it back), matching
-    :func:`solve_relaxation`.
+    The returned objective excludes the form's constant ``c0`` (callers
+    add it back), matching :func:`solve_relaxation`.
     """
     options = options or BnbOptions()
     deadline = (
@@ -344,21 +333,19 @@ def branch_and_bound(form, options: BnbOptions | None = None) -> BnbResult:
     )
 
 
-def solve_with_bnb(model, **options) -> Solution:
-    """Backend adapter for :meth:`repro.ilp.model.Model.solve`.
+def solve_with_bnb(form, **options) -> Solution:
+    """Backend adapter: branch & bound on a compiled model.
 
-    Accepts a :class:`repro.ilp.model.Model` or a pre-compiled
-    :class:`repro.ilp.compile.CompiledModel`; node relaxations then run
-    off the compiled arrays (sparse via scipy, dense via the own
-    simplex) without per-solve matrix rebuilds.
+    Node relaxations run off the arrays of ``form`` (a
+    :class:`repro.ilp.compile.CompiledModel`; sparse via scipy, dense via
+    the own simplex) without per-solve matrix rebuilds.  ``node_limit``
+    caps the explored nodes; only ``None`` selects the default.
     """
-    from repro.ilp.compile import ensure_compiled
-
-    form = ensure_compiled(model)
+    node_limit = options.get("node_limit")
     bnb_options = BnbOptions(
         lp_engine=options.get("lp_engine", "scipy"),
         first_feasible=bool(options.get("first_feasible", False)),
-        node_limit=options.get("node_limit") or 200_000,
+        node_limit=200_000 if node_limit is None else int(node_limit),
         time_limit=options.get("time_limit"),
         tracer=options.get("tracer"),
     )

@@ -4,11 +4,12 @@ A :class:`CompiledModel` is the canonical *solver-facing* view of a
 model: CSR-style numpy arrays for the constraint matrix, right-hand
 sides, variable bounds, an integrality mask and a stable name -> column
 index map.  It is built once per model structure
-(:func:`compile_model` / :meth:`repro.ilp.model.Model.compile`) and then
-shared by every backend — the HiGHS adapter consumes the sparse rows
-directly, the dense simplex and the from-scratch branch & bound read the
-cached dense views, and :mod:`repro.solve.fingerprint` hashes the arrays
-instead of re-walking ``dict``-of-terms expressions.
+(:func:`compile_model` / :meth:`repro.ilp.model.Model.compile`) and is
+the only form a backend, an LP relaxation or a primal heuristic sees:
+the HiGHS adapter and the LP relaxations consume the sparse rows
+directly, the dense simplex reads the cached dense views, and
+:mod:`repro.solve.fingerprint` hashes the arrays instead of re-walking
+``dict``-of-terms expressions.
 
 Cheap derived views make incremental re-solves possible without
 recompiling:
@@ -18,13 +19,15 @@ recompiling:
   :mod:`repro.core.formulation` to slide the latency window),
 * :meth:`CompiledModel.truncate_ub_rows` — a prefix view dropping
   trailing inequality rows without copying the matrix (used to drop the
-  optional ``latency_lb`` row when the window's lower edge is zero).
+  optional ``latency_lb`` row when the window's lower edge is zero),
+* :meth:`CompiledModel.with_ub_rows` — a sibling with ``<=`` rows
+  appended (used by the branch & bound's root cover cuts).
 
-Row order matches :meth:`repro.ilp.model.Model.to_standard_form`
-exactly: inequality rows (``>=`` negated to ``<=``) in constraint
-insertion order, then equality rows in insertion order, so a dense
-round-trip through :meth:`CompiledModel.to_standard_form` is
-bit-identical to the legacy path.
+Row order follows constraint insertion: inequality rows (``>=``
+negated to ``<=``) in insertion order form the ``ub`` block, equality
+rows in insertion order the ``eq`` block.  :attr:`CompiledModel.ub_names`
+and :attr:`CompiledModel.eq_names` name each row, so row duals and patches
+map back to constraint names without re-deriving the order.
 
 Because the derived views *alias* their parent's arrays, every array of
 a :class:`CompiledModel` is frozen (``writeable=False``) at compile
@@ -37,6 +40,7 @@ lint rule RL001 (``repro-tp lint``) guards call sites.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -46,9 +50,9 @@ import numpy as np
 from repro.ilp.expr import Sense, Variable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.ilp.model import Model, StandardForm
+    from repro.ilp.model import Model
 
-__all__ = ["CompiledModel", "RowGroup", "compile_model", "ensure_compiled"]
+__all__ = ["CompiledModel", "RowGroup", "compile_model"]
 
 
 @dataclass(frozen=True)
@@ -149,10 +153,9 @@ class CompiledModel:
     """CSR standard form of one MILP, shared by every backend.
 
     The objective is always stored in the *minimization* direction (a
-    MAXIMIZE model is negated at compile time, exactly like
-    ``to_standard_form``); ``maximize`` records the original sense so
-    :func:`repro.ilp.model.solve_compiled` can flip reported values
-    back.
+    MAXIMIZE model is negated at compile time); ``maximize`` records the
+    original sense so :func:`repro.ilp.model.solve_compiled` can flip
+    reported values back.
     """
 
     variables: tuple[Variable, ...]
@@ -267,30 +270,13 @@ class CompiledModel:
             )
         return cache.csr_eq
 
-    # -- solution helpers (StandardForm-compatible) --------------------------
+    # -- solution helpers ----------------------------------------------------
 
     def values_to_dict(self, x: Sequence[float]) -> dict[str, float]:
         return {var.name: float(val) for var, val in zip(self.variables, x)}
 
     def objective_at(self, x: np.ndarray) -> float:
         return float(self.c @ x) + self.c0
-
-    def to_standard_form(self) -> "StandardForm":
-        """Materialize the legacy dense :class:`StandardForm` view."""
-        from repro.ilp.model import StandardForm
-
-        return StandardForm(
-            variables=list(self.variables),
-            c=self.c,
-            c0=self.c0,
-            a_ub=self.a_ub,
-            b_ub=self.b_ub,
-            a_eq=self.a_eq,
-            b_eq=self.b_eq,
-            lb=self.lb,
-            ub=self.ub,
-            is_integral=self.is_integral,
-        )
 
     # -- incremental views ---------------------------------------------------
 
@@ -432,6 +418,37 @@ class CompiledModel:
             _var_index=self._var_index,
         )
 
+    def with_ub_rows(
+        self, rows: Sequence[tuple[Sequence[int], Sequence[float], float]]
+    ) -> "CompiledModel":
+        """Sibling with unnamed ``<=`` rows appended to the inequality block.
+
+        Each row is ``(columns, coefficients, rhs)``.  The sibling owns
+        fresh (frozen) inequality arrays and view caches; variables,
+        bounds, objective and the equality block are shared.
+        """
+        lengths = [len(columns) for columns, _coefs, _rhs in rows]
+        return dataclasses.replace(
+            self,
+            ub_indptr=_frozen(np.concatenate(
+                [self.ub_indptr, self.ub_indptr[-1] + np.cumsum(lengths)]
+            ).astype(np.intp)),
+            ub_indices=_frozen(np.concatenate(
+                [self.ub_indices]
+                + [np.asarray(columns, dtype=np.intp) for columns, _, _ in rows]
+            )),
+            ub_data=_frozen(np.concatenate(
+                [self.ub_data]
+                + [np.asarray(coefs, dtype=float) for _, coefs, _ in rows]
+            )),
+            b_ub=_frozen(np.concatenate(
+                [self.b_ub, [float(rhs) for _, _, rhs in rows]]
+            )),
+            ub_names=self.ub_names + (None,) * len(rows),
+            _views=_ViewCache(),
+            _fingerprints={},
+        )
+
     def point_feasible(self, x: np.ndarray, tol: float = 1e-6) -> bool:
         """Cheap feasibility certificate: does ``x`` satisfy this model?
 
@@ -508,7 +525,7 @@ def compile_model(model: "Model") -> CompiledModel:
 
     One pass over the constraint list; every ``>=`` row is negated into
     the ``<=`` block, equalities go to their own block, and a MAXIMIZE
-    objective is negated (mirroring ``to_standard_form``).
+    objective is negated.
     """
     from repro.ilp.model import ObjectiveSense
 
@@ -579,21 +596,3 @@ def compile_model(model: "Model") -> CompiledModel:
         maximize=maximize,
     )
 
-
-def ensure_compiled(model_or_compiled) -> CompiledModel:
-    """Coerce a backend argument (Model or CompiledModel) to compiled form.
-
-    Backends registered with :func:`repro.ilp.model.register_backend`
-    receive whatever the dispatcher was given; this helper lets them
-    accept both the modeling object and a pre-compiled form (as produced
-    by the incremental model templates) through one code path.
-    """
-    if isinstance(model_or_compiled, CompiledModel):
-        return model_or_compiled
-    compiled = getattr(model_or_compiled, "compile", None)
-    if compiled is None:
-        raise TypeError(
-            f"expected a Model or CompiledModel, got "
-            f"{type(model_or_compiled).__name__}"
-        )
-    return compiled()

@@ -16,9 +16,12 @@ apply a round of cuts at the root (``BnbOptions.root_cuts``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.ilp.compile import CompiledModel
 
 __all__ = ["CoverCut", "find_cover_cuts", "apply_cuts"]
 
@@ -121,18 +124,10 @@ def find_cover_cuts(
     return cuts
 
 
-def apply_cuts(
-    a_ub: np.ndarray,
-    b_ub: np.ndarray,
-    cuts: list[CoverCut],
-    num_columns: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Append cut rows to an inequality system."""
+def apply_cuts(form: "CompiledModel", cuts: list[CoverCut]) -> "CompiledModel":
+    """The compiled sibling of ``form`` with the cut rows appended."""
     if not cuts:
-        return a_ub, b_ub
-    rows = np.zeros((len(cuts), num_columns))
-    rhs = np.zeros(len(cuts))
-    for k, cut in enumerate(cuts):
-        rows[k, list(cut.cover)] = 1.0
-        rhs[k] = cut.rhs
-    return np.vstack([a_ub, rows]), np.concatenate([b_ub, rhs])
+        return form
+    return form.with_ub_rows(
+        [(cut.cover, [1.0] * len(cut.cover), cut.rhs) for cut in cuts]
+    )

@@ -292,7 +292,7 @@ class Constraint:
         self, expr: LinExpr, sense: Sense, name: str | None = None
     ) -> None:
         # Zero coefficients (e.g. from `0 * x`) are dropped so downstream
-        # consumers (presolve singleton detection) see true arity.
+        # consumers (the compiled rows, cover-cut supports) see true arity.
         self.expr = LinExpr(
             {var: coef for var, coef in expr.terms.items() if coef != 0.0}
         )

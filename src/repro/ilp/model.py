@@ -1,4 +1,4 @@
-"""The MILP model container and its standard-form matrix view.
+"""The MILP model container and the backend dispatcher.
 
 A :class:`Model` collects variables, linear constraints and an optional
 linear objective, then dispatches to one of the registered backends:
@@ -13,61 +13,28 @@ linear objective, then dispatches to one of the registered backends:
     Pure-LP solve with the from-scratch two-phase simplex (ignores
     integrality; used for relaxations and in tests).
 
-Backends all consume the same :class:`StandardForm` matrix view, so a model
-built once can be solved and cross-checked by every backend.
+Every backend receives the same :class:`repro.ilp.compile.CompiledModel`
+(``Model.solve`` hands over its cached compile), so a model built once can
+be solved and cross-checked by every backend.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
-
-import numpy as np
 
 from repro.ilp.compile import CompiledModel, compile_model
 from repro.ilp.errors import BackendNotAvailableError, ModelError
 from repro.ilp.expr import Constraint, LinExpr, Sense, Variable, VarType
 from repro.ilp.status import Solution
 
-__all__ = ["Model", "ObjectiveSense", "StandardForm", "solve_compiled"]
+__all__ = ["Model", "ObjectiveSense", "solve_compiled"]
 
 
 class ObjectiveSense:
     MINIMIZE = "minimize"
     MAXIMIZE = "maximize"
-
-
-@dataclass
-class StandardForm:
-    """Matrix view of a model, shared by every backend.
-
-    The representation keeps inequality rows (all normalized to ``<=``)
-    separate from equality rows, and carries variable bounds and an
-    integrality mask rather than folding bounds into rows.
-    """
-
-    variables: list[Variable]
-    c: np.ndarray              # objective (minimization direction)
-    c0: float                  # objective constant
-    a_ub: np.ndarray           # inequality rows, <= b_ub
-    b_ub: np.ndarray
-    a_eq: np.ndarray           # equality rows, == b_eq
-    b_eq: np.ndarray
-    lb: np.ndarray
-    ub: np.ndarray
-    is_integral: np.ndarray    # boolean mask per column
-
-    @property
-    def num_vars(self) -> int:
-        return len(self.variables)
-
-    def values_to_dict(self, x: Sequence[float]) -> dict[str, float]:
-        return {var.name: float(val) for var, val in zip(self.variables, x)}
-
-    def objective_at(self, x: np.ndarray) -> float:
-        return float(self.c @ x) + self.c0
 
 
 class Model:
@@ -271,16 +238,6 @@ class Model:
             self._compiled = compile_model(self)
         return self._compiled
 
-    def to_standard_form(self) -> StandardForm:
-        """Build the legacy dense matrix view (from the compiled form).
-
-        The objective is always expressed in the *minimization* direction;
-        a MAXIMIZE objective is negated here and the reported objective
-        value is negated back by :meth:`solve`.  The returned arrays are
-        views of the compiled cache — treat them as read-only.
-        """
-        return self.compile().to_standard_form()
-
     # -- solving -----------------------------------------------------------------
 
     def solve(
@@ -307,9 +264,8 @@ class Model:
         node_limit:
             Branch & bound node budget (ignored by pure-LP backends).
         """
-        return _dispatch(
-            self,
-            maximize=self._sense == ObjectiveSense.MAXIMIZE,
+        return solve_compiled(
+            self.compile(),
             backend=backend,
             first_feasible=first_feasible,
             time_limit=time_limit,
@@ -333,27 +289,14 @@ def solve_compiled(
     node_limit: int | None = None,
     **options,
 ) -> Solution:
-    """Solve a pre-compiled model directly, bypassing the Model object.
+    """Solve a compiled model; :meth:`Model.solve` ends here too.
 
     This is the hot path of the incremental model templates: a
     :class:`repro.ilp.compile.CompiledModel` produced once (and patched
     per window) is handed straight to the backend, so no expression
     objects are rebuilt and no matrices re-derived per solve.  Options
-    mirror :meth:`Model.solve`.
-    """
-    return _dispatch(
-        compiled,
-        maximize=compiled.maximize,
-        backend=backend,
-        first_feasible=first_feasible,
-        time_limit=time_limit,
-        node_limit=node_limit,
-        **options,
-    )
-
-
-def _dispatch(target, maximize: bool, backend: str, **options) -> Solution:
-    """Run a backend on a Model or CompiledModel and normalize the result.
+    mirror :meth:`Model.solve`; a MAXIMIZE model's objective and bound
+    are flipped back from the compiled minimization direction.
 
     An optional ``tracer`` (:class:`repro.obs.Tracer`) wraps the backend
     call in an ``ilp:<backend>`` span; it is forwarded into the backend
@@ -361,6 +304,11 @@ def _dispatch(target, maximize: bool, backend: str, **options) -> Solution:
     registered solvers never see an unexpected keyword.
     """
     tracer = options.pop("tracer", None)
+    options.update(
+        first_feasible=first_feasible,
+        time_limit=time_limit,
+        node_limit=node_limit,
+    )
     try:
         solver = _BACKENDS[backend]
     except KeyError:
@@ -372,7 +320,7 @@ def _dispatch(target, maximize: bool, backend: str, **options) -> Solution:
             options["tracer"] = tracer
         with tracer.span(f"ilp:{backend}", backend=backend) as span:
             start = time.perf_counter()
-            solution = solver(target, **options)
+            solution = solver(compiled, **options)
             elapsed = time.perf_counter() - start
             span.annotate(
                 status=solution.status.value,
@@ -380,8 +328,9 @@ def _dispatch(target, maximize: bool, backend: str, **options) -> Solution:
             )
     else:
         start = time.perf_counter()
-        solution = solver(target, **options)
+        solution = solver(compiled, **options)
         elapsed = time.perf_counter() - start
+    maximize = compiled.maximize
     objective = solution.objective
     if maximize and not math.isnan(objective):
         # The compiled form negates MAXIMIZE objectives; undo for reporting.
@@ -433,11 +382,11 @@ _BACKENDS: dict[str, Callable[..., Solution]] = {}
 def register_backend(name: str, solver: Callable[..., Solution]) -> None:
     """Register a solver callable under ``name``.
 
-    The callable receives the model — either a :class:`Model` or a
-    pre-compiled :class:`repro.ilp.compile.CompiledModel` (normalize with
-    :func:`repro.ilp.compile.ensure_compiled`) — plus the keyword options
-    of :meth:`Model.solve`, and returns a :class:`Solution` whose
-    objective is in the *minimization* direction of the standard form.
+    The callable receives the compiled form
+    (:class:`repro.ilp.compile.CompiledModel`, also when the caller used
+    :meth:`Model.solve`) plus the keyword options of :meth:`Model.solve`,
+    and returns a :class:`Solution` whose objective is in the
+    *minimization* direction of the compiled form.
     """
     _BACKENDS[name] = solver
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.ilp.status import SolveStatus
 
-__all__ = ["is_integral", "feasible_point", "round_nearest", "dive"]
+__all__ = ["is_integral", "round_nearest", "dive"]
 
 _INT_TOL = 1e-6
 
@@ -32,33 +32,12 @@ def is_integral(x: np.ndarray, mask: np.ndarray, tol: float = _INT_TOL) -> bool:
     return bool(np.all(np.abs(vals - np.round(vals)) <= tol))
 
 
-def feasible_point(form, x: np.ndarray, tol: float = 1e-6) -> bool:
-    """``True`` when ``x`` satisfies the form's bounds and all rows.
-
-    Shared by the rounding heuristics and the warm-start validation in
-    :mod:`repro.ilp.branch_and_bound` — one feasibility definition, one
-    tolerance.
-    """
-    if np.any(x < form.lb - tol) or np.any(x > form.ub + tol):
-        return False
-    if form.a_ub.shape[0] and np.any(form.a_ub @ x > form.b_ub + tol):
-        return False
-    if form.a_eq.shape[0] and np.any(
-        np.abs(form.a_eq @ x - form.b_eq) > tol
-    ):
-        return False
-    return True
-
-
-_feasible = feasible_point
-
-
 def round_nearest(form, x: np.ndarray) -> np.ndarray | None:
     """Round integral entries of ``x``; return the point if it is feasible."""
     candidate = x.copy()
     candidate[form.is_integral] = np.round(candidate[form.is_integral])
     candidate = np.clip(candidate, form.lb, form.ub)
-    if _feasible(form, candidate):
+    if form.point_feasible(candidate):
         return candidate
     return None
 
@@ -76,7 +55,7 @@ def dive(
     Parameters
     ----------
     form:
-        The :class:`repro.ilp.model.StandardForm` being solved.
+        The :class:`repro.ilp.compile.CompiledModel` being solved.
     x:
         Current LP point to start diving from.
     lb, ub:

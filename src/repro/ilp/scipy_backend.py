@@ -1,4 +1,4 @@
-"""Adapters from the :class:`repro.ilp.model.Model` layer to scipy solvers.
+"""Adapters from the compiled model form to scipy solvers.
 
 Two entry points:
 
@@ -15,9 +15,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import optimize, sparse
+from scipy import optimize
 
-from repro.ilp.compile import CompiledModel, ensure_compiled
 from repro.ilp.status import Solution, SolveStatus
 
 __all__ = ["solve_with_highs", "solve_relaxation"]
@@ -27,15 +26,8 @@ def _bounds(form) -> optimize.Bounds:
     return optimize.Bounds(lb=form.lb, ub=form.ub)
 
 
-def _sparse_blocks(form):
-    """``(A_ub, A_eq)`` as CSR matrices, zero-copy for compiled models."""
-    if isinstance(form, CompiledModel):
-        return form.a_ub_csr(), form.a_eq_csr()
-    return sparse.csr_matrix(form.a_ub), sparse.csr_matrix(form.a_eq)
-
-
 def _linear_constraints(form) -> list[optimize.LinearConstraint]:
-    a_ub, a_eq = _sparse_blocks(form)
+    a_ub, a_eq = form.a_ub_csr(), form.a_eq_csr()
     constraints = []
     if a_ub.shape[0]:
         constraints.append(
@@ -59,7 +51,7 @@ def _linear_constraints(form) -> list[optimize.LinearConstraint]:
 _HIGHS_NODE_LIMIT = "HiGHS Status 16:"
 
 
-def solve_with_highs(model, **options) -> Solution:
+def solve_with_highs(form, **options) -> Solution:
     """Solve a MILP with scipy's HiGHS engine.
 
     Honors ``first_feasible`` by setting a HiGHS MIP gap so large that the
@@ -68,9 +60,8 @@ def solve_with_highs(model, **options) -> Solution:
     ``mip_rel_gap`` (when given) is the relative gap at which HiGHS
     stops a minimization.
 
-    Accepts either a :class:`repro.ilp.model.Model` or a pre-compiled
-    :class:`repro.ilp.compile.CompiledModel`; the sparse rows of the
-    compiled form are handed to HiGHS without densification.
+    ``form`` is a :class:`repro.ilp.compile.CompiledModel`; its sparse
+    rows are handed to HiGHS without densification.
 
     ``node_limit`` caps the branch-and-bound nodes; a solve stopped by
     it ends ``FEASIBLE`` when it holds an incumbent and ``NODE_LIMIT``
@@ -84,7 +75,6 @@ def solve_with_highs(model, **options) -> Solution:
     *is* honored by the solve-error fallback, which re-dispatches to the
     from-scratch branch & bound with the original options.
     """
-    form = ensure_compiled(model)
     milp_options: dict = {}
     time_limit = options.get("time_limit")
     if time_limit is not None:
@@ -124,7 +114,7 @@ def solve_with_highs(model, **options) -> Solution:
         # (scipy's vendored HiGHS has rare MIP-transform failures).
         from repro.ilp.branch_and_bound import solve_with_bnb
 
-        return solve_with_bnb(model, **options)
+        return solve_with_bnb(form, **options)
 
     iterations = int(getattr(result, "mip_node_count", 0) or 0)
     if result.status == 0:
@@ -182,13 +172,13 @@ def solve_relaxation(
     extra_ub: np.ndarray | None = None,
     time_limit: float | None = None,
 ) -> tuple[SolveStatus, np.ndarray | None, float, int]:
-    """Solve the LP relaxation of a standard form with scipy ``linprog``.
+    """Solve the LP relaxation of a compiled model with scipy ``linprog``.
 
     ``extra_lb``/``extra_ub`` override the form's bounds (used for branch
     & bound node bounds).  Returns ``(status, x, objective, iterations)``
     with the objective in the minimization direction and *excluding* the
-    constant term ``form.c0``.  ``form`` may be a dense ``StandardForm``
-    or a :class:`repro.ilp.compile.CompiledModel` (solved sparsely).
+    constant term ``form.c0``.  The sparse rows of ``form`` (a
+    :class:`repro.ilp.compile.CompiledModel`) are solved as they are.
     """
     lb = form.lb if extra_lb is None else extra_lb
     ub = form.ub if extra_ub is None else extra_ub
@@ -197,7 +187,7 @@ def solve_relaxation(
     lp_options: dict = {"presolve": True}
     if time_limit is not None:
         lp_options["time_limit"] = float(time_limit)
-    a_ub, a_eq = _sparse_blocks(form)
+    a_ub, a_eq = form.a_ub_csr(), form.a_eq_csr()
     result = optimize.linprog(
         c=form.c,
         A_ub=a_ub if a_ub.shape[0] else None,

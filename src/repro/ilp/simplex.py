@@ -398,18 +398,14 @@ def solve_lp(
     )
 
 
-def solve_with_simplex(model, **options) -> Solution:
+def solve_with_simplex(form, **options) -> Solution:
     """Backend adapter: solve the model's *LP relaxation* with our simplex.
 
     Integrality markers are ignored; this backend exists for pure-LP use
     and as the relaxation engine inside the from-scratch branch & bound.
-    Accepts a :class:`repro.ilp.model.Model` or a pre-compiled
-    :class:`repro.ilp.compile.CompiledModel` (its cached dense views are
-    used — the tableau algorithm is dense by construction).
+    ``form`` is a :class:`repro.ilp.compile.CompiledModel`; its cached
+    dense views are used (the tableau algorithm is dense by construction).
     """
-    from repro.ilp.compile import ensure_compiled
-
-    form = ensure_compiled(model)
     result = solve_lp(
         form.c,
         form.a_ub,

@@ -158,18 +158,19 @@ class PartitionService:
     # -- pool lifecycle ------------------------------------------------------
 
     def _ensure_pool(self):
+        """The live ``(pool, manager, cancel event)``, spawned on demand."""
         with self._lock:
             if self._closed:
                 raise RuntimeError("PartitionService is closed")
             if self.max_workers == 0:
-                return None, None
+                return None, None, None
             if self._pool is None:
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.max_workers
                 )
                 self._manager = multiprocessing.Manager()
                 self._cancel = self._manager.Event()
-            return self._pool, self._manager
+            return self._pool, self._manager, self._cancel
 
     def _discard_pool(self, pool) -> None:
         """Shut down ``pool`` and its manager if they are still the live
@@ -189,8 +190,7 @@ class PartitionService:
                 return
             self._closed = True
             pool, manager = self._pool, self._manager
-            self._pool = None
-            self._manager = None
+            self._pool = self._manager = self._cancel = None
         self._coordinators.shutdown(wait=True)
         if pool is not None:
             pool.shutdown(wait=True)
@@ -202,10 +202,14 @@ class PartitionService:
         """Cooperatively stop every in-flight shard.
 
         Workers observe the event between bisection trials and return
-        their current state; pending shards come back ``skipped``.
+        their current state; pending shards come back ``skipped``.  Only
+        the requests in flight are stopped: a fresh event is swapped in
+        first, so later requests run uncancelled.
         """
         with self._lock:
             cancel = self._cancel
+            if cancel is not None:
+                self._cancel = self._manager.Event()
         if cancel is not None:
             cancel.set()
         self._m_cancellations.inc()
@@ -333,15 +337,15 @@ class PartitionService:
                 resource_capacity=processor.resource_capacity,
             )
             report.raise_if_failed()
-        pool, manager = self._ensure_pool()
+        pool, manager, cancel = self._ensure_pool()
         if pool is None:
-            bound = bound_lock = cancel = None
+            bound = bound_lock = None
         else:
             # The incumbent bound D_a is per request (different graphs
-            # do not share latencies); cancellation is service-wide.
+            # do not share latencies); cancellation reaches every
+            # request in flight when cancel_all() runs.
             bound = manager.Value("d", float("inf"))
             bound_lock = manager.Lock()
-            cancel = self._cancel
         try:
             result = solve_sharded(
                 request.graph,

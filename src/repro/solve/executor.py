@@ -285,6 +285,17 @@ class SolveExecutor:
             from repro.core.reduce_latency import SolverSettings
 
             settings = SolverSettings()
+        # Validate before anything opens the disk store.
+        if settings.backend not in KNOWN_BACKENDS:
+            raise ValueError(
+                f"unknown solve backend {settings.backend!r}; "
+                f"known: {KNOWN_BACKENDS}"
+            )
+        if settings.analyze not in ANALYZE_MODES:
+            raise ValueError(
+                f"unknown analyze mode {settings.analyze!r}; "
+                f"known: {ANALYZE_MODES}"
+            )
         self.settings = settings
         #: The run's tracer (``settings.tracer`` or the no-op
         #: :data:`repro.obs.NULL_TRACER`).  Search drivers trace through
@@ -320,11 +331,6 @@ class SolveExecutor:
         #: The record of every concluded window solve, in order.
         self._solves: list[WindowOutcome] = []
         self.analyze_mode = settings.analyze
-        if self.analyze_mode not in ANALYZE_MODES:
-            raise ValueError(
-                f"unknown analyze mode {self.analyze_mode!r}; "
-                f"known: {ANALYZE_MODES}"
-            )
         # Templates keyed by object identity of graph/processor (plus N
         # and the *effective* options).  The template itself holds strong
         # references to both objects, so a live entry's ids cannot be
@@ -342,11 +348,6 @@ class SolveExecutor:
             tuple[int, int, "FormulationOptions"],
             tuple["PartitionedDesign", float, "ReconfigurableProcessor"],
         ] = {}
-        if settings.backend not in KNOWN_BACKENDS:
-            raise ValueError(
-                f"unknown solve backend {settings.backend!r}; "
-                f"known: {KNOWN_BACKENDS}"
-            )
 
     def _register_metrics(self) -> None:
         """Pre-resolve the executor's metric families (see

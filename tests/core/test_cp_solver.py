@@ -79,6 +79,16 @@ class TestBudgets:
         )
         assert stats.nodes <= 600
 
+    def test_node_limit_zero_is_a_zero_budget(self, ar_graph):
+        stats = CpStats()
+        d_max = bounds.max_latency(ar_graph, 3, 20.0)
+        design = cp_solve(
+            ar_graph, proc(), 3, d_max, node_limit=0, stats=stats
+        )
+        assert design is None
+        assert stats.node_limited
+        assert stats.nodes == 0
+
     def test_time_limit(self, dct_graph):
         processor = ReconfigurableProcessor(576, 4096, 30)
         stats = CpStats()

@@ -1,7 +1,13 @@
 """Tests for the solver backend registry."""
 
 
-from repro.ilp import Model, Solution, SolveStatus, register_backend
+from repro.ilp import (
+    CompiledModel,
+    Model,
+    Solution,
+    SolveStatus,
+    register_backend,
+)
 
 
 class TestRegistry:
@@ -49,3 +55,17 @@ class TestRegistry:
         m.add_var("x", ub=1)
         solution = m.solve(backend="stub-time")
         assert solution.wall_time >= 0.0
+
+    def test_model_solve_hands_backends_the_compiled_form(self):
+        received = []
+
+        def stub(form, **options):
+            received.append(form)
+            return Solution(SolveStatus.OPTIMAL, objective=0.0)
+
+        register_backend("stub-compiled", stub)
+        m = Model()
+        m.add_var("x", ub=1)
+        m.solve(backend="stub-compiled")
+        assert isinstance(received[0], CompiledModel)
+        assert received[0] is m.compile()

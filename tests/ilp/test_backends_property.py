@@ -71,20 +71,3 @@ class TestBackendAgreement:
         solution = model.solve(backend="bnb", first_feasible=True)
         if solution.status.has_solution:
             assert model.check_point(solution.values) == []
-
-    @given(random_milp())
-    @settings(max_examples=25, deadline=None)
-    def test_presolve_preserves_value(self, model):
-        from repro.ilp import presolve
-
-        reference = model.solve(backend="highs")
-        result = presolve(model)
-        if result.proven_infeasible:
-            assert not reference.status.has_solution
-            return
-        reduced = result.model.solve(backend="highs")
-        assert reduced.status.has_solution == reference.status.has_solution
-        if reference.status.has_solution:
-            assert reduced.objective == pytest.approx(
-                reference.objective, abs=1e-6
-            )

@@ -9,7 +9,6 @@ from repro.ilp import (
     SolveStatus,
     VarType,
     compile_model,
-    ensure_compiled,
     solve_compiled,
 )
 
@@ -29,31 +28,25 @@ def mixed_model() -> Model:
 
 class TestCompileCorrectness:
     def test_matches_dense_standard_form(self):
-        model = mixed_model()
-        compiled = compile_model(model)
-        form = model.to_standard_form()
-        assert np.array_equal(compiled.a_ub, form.a_ub)
-        assert np.array_equal(compiled.b_ub, form.b_ub)
-        assert np.array_equal(compiled.a_eq, form.a_eq)
-        assert np.array_equal(compiled.b_eq, form.b_eq)
-        assert np.array_equal(compiled.c, form.c)
-        assert compiled.c0 == form.c0
-        assert np.array_equal(compiled.lb, form.lb)
-        assert np.array_equal(compiled.ub, form.ub)
-        assert np.array_equal(compiled.is_integral, form.is_integral)
+        compiled = compile_model(mixed_model())
+        # 2x + y <= 7; x + z >= 1 negated; y + z == 2; maximize negated.
+        assert compiled.a_ub.tolist() == [[2, 1, 0], [-1, 0, -1]]
+        assert compiled.b_ub.tolist() == [7, -1]
+        assert compiled.a_eq.tolist() == [[0, 1, 1]]
+        assert compiled.b_eq.tolist() == [2]
+        assert compiled.c.tolist() == [-3, -2, 1]
+        assert compiled.c0 == 0.0
+        assert compiled.ub_names == ("cap", "floor")
+        assert compiled.eq_names == ("link",)
+        assert compiled.lb.tolist() == [0, 0, -1]
+        assert compiled.ub.tolist() == [4, 1, 3]
+        assert compiled.is_integral.tolist() == [True, True, False]
 
     def test_ge_row_is_negated(self):
         compiled = compile_model(mixed_model())
         kind, row = compiled.row_position("floor")
         assert kind == "ub"
         assert compiled.b_ub[row] == -1.0  # x + z >= 1  ->  -x - z <= -1
-
-    def test_round_trip_to_standard_form(self):
-        model = mixed_model()
-        direct = model.to_standard_form()
-        via_compiled = compile_model(model).to_standard_form()
-        assert np.array_equal(direct.a_ub, via_compiled.a_ub)
-        assert np.array_equal(direct.a_eq, via_compiled.a_eq)
 
     def test_csr_views_match_dense(self):
         compiled = compile_model(mixed_model())
@@ -73,20 +66,6 @@ class TestCompileCorrectness:
         first = model.compile()
         model.add_var("extra")
         assert model.compile() is not first
-
-
-class TestEnsureCompiled:
-    def test_idempotent_on_compiled(self):
-        compiled = compile_model(mixed_model())
-        assert ensure_compiled(compiled) is compiled
-
-    def test_coerces_model(self):
-        model = mixed_model()
-        assert ensure_compiled(model) is model.compile()
-
-    def test_rejects_other_types(self):
-        with pytest.raises(TypeError):
-            ensure_compiled(object())
 
 
 class TestIncrementalViews:
@@ -112,6 +91,25 @@ class TestIncrementalViews:
         base = compile_model(mixed_model())
         with pytest.raises(ValueError):
             base.truncate_ub_rows(base.num_ub_rows + 1)
+
+    def test_with_ub_rows_appends_unnamed_rows(self):
+        base = compile_model(mixed_model())
+        dense_before = base.a_ub.copy()
+        grown = base.with_ub_rows(
+            [((0, 1), (1.0, 1.0), 4.0), ((2,), (-2.0,), 0.5)]
+        )
+        assert grown.num_ub_rows == base.num_ub_rows + 2
+        assert grown.ub_names == base.ub_names + (None, None)
+        assert grown.a_ub[-2:].tolist() == [[1, 1, 0], [0, 0, -2]]
+        assert grown.b_ub[-2:].tolist() == [4.0, 0.5]
+        assert np.array_equal(grown.a_ub_csr().toarray(), grown.a_ub)
+        # The parent and its view caches are untouched.
+        assert base.num_ub_rows == 2
+        assert np.array_equal(base.a_ub, dense_before)
+        assert base.a_ub_csr().shape == (2, 3)
+        assert grown.fingerprint() != base.fingerprint()
+        # Variables, bounds and the equality block are shared.
+        assert grown.lb is base.lb and grown.eq_data is base.eq_data
 
 
 class TestFingerprint:
@@ -228,6 +226,12 @@ class TestFrozenArrays:
         truncated = compiled.truncate_ub_rows(1)
         with pytest.raises(ValueError):
             truncated.b_ub[0] = 1.0  # repro-lint: ignore[RL001]
+
+    def test_cut_row_sibling_is_read_only_too(self):
+        compiled = compile_model(mixed_model())
+        grown = compiled.with_ub_rows([((0, 1), (1.0, 1.0), 1.0)])
+        for attr in ("ub_indptr", "ub_indices", "ub_data", "b_ub"):
+            assert not getattr(grown, attr).flags.writeable, attr
 
     def test_dense_views_are_read_only(self):
         compiled = compile_model(mixed_model())

@@ -89,12 +89,14 @@ class TestValidity:
 
 class TestApplyAndSolve:
     def test_apply_appends_rows(self):
-        a_ub, b_ub, _ = knapsack_arrays([4, 4, 4], 10)
+        m = Model("ks")
+        xs = [m.add_binary(f"x{i}") for i in range(3)]
+        m.add_constr(sum(4 * x for x in xs) <= 10)
         cut = CoverCut(row_index=0, cover=(0, 1, 2))
-        a2, b2 = apply_cuts(a_ub, b_ub, [cut], 3)
-        assert a2.shape == (2, 3)
-        assert b2[-1] == 2.0
-        assert a2[-1].tolist() == [1.0, 1.0, 1.0]
+        cut_form = apply_cuts(m.compile(), [cut])
+        assert cut_form.a_ub.shape == (2, 3)
+        assert cut_form.b_ub[-1] == 2.0
+        assert cut_form.a_ub[-1].tolist() == [1.0, 1.0, 1.0]
 
     def test_bnb_with_root_cuts_same_optimum(self):
         m = Model("ks")

@@ -29,6 +29,14 @@ class TestBnbLimits:
         else:
             assert solution.status is SolveStatus.NODE_LIMIT
 
+    @pytest.mark.parametrize("backend", ["highs", "bnb"])
+    def test_node_limit_zero_is_a_zero_budget(self, backend):
+        # 0 caps the search at no nodes, as HiGHS reads it; only None
+        # selects a backend's default limit.
+        solution = big_knapsack(12).solve(backend=backend, node_limit=0)
+        assert solution.status is SolveStatus.NODE_LIMIT
+        assert solution.iterations == 0
+
     def test_time_limit_zero(self):
         m = big_knapsack()
         solution = m.solve(backend="bnb", time_limit=0.0)

@@ -1,4 +1,4 @@
-"""Unit tests for the Model container and its standard-form view."""
+"""Unit tests for the Model container and its compiled form."""
 
 import math
 
@@ -68,10 +68,10 @@ class TestConstruction:
         assert (k.lb, k.ub) == (2, 9)
 
 
-class TestStandardForm:
+class TestCompiledForm:
     def test_shapes_and_masks(self):
         m, _x, _y = small_model()
-        form = m.to_standard_form()
+        form = m.compile()
         assert form.a_ub.shape == (2, 2)     # GE row is negated into UB
         assert form.a_eq.shape[0] == 0
         assert list(form.is_integral) == [False, True]
@@ -82,7 +82,7 @@ class TestStandardForm:
         m = Model()
         x = m.add_var("x")
         m.add_constr(x >= 3)
-        form = m.to_standard_form()
+        form = m.compile()
         assert form.a_ub[0, 0] == -1.0
         assert form.b_ub[0] == -3.0
 
@@ -90,7 +90,7 @@ class TestStandardForm:
         m = Model()
         x = m.add_var("x")
         m.add_constr(x.to_expr() == 2)
-        form = m.to_standard_form()
+        form = m.compile()
         assert form.a_eq.shape == (1, 1)
         assert form.b_eq[0] == 2.0
 
@@ -98,14 +98,14 @@ class TestStandardForm:
         m = Model()
         x = m.add_var("x", ub=1)
         m.set_objective(5 * x, sense=ObjectiveSense.MAXIMIZE)
-        form = m.to_standard_form()
+        form = m.compile()
         assert form.c[0] == -5.0
 
     def test_objective_constant_carried(self):
         m = Model()
         x = m.add_var("x", ub=1)
         m.set_objective(x + 7)
-        form = m.to_standard_form()
+        form = m.compile()
         assert form.c0 == 7.0
         assert form.objective_at(np.array([1.0])) == 8.0
 

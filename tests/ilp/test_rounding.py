@@ -16,7 +16,7 @@ from repro.ilp.status import SolveStatus
 
 
 def form_of(model):
-    return model.to_standard_form()
+    return model.compile()
 
 
 class TestIsIntegral:

@@ -191,7 +191,7 @@ class TestBackendAdapter:
         y = m.add_binary("y")
         m.add_constr(x + y <= 1)
         m.set_objective(-(x + y))
-        form = m.to_standard_form()
+        form = m.compile()
         status, _x, objective, _n = solve_relaxation(form)
         assert status is SolveStatus.OPTIMAL
         simplex_solution = m.solve(backend="simplex")

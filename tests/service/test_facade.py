@@ -277,3 +277,25 @@ class TestPooledService:
         snapshot = registry.snapshot()
         assert snapshot.value("repro_service_requests_total", "error") == 1
         assert snapshot.value("repro_service_requests_total", "feasible") == 2
+
+    def test_cancel_all_stops_only_the_requests_in_flight(
+        self, ar_device, chain_graph
+    ):
+        request = PartitionRequest(graph=chain_graph)
+        with PartitionService(
+            processor=ar_device, config=quick_config(), max_workers=0
+        ) as fresh:
+            expected = fresh.submit(request).result()
+        with PartitionService(
+            processor=ar_device, config=quick_config(), max_workers=1
+        ) as service:
+            assert service.submit(request).result().feasible
+            in_flight = service.submit(request)
+            service.cancel_all()
+            in_flight.result()  # cancelled or finished; either is fine
+            for _ in range(2):
+                later = service.submit(request).result()
+                assert later.feasible
+                assert later.total_latency == pytest.approx(
+                    expected.total_latency
+                )

@@ -139,6 +139,19 @@ class TestBackendsThroughExecutor:
         with pytest.raises(ValueError, match="unknown solve backend"):
             SolveExecutor(SolverSettings(backend="cplex"))
 
+    @pytest.mark.parametrize(
+        "bad",
+        [{"backend": "typo"}, {"analyze": "loud"}],
+        ids=["backend", "analyze"],
+    )
+    def test_bad_settings_rejected_before_the_store_opens(
+        self, tmp_path, bad
+    ):
+        path = tmp_path / "solves.sqlite"
+        with pytest.raises(ValueError, match="unknown"):
+            SolveExecutor(SolverSettings(cache_path=str(path), **bad))
+        assert list(tmp_path.iterdir()) == []
+
 
 def crashing_solve(self, **kwargs):
     raise RuntimeError("backend exploded")
