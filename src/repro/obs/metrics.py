@@ -240,6 +240,9 @@ class Histogram(_Family):
         self._default().observe(value)
 
 
+_KINDS = {cls.kind: cls for cls in (Counter, Gauge, Histogram)}
+
+
 class MetricsRegistry:
     """Creates and owns metric families; snapshots and absorbs state.
 
@@ -254,6 +257,8 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._metrics: dict[str, _Family] = {}
+        # Every snapshot absorbed so far, merged into one.
+        self._absorbed = MetricsSnapshot.empty()
 
     # -- family creation ----------------------------------------------------
 
@@ -270,27 +275,23 @@ class MetricsRegistry:
         labelnames=(),
         buckets=DEFAULT_SECONDS_BUCKETS,
     ) -> Histogram:
-        with self._lock:
-            existing = self._metrics.get(name)
-            if existing is None:
-                family = Histogram(name, help, labelnames, self._lock, buckets)
-                self._metrics[name] = family
-                return family
-        self._check(existing, "histogram", labelnames)
-        if existing.bounds != tuple(float(b) for b in buckets):
-            raise ValueError(
-                f"metric {name!r} re-registered with different buckets"
-            )
-        return existing
+        return self._get_or_create(
+            Histogram, name, help, labelnames, tuple(float(b) for b in buckets)
+        )
 
-    def _get_or_create(self, cls, name, help, labelnames):
+    def _get_or_create(self, cls, name, help, labelnames, buckets=None):
         with self._lock:
             existing = self._metrics.get(name)
             if existing is None:
-                family = cls(name, help, labelnames, self._lock)
+                extra = () if buckets is None else (buckets,)
+                family = cls(name, help, labelnames, self._lock, *extra)
                 self._metrics[name] = family
                 return family
         self._check(existing, cls.kind, labelnames)
+        if getattr(existing, "bounds", None) != buckets:
+            raise ValueError(
+                f"metric {name!r} re-registered with different buckets"
+            )
         return existing
 
     @staticmethod
@@ -312,6 +313,7 @@ class MetricsRegistry:
         """An immutable, mergeable copy of every sample."""
         families = {}
         with self._lock:
+            absorbed = self._absorbed
             for name, family in self._metrics.items():
                 samples = {}
                 for key, child in family._children.items():
@@ -330,38 +332,26 @@ class MetricsRegistry:
                     "buckets": getattr(family, "bounds", None),
                     "samples": samples,
                 }
-        return MetricsSnapshot(families)
+        return MetricsSnapshot(families).merge(absorbed)
 
     def absorb(self, snapshot: "MetricsSnapshot") -> None:
         """Fold a snapshot's samples into this registry (adds values).
 
         This is the cross-process aggregation path: the parent's
         long-lived registry absorbs each shard worker's snapshot, so a
-        scrape of the parent sees the whole fleet.
+        scrape of the parent sees the whole fleet.  Samples are added by
+        :meth:`MetricsSnapshot.merge`; a kind, label or bucket conflict
+        raises ``ValueError`` before anything changes.
         """
-        for name, family in snapshot._families.items():
-            kind = family["kind"]
-            if kind == "histogram":
-                target = self.histogram(
-                    name,
-                    family["help"],
-                    family["labelnames"],
-                    buckets=family["buckets"],
-                )
-                for key, (counts, total, count) in family["samples"].items():
-                    child = target.labels(*key)
-                    with self._lock:
-                        for i, c in enumerate(counts):
-                            child.bucket_counts[i] += c
-                        child.sum += total
-                        child.count += count
-                continue
-            maker = self.counter if kind == "counter" else self.gauge
-            target = maker(name, family["help"], family["labelnames"])
-            for key, value in family["samples"].items():
-                child = target.labels(*key)
-                with self._lock:
-                    child.value += value
+        self.snapshot().merge(snapshot)  # a conflict raises here
+        for name in snapshot.names():
+            family = snapshot.family(name)
+            self._get_or_create(
+                _KINDS[family["kind"]], name, family["help"],
+                family["labelnames"], family["buckets"],
+            )
+        with self._lock:
+            self._absorbed = self._absorbed.merge(snapshot)
 
 
 class MetricsSnapshot:
@@ -548,6 +538,8 @@ class MetricsSnapshot:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "MetricsSnapshot":
+        if not isinstance(payload, dict):
+            raise ValueError("a metrics snapshot is a JSON object")
         version = payload.get("schema_version", _SNAPSHOT_SCHEMA_VERSION)
         if version != _SNAPSHOT_SCHEMA_VERSION:
             raise ValueError(
@@ -555,6 +547,8 @@ class MetricsSnapshot:
             )
         families: dict = {}
         for entry in payload.get("metrics", ()):
+            if not isinstance(entry, dict):
+                raise ValueError("a metric entry is a JSON object")
             kind = entry["kind"]
             samples: dict = {}
             for sample in entry.get("samples", ()):

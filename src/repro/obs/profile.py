@@ -30,10 +30,20 @@ __all__ = [
     "SpanNode",
     "PhaseStat",
     "PhaseProfile",
+    "nearest_rank",
     "load_events",
     "build_span_tree",
     "render_span_tree",
 ]
+
+
+def nearest_rank(values: Iterable[float], q: float) -> float:
+    """Nearest-rank ``q``-quantile (``q`` in [0, 1]): the exact analogue of
+    the metrics histograms' bucketed quantiles; 0.0 for no values."""
+    ordered = sorted(values)
+    if not ordered:
+        return 0.0
+    return ordered[max(0, min(len(ordered) - 1, ceil(q * len(ordered)) - 1))]
 
 
 def load_events(path: str | Path) -> list[dict]:
@@ -132,27 +142,17 @@ class PhaseStat:
     def mean_inclusive(self) -> float:
         return self.inclusive / self.count if self.count else 0.0
 
-    def percentile(self, q: float) -> float:
-        """Nearest-rank percentile of the per-span inclusive durations
-        (``q`` in [0, 1]); the exact analogue of the bucketed quantiles
-        the metrics histograms expose."""
-        if not self.durations:
-            return 0.0
-        ordered = sorted(self.durations)
-        rank = max(0, min(len(ordered) - 1, ceil(q * len(ordered)) - 1))
-        return ordered[rank]
-
     @property
     def p50(self) -> float:
-        return self.percentile(0.50)
+        return nearest_rank(self.durations, 0.50)
 
     @property
     def p95(self) -> float:
-        return self.percentile(0.95)
+        return nearest_rank(self.durations, 0.95)
 
     @property
     def p99(self) -> float:
-        return self.percentile(0.99)
+        return nearest_rank(self.durations, 0.99)
 
 
 class PhaseProfile:

@@ -140,10 +140,9 @@ class SolveCache:
 
     Thread-safe; backends never touch the cache directly (the executor
     looks up before dispatch and stores after), but a shared cache may
-    serve several searches.  Lookups are counted in ``metrics`` (a
-    :class:`repro.obs.MetricsRegistry`) as
-    ``repro_solve_cache_{hits,misses}_total{tier="memory"}``; the store
-    counts its own ``tier="disk"`` lookups.
+    serve several searches.  Lookups of both tiers are counted here, in
+    ``metrics`` (a :class:`repro.obs.MetricsRegistry`), as
+    ``repro_solve_cache_{hits,misses}_total{tier=...}``.
     """
 
     def __init__(
@@ -192,8 +191,11 @@ class SolveCache:
         if self.disk is None:
             return None
         hit = self.disk.lookup(fp, graph)
-        if hit is not None:
-            self._remember(fp.base, hit.verdict)
+        if hit is None:
+            self._m_misses.labels("disk").inc()
+            return None
+        self._m_hits.labels("disk", hit.rule).inc()
+        self._remember(fp.base, hit.verdict)
         return hit
 
     # -- store --------------------------------------------------------------

@@ -124,16 +124,6 @@ class DiskSolveCache:
         self.recovered = False
         self._lock = threading.Lock()
         registry = as_metrics(metrics)
-        self._m_hits = registry.counter(
-            "repro_solve_cache_hits_total",
-            "Solve-cache lookups answered, by tier and matching rule.",
-            ("tier", "rule"),
-        )
-        self._m_misses = registry.counter(
-            "repro_solve_cache_misses_total",
-            "Solve-cache lookups nobody answered, by tier.",
-            ("tier",),
-        )
         self._m_evictions = registry.counter(
             "repro_disk_cache_evictions_total",
             "LRU rows dropped from the persistent solve cache.",
@@ -261,10 +251,8 @@ class DiskSolveCache:
         ):
             hit = self._decode(row, rule, graph)
             if hit is not None:
-                self._m_hits.labels("disk", rule).inc()
                 self._touch(row[0])
                 return hit
-        self._m_misses.labels("disk").inc()
         return None
 
     def _decode(
@@ -426,8 +414,9 @@ class DiskSolveCache:
                 pass
 
     def stats(self) -> dict:
-        """JSON-ready state of the store; lookup and eviction counts are
-        in the metrics registry the cache was built with."""
+        """JSON-ready state of the store; eviction counts are in the
+        metrics registry the store was built with, lookup counts in the
+        :class:`repro.solve.cache.SolveCache` in front of it."""
         return {
             "path": str(self.path),
             "entries": len(self),

@@ -28,10 +28,11 @@
    the greedy level-packing heuristics are tried as a last resort and
    the outcome is marked ``degraded=True`` instead of raising or
    silently reporting infeasibility,
-7. **instrumentation** — each window concludes in one
-   :class:`WindowOutcome` record, from which its tracer event, span
-   annotations, metric labels and telemetry row are read; every step is
-   counted in one :class:`repro.obs.MetricsRegistry`;
+7. **instrumentation** — each fact is emitted once, as a tracer event
+   that :func:`_fold_table` folds into one
+   :class:`repro.obs.MetricsRegistry`; each window concludes in one
+   :class:`WindowOutcome` record, from which its event, span
+   annotations and telemetry row are read;
    :attr:`SolveExecutor.telemetry` is a
    :class:`repro.solve.telemetry.RunTelemetry` view of both.
 
@@ -44,11 +45,12 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from repro.analysis.analyzer import ANALYZE_MODES
+from repro.analysis.diagnostics import Severity
 from repro.ilp.model import accepts_keyword
 from repro.ilp.status import SolveStatus
 from repro.obs.metrics import MetricsRegistry
@@ -81,8 +83,8 @@ class WindowOutcome:
     """One window solve: the query and its verdict, however produced.
 
     The run's only per-window record.  :meth:`SolveExecutor._conclude`
-    builds exactly one per window; the ``window_verdict`` event, the
-    span annotations, the metric labels, the
+    builds exactly one per window; the ``window_verdict`` event (and
+    the window metrics folded from it), the span annotations, the
     :attr:`repro.solve.RunTelemetry.solves` rows and the entries of a
     :class:`repro.core.trace.SearchTrace` are all read from it.
 
@@ -158,17 +160,12 @@ class WindowOutcome:
         )
 
     def verdict_event(self) -> dict:
-        """Attributes of the ``window_verdict`` tracer event."""
+        """Attributes of the ``window_verdict`` tracer event: the
+        telemetry row, plus the verdict's latency and dual bound."""
         return {
-            "num_partitions": self.num_partitions,
-            "d_min": self.d_min,
-            "d_max": self.d_max,
+            **self.to_dict(),
             "feasible": self.feasible,
             "achieved": self.achieved,
-            "backend": self.backend,
-            "status": self.status.value,
-            "cache_hit": self.cache_hit,
-            "degraded": self.degraded,
             "bound": self.bound,
         }
 
@@ -273,6 +270,85 @@ def _conclusive(status: SolveStatus, design) -> bool:
     return status in (SolveStatus.INFEASIBLE, SolveStatus.UNBOUNDED)
 
 
+def _fold_table(m: MetricsRegistry) -> "dict[str, Callable[[dict], None]]":
+    """``event name -> fold(attrs)``: the only place the executor's
+    metric families are registered (eagerly, so empty ones still show in
+    snapshots; catalog in docs/observability.md) and updated."""
+    windows = m.counter(
+        "repro_window_solves_total",
+        "Window solves concluded, by producing backend and status.",
+        ("backend", "status"),
+    )
+    window_seconds = m.histogram(
+        "repro_window_solve_seconds",
+        "End-to-end wall time of one window solve.",
+    )
+    incumbent_reuses = m.counter(
+        "repro_incumbent_reuses_total",
+        "Windows answered by re-validating the carried incumbent.",
+    )
+    template_builds = m.counter(
+        "repro_template_builds_total",
+        "Model templates built (one per graph/N/options structure).",
+    )
+    attempts = m.counter(
+        "repro_backend_attempts_total",
+        "Backend attempts started, one per window that reached a backend.",
+        ("backend",),
+    )
+    attempt_seconds = m.histogram(
+        "repro_backend_solve_seconds",
+        "Wall time of one backend attempt.",
+        ("backend",),
+    )
+    wins = m.counter(
+        "repro_backend_wins_total",
+        "Backend attempts that ended with a conclusive verdict.",
+        ("backend",),
+    )
+    timeouts = m.counter(
+        "repro_backend_timeouts_total",
+        "Backend attempts that exhausted their time or node budget.",
+        ("backend",),
+    )
+    analyses = m.counter(
+        "repro_model_analyses_total",
+        "Pre-solve analyzer passes run on window models.",
+    )
+    diagnostics = m.counter(
+        "repro_analysis_diagnostics_total",
+        "Analyzer findings across all passes, by severity.",
+        ("severity",),
+    )
+
+    def window_verdict(e: dict) -> None:
+        windows.labels(e["backend"] or "none", e["status"]).inc()
+        window_seconds.observe(e["wall_time"])
+        if e["backend"] == "incumbent":
+            incumbent_reuses.inc()
+
+    def model_analyzed(e: dict) -> None:
+        analyses.inc()
+        for severity, count in e.items():
+            if count:
+                diagnostics.labels(severity).inc(count)
+
+    def attempt(e: dict, verdict=None) -> None:
+        attempts.labels(e["backend"]).inc()
+        attempt_seconds.labels(e["backend"]).observe(e["wall_time"])
+        if verdict is not None:
+            verdict.labels(e["backend"]).inc()
+
+    return {
+        "window_verdict": window_verdict,
+        "template_built": lambda e: template_builds.inc(),
+        "model_analyzed": model_analyzed,
+        "backend_win": lambda e: attempt(e, wins),
+        "backend_timeout": lambda e: attempt(e, timeouts),
+        "backend_loss": attempt,
+    }
+
+
 class SolveExecutor:
     """Executes window solves with caching, deadlines, telemetry."""
 
@@ -307,7 +383,7 @@ class SolveExecutor:
         #: the registry it was built with.
         metrics = settings.metrics
         self.metrics = metrics if metrics and metrics.enabled else MetricsRegistry()
-        self._register_metrics()
+        self._folds = _fold_table(self.metrics)
         #: The solve cache: ``cache`` if given (any object with
         #: ``lookup``/``store_feasible``/``store_infeasible``), else a
         #: :class:`SolveCache`, backed by a disk store when
@@ -349,57 +425,12 @@ class SolveExecutor:
             tuple["PartitionedDesign", float, "ReconfigurableProcessor"],
         ] = {}
 
-    def _register_metrics(self) -> None:
-        """Pre-resolve the executor's metric families (see
-        docs/observability.md for the catalog)."""
-        m = self.metrics
-        self._m_windows = m.counter(
-            "repro_window_solves_total",
-            "Window solves concluded, by producing backend and status.",
-            ("backend", "status"),
-        )
-        self._m_window_seconds = m.histogram(
-            "repro_window_solve_seconds",
-            "End-to-end wall time of one window solve.",
-        )
-        self._m_incumbent_reuses = m.counter(
-            "repro_incumbent_reuses_total",
-            "Windows answered by re-validating the carried incumbent.",
-        )
-        self._m_template_builds = m.counter(
-            "repro_template_builds_total",
-            "Model templates built (one per graph/N/options structure).",
-        )
-        self._m_backend_attempts = m.counter(
-            "repro_backend_attempts_total",
-            "Backend attempts started, one per window that reached a "
-            "backend.",
-            ("backend",),
-        )
-        self._m_backend_seconds = m.histogram(
-            "repro_backend_solve_seconds",
-            "Wall time of one backend attempt.",
-            ("backend",),
-        )
-        self._m_backend_wins = m.counter(
-            "repro_backend_wins_total",
-            "Backend attempts that ended with a conclusive verdict.",
-            ("backend",),
-        )
-        self._m_backend_timeouts = m.counter(
-            "repro_backend_timeouts_total",
-            "Backend attempts that exhausted their time or node budget.",
-            ("backend",),
-        )
-        self._m_analyses = m.counter(
-            "repro_model_analyses_total",
-            "Pre-solve analyzer passes run on window models.",
-        )
-        self._m_diagnostics = m.counter(
-            "repro_analysis_diagnostics_total",
-            "Analyzer findings across all passes, by severity.",
-            ("severity",),
-        )
+    def _emit(self, name: str, **attrs) -> None:
+        """Emit one executor fact: a tracer event, folded into
+        :attr:`metrics` through :func:`_fold_table`."""
+        self.tracer.event(name, **attrs)
+        if name in self._folds:
+            self._folds[name](attrs)
 
     @property
     def telemetry(self) -> RunTelemetry:
@@ -465,7 +496,7 @@ class SolveExecutor:
                     tracer=self.tracer,
                 )
             self._templates[key] = template
-            self._m_template_builds.inc()
+            self._emit("template_built", num_partitions=num_partitions)
         return template
 
     # -- the one entry point -------------------------------------------------
@@ -562,7 +593,7 @@ class SolveExecutor:
                 fp = fingerprint_model(tp_model)
                 hit = self.cache.lookup(fp, graph=graph)
                 if hit is not None:
-                    tracer.event(
+                    self._emit(
                         "cache_hit",
                         rule=hit.rule,
                         tier=getattr(hit, "tier", "memory"),
@@ -571,7 +602,7 @@ class SolveExecutor:
                     return self._from_cache(
                         hit, num_partitions, d_min, d_max, fp, start
                     )
-                tracer.event("cache_miss")
+                self._emit("cache_miss")
 
             # Incumbent carry-over: check the previous feasible design
             # against this window's rows before any backend runs.
@@ -588,7 +619,7 @@ class SolveExecutor:
             if budget is not None and budget <= 0.0:
                 # The overall deadline is already spent: degrade
                 # immediately.
-                tracer.event("deadline_expired", phase="pre_solve")
+                self._emit("deadline_expired", phase="pre_solve")
                 return self._degrade(
                     graph, processor, num_partitions, d_max, d_min,
                     options, fp, start, timed_out=True,
@@ -620,14 +651,14 @@ class SolveExecutor:
     # -- pre-solve analysis --------------------------------------------------
 
     #: Per-pass cap on ``analyzer_diagnostic`` tracer events; the full
-    #: report is still counted in the metrics and summarized on the span.
+    #: report is counted by the ``model_analyzed`` event.
     _MAX_DIAGNOSTIC_EVENTS = 20
 
     def _analyze(self, tp_model) -> None:
         """Run the pre-solve analyzer on the prepared window model.
 
-        ``"warn"`` records the findings (tracer span + events, metric
-        counters) and continues; ``"strict"`` raises
+        ``"warn"`` records the findings (span, ``model_analyzed`` and
+        per-finding events) and continues; ``"strict"`` raises
         :class:`repro.analysis.ModelAnalysisError` on ERROR-severity
         findings *before any backend attempt* so a malformed model never
         costs a backend solve.
@@ -640,11 +671,10 @@ class SolveExecutor:
             sp.annotate(
                 errors=severities["error"], warnings=severities["warning"]
             )
-            self._m_analyses.inc()
-            for severity, count in severities.items():
-                self._m_diagnostics.labels(severity).inc(count)
+            counts = {s.value: severities[s.value] for s in Severity}
+            self._emit("model_analyzed", **counts)
             for diag in report.diagnostics[: self._MAX_DIAGNOSTIC_EVENTS]:
-                sp.event(
+                self._emit(
                     "analyzer_diagnostic",
                     code=diag.code,
                     severity=diag.severity.value,
@@ -652,7 +682,7 @@ class SolveExecutor:
                     message=diag.message,
                 )
             if len(report.diagnostics) > self._MAX_DIAGNOSTIC_EVENTS:
-                sp.event(
+                self._emit(
                     "analyzer_diagnostics_truncated",
                     emitted=self._MAX_DIAGNOSTIC_EVENTS,
                     total=len(report.diagnostics),
@@ -701,15 +731,11 @@ class SolveExecutor:
             d_max=d_max,
             bound=bound,
         )
-        self._m_windows.labels(
-            record.backend or "none", record.status.value
-        ).inc()
-        self._m_window_seconds.observe(record.wall_time)
         verdict = record.verdict_event()
         span = self.tracer.current_span()
         if span is not None:
             span.annotate(**{key: verdict[key] for key in _SPAN_VERDICT_KEYS})
-        self.tracer.event("window_verdict", **verdict)
+        self._emit("window_verdict", **verdict)
         self._solves.append(record)
         if fp is not None and not cache_hit:
             if design is not None:
@@ -796,11 +822,6 @@ class SolveExecutor:
                 sp.annotate(result="stale")
                 return None, values
             sp.annotate(result="reused")
-        self._m_incumbent_reuses.inc()
-        self.tracer.event(
-            "incumbent_reuse", achieved=achieved,
-            num_partitions=num_partitions,
-        )
         return (
             self._conclude(
                 design, achieved, SolveStatus.FEASIBLE, "incumbent",
@@ -816,7 +837,6 @@ class SolveExecutor:
         options,
         num_partitions: int,
         d_max: float,
-        span,
     ) -> "tuple[str, PartitionedDesign, float] | None":
         """The first greedy level-packing design that certifies the window.
 
@@ -826,7 +846,7 @@ class SolveExecutor:
         bisection bookkeeping and excludes no true design) and meets every
         architectural constraint.  Policies are tried in
         :data:`_FALLBACK_POLICIES` order; each one that fails a check is
-        reported as a ``fallback_rejected`` event on ``span``.
+        reported as a ``fallback_rejected`` event.
         Returns ``(policy, design, achieved)``, or ``None`` when no policy
         qualifies.
         """
@@ -846,7 +866,7 @@ class SolveExecutor:
                 rejected = {"reason": "audit_failed"}
             else:
                 return policy, design, achieved
-            span.event("fallback_rejected", policy=policy, **rejected)
+            self._emit("fallback_rejected", policy=policy, **rejected)
         return None
 
     def _degrade(
@@ -875,7 +895,7 @@ class SolveExecutor:
                 "heuristic_fallback", num_partitions=num_partitions
             ) as sp:
                 found = self._greedy_certificate(
-                    graph, processor, options, num_partitions, d_max, span=sp
+                    graph, processor, options, num_partitions, d_max
                 )
                 if found is not None:
                     policy, design, achieved = found
@@ -954,19 +974,13 @@ class SolveExecutor:
             )
             if error:
                 sp.annotate(error=error)
-        self._m_backend_attempts.labels(name).inc()
-        self._m_backend_seconds.labels(name).observe(wall)
         if conclusive:
-            self._m_backend_wins.labels(name).inc()
             verdict = "backend_win"
         elif status in (SolveStatus.TIME_LIMIT, SolveStatus.NODE_LIMIT):
-            self._m_backend_timeouts.labels(name).inc()
             verdict = "backend_timeout"
         else:
             verdict = "backend_loss"
-        self.tracer.event(
-            verdict, backend=name, status=status.value, wall_time=wall
-        )
+        self._emit(verdict, backend=name, status=status.value, wall_time=wall)
         return status, design, iterations, bound
 
     def _ilp_attempt(

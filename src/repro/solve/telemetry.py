@@ -2,7 +2,7 @@
 
 Every window solve executed by :class:`repro.solve.executor.SolveExecutor`
 produces one :class:`repro.solve.executor.WindowOutcome` record and a
-handful of updates to the executor's :class:`repro.obs.MetricsRegistry`.
+handful of events, folded into the executor's :class:`repro.obs.MetricsRegistry`.
 A :class:`RunTelemetry` is a *view* of both: :meth:`RunTelemetry.from_snapshot`
 reads the run's counters out of a :class:`repro.obs.MetricsSnapshot`
 (counts, per-backend wall time, cache hit rate, timeout and fallback
@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, field, fields
 from typing import TYPE_CHECKING, Iterable
+
+from repro.obs.profile import nearest_rank
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.solve.executor import WindowOutcome
@@ -188,15 +190,12 @@ class RunTelemetry:
         zeros when there are no per-window rows (nothing solved yet, or
         a merged sharded run).
         """
-        times = sorted(s.wall_time for s in self.solves)
-        if not times:
-            return {"p50": 0.0, "p90": 0.0, "max": 0.0}
-
-        def rank(q: float) -> float:
-            index = max(0, min(len(times) - 1, int(q * len(times) + 0.5) - 1))
-            return times[index]
-
-        return {"p50": rank(0.50), "p90": rank(0.90), "max": times[-1]}
+        times = [s.wall_time for s in self.solves]
+        return {
+            "p50": nearest_rank(times, 0.50),
+            "p90": nearest_rank(times, 0.90),
+            "max": nearest_rank(times, 1.0),
+        }
 
     def to_dict(self, include_solves: bool = True) -> dict:
         """JSON-ready summary (schema documented in docs/solving.md)."""

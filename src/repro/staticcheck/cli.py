@@ -1,4 +1,4 @@
-"""The ``repro-tp lint`` subcommand (and the shim's entry point).
+"""The ``repro-tp lint`` subcommand.
 
 Exit codes mirror ``repro-tp analyze``'s documented convention:
 
@@ -34,7 +34,7 @@ EXIT_USAGE = 2
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the lint flags (shared by repro-tp and the shim)."""
+    """Attach the lint flags to the ``repro-tp lint`` parser."""
     parser.add_argument(
         "paths", nargs="*", type=Path, default=None,
         help="files or directories to lint "

@@ -176,6 +176,37 @@ class TestRegistry:
         assert snapshot.value("c_total", "x") == 7.0
         assert snapshot.histogram_stats("t_seconds") == (2, 1.0)
 
+    @pytest.mark.parametrize(
+        "conflict",
+        [
+            lambda r: r.counter("c_total", "h", ("b",)).labels("y").inc(),
+            lambda r: r.gauge("c_total", "h", ("a",)).labels("x").set(1),
+            lambda r: r.histogram("t_seconds", "h", buckets=(2.0,)).observe(1),
+        ],
+        ids=["labels", "kind", "buckets"],
+    )
+    def test_conflicting_absorb_raises_and_changes_nothing(self, conflict):
+        parent = MetricsRegistry()
+        parent.counter("c_total", "h", ("a",)).labels("x").inc()
+        parent.histogram("t_seconds", "h", buckets=(1.0,)).observe(0.5)
+        before = parent.snapshot()
+        worker = MetricsRegistry()
+        worker.counter("a_total", "h").inc()  # absorbable on its own
+        conflict(worker)
+        with pytest.raises(ValueError):
+            parent.absorb(worker.snapshot())
+        assert parent.snapshot() == before
+        assert parent.snapshot().names() == ["c_total", "t_seconds"]
+
+    def test_registration_conflicting_with_absorbed_family_raises(self):
+        worker = MetricsRegistry()
+        worker.histogram("t_seconds", "h", buckets=(1.0,)).observe(0.5)
+        parent = MetricsRegistry()
+        parent.absorb(worker.snapshot())
+        with pytest.raises(ValueError, match="buckets"):
+            parent.histogram("t_seconds", "h", buckets=(2.0,))
+        assert parent.snapshot() == worker.snapshot()
+
     def test_absorbing_registry_equals_snapshot_merge(self):
         a, b = MetricsRegistry(), MetricsRegistry()
         a.counter("c_total", "h").inc(2)
@@ -231,6 +262,13 @@ class TestSnapshotAlgebra:
     def test_unknown_schema_version_rejected(self):
         with pytest.raises(ValueError, match="schema_version"):
             MetricsSnapshot.from_dict({"schema_version": 99, "metrics": []})
+
+    @pytest.mark.parametrize(
+        "payload", [1, "x", [1], {"metrics": [1]}, {"metrics": ["x"]}]
+    )
+    def test_non_object_payload_or_entry_rejected(self, payload):
+        with pytest.raises(ValueError, match="JSON object"):
+            MetricsSnapshot.from_dict(payload)
 
     def test_merge_sums_disjoint_and_shared_families(self):
         a, b = MetricsRegistry(), MetricsRegistry()

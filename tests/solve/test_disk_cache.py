@@ -262,6 +262,24 @@ class TestTiered:
         assert snapshot.value("repro_solve_cache_misses_total", "memory") == 1
         assert snapshot.value("repro_solve_cache_misses_total", "disk") == 0
 
+    def test_solve_cache_counts_both_tiers(self, tmp_path, graph, design):
+        """Lookups are counted where both tiers are seen: a registry that
+        only the :class:`SolveCache` was given counts the disk tier too."""
+        path = tmp_path / "c.sqlite"
+        DiskSolveCache(path).store_feasible(fp(0.0, 100.0), design, 52.0)
+        registry = MetricsRegistry()
+        cache = SolveCache(DiskSolveCache(path), metrics=registry)
+        assert cache.lookup(fp(0.0, 100.0), graph=graph).tier == "disk"
+        assert cache.lookup(fp(200.0, 300.0), graph=graph) is None
+        snapshot = registry.snapshot()
+        hits, misses = (
+            "repro_solve_cache_hits_total", "repro_solve_cache_misses_total"
+        )
+        assert snapshot.value(misses, "memory") == 2
+        assert snapshot.value(hits, "disk", "exact") == 1
+        assert snapshot.value(misses, "disk") == 1
+        assert snapshot.total(hits) == 1
+
     def test_store_writes_through_to_both_tiers(
         self, tmp_path, graph, design
     ):

@@ -7,11 +7,13 @@ import pytest
 from dataclasses import replace
 
 from repro.arch import ReconfigurableProcessor
-from repro.core import SolverSettings, bounds, reduce_latency
+from repro.core import (
+    SolverSettings, bounds, reduce_latency, refine_partitions_bound,
+)
 from repro.core.formulation import TemporalPartitioningModel
 from repro.ilp import model as ilp_model
 from repro.ilp.status import Solution, SolveStatus
-from repro.obs import MemorySink, Tracer
+from repro.obs import MemorySink, MetricsRegistry, Tracer
 from repro.solve import SolveCache, SolveExecutor
 from repro.taskgraph import ar_filter, dct_4x4
 
@@ -341,6 +343,80 @@ class TestUnknownVerdicts:
             assert record.degraded
             assert not record.cache_hit
         assert result.degraded
+
+
+#: The metric families the executor folds from its events.
+EXECUTOR_FAMILIES = (
+    "repro_window_solves_total",
+    "repro_window_solve_seconds",
+    "repro_incumbent_reuses_total",
+    "repro_template_builds_total",
+    "repro_backend_attempts_total",
+    "repro_backend_solve_seconds",
+    "repro_backend_wins_total",
+    "repro_backend_timeouts_total",
+    "repro_model_analyses_total",
+    "repro_analysis_diagnostics_total",
+)
+
+
+def refold(events):
+    """The snapshot a fresh executor's fold table makes of ``events``."""
+    registry = MetricsRegistry()
+    folds = SolveExecutor(SolverSettings(metrics=registry))._folds
+    for event in events:
+        if event["type"] == "event" and event["name"] in folds:
+            folds[event["name"]](event["attrs"])
+    return registry.snapshot()
+
+
+class TestInstrumentationStream:
+    """Each executor fact is emitted once, as an event; the executor's
+    metrics are the fold of its events."""
+
+    def assert_metrics_are_the_fold(self, registry, events):
+        live, folded = registry.snapshot(), refold(events)
+        for name in EXECUTOR_FAMILIES:
+            # Registered eagerly: present even when nothing counted.
+            assert live.family(name) is not None, name
+            assert folded.family(name) == live.family(name), name
+
+    def test_fast_search_metrics_refold_from_its_events(self, processor):
+        sink, registry = MemorySink(), MetricsRegistry()
+        refine_partitions_bound(
+            ar_filter(), processor,
+            settings=SolverSettings.fast(
+                analyze="warn", tracer=Tracer(sink), metrics=registry
+            ),
+        )
+        snapshot = registry.snapshot()
+        for name in (
+            "repro_window_solves_total",
+            "repro_template_builds_total",
+            "repro_backend_attempts_total",
+            "repro_model_analyses_total",
+        ):
+            assert snapshot.total(name) > 0, name
+        self.assert_metrics_are_the_fold(registry, sink.events)
+        names = {e["name"] for e in sink.events if e["type"] == "event"}
+        assert "incumbent_reuse" not in names
+
+    @pytest.mark.parametrize(
+        "solve", [timed_out_solve, crashing_solve], ids=["timeout", "crash"]
+    )
+    def test_failed_attempts_refold_from_their_events(
+        self, processor, monkeypatch, solve
+    ):
+        monkeypatch.setattr(TemporalPartitioningModel, "solve", solve)
+        sink, registry = MemorySink(), MetricsRegistry()
+        executor = SolveExecutor(SolverSettings(
+            time_limit=15.0, tracer=Tracer(sink), metrics=registry
+        ))
+        graph = ar_filter()
+        d_max, d_min = window(graph, 3)
+        executor.solve_window(graph, processor, 3, d_max, d_min)
+        assert registry.snapshot().total("repro_backend_attempts_total") == 1
+        self.assert_metrics_are_the_fold(registry, sink.events)
 
 
 class TestTelemetry:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro.ilp.status import SolveStatus
 from repro.obs import MetricsRegistry, MetricsSnapshot
+from repro.obs.profile import nearest_rank
 from repro.solve import WindowOutcome
 from repro.solve.telemetry import RunTelemetry
 
@@ -69,6 +70,23 @@ class TestRecord:
         telemetry = view(stats(backend="", status="time_limit", degraded=True))
         assert telemetry.backend_wins == {}
         assert telemetry.fallbacks == 1
+
+
+class TestPercentiles:
+    def test_wall_time_percentiles_are_nearest_rank(self):
+        """Windows of 1..6 s: the nearest-rank p90 is the 6th value
+        (ceil(0.9 * 6) = 6), as in the trace profile's percentiles."""
+        rows = [stats(wall_time=float(t)) for t in range(1, 7)]
+        telemetry = view(*rows)
+        assert telemetry.wall_time_percentiles() == {
+            "p50": 3.0, "p90": 6.0, "max": 6.0,
+        }
+        assert nearest_rank([r.wall_time for r in rows], 0.9) == 6.0
+
+    def test_no_rows_give_zeros(self):
+        assert RunTelemetry().wall_time_percentiles() == {
+            "p50": 0.0, "p90": 0.0, "max": 0.0,
+        }
 
 
 class TestSummary:

@@ -511,6 +511,17 @@ class TestMetricsFlags:
         assert main(["metrics", "report", str(path)]) == 1
         assert "no metrics recorded" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload", ["[1]", '"x"', '{"metrics": [1]}'])
+    def test_metrics_report_non_object_snapshot_exits_two(
+        self, tmp_path, capsys, payload
+    ):
+        path = tmp_path / "junk.json"
+        path.write_text(payload)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["metrics", "report", str(path)])
+        assert excinfo.value.code == 2
+        assert "not a metrics snapshot" in capsys.readouterr().err
+
     def test_metrics_report_bad_file_exits_two(self, tmp_path, capsys):
         path = tmp_path / "junk.json"
         path.write_text("{]")

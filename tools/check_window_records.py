@@ -22,8 +22,8 @@ from pathlib import Path
 
 #: The fields both views carry.
 FIELDS = (
-    "num_partitions", "d_min", "d_max", "backend", "status", "cache_hit",
-    "degraded",
+    "num_partitions", "d_min", "d_max", "backend", "status", "wall_time",
+    "iterations", "cache_hit", "degraded",
 )
 
 
