@@ -26,8 +26,9 @@ Subpackages
     The harness that regenerates every table and figure of the paper.
 ``repro.service``
     Partition-as-a-service: the async batch facade
-    (:class:`repro.service.PartitionService`), process-pool sharding of
-    the partition-space search, and the persistent disk solve cache
+    (:class:`repro.service.PartitionService`), which runs each whole
+    request's search on one worker of a process pool, and the
+    persistent disk solve cache
     (``SolverSettings(cache_path=...)``).
 ``repro.obs``
     Span tracing, the structured event stream, Chrome-trace export and

@@ -9,8 +9,9 @@ Subcommands:
     partitioned design as JSON and/or clustered Graphviz DOT.
 ``batch``
     Solve a JSON list of partitioning requests concurrently through the
-    service layer (:mod:`repro.service`): shard worker processes, an
-    optional persistent solve cache (``--cache``), outcomes as JSON.
+    service layer (:mod:`repro.service`): one worker process per request
+    at a time, an optional persistent solve cache (``--cache``), outcomes
+    as JSON.
 ``serve``
     The same service as a JSONL request/response loop on stdin/stdout —
     one request per input line, one outcome per output line.
@@ -50,7 +51,9 @@ Exit codes (shared by all subcommands):
 * ``1`` — no solution / no feasible design,
 * ``2`` — usage or input error (bad flags, unreadable or invalid
   graph file),
-* ``3`` — ``analyze`` found diagnostics at the failing severity.
+* ``3`` — ``analyze`` found diagnostics at the failing severity,
+* ``141`` — stdout was closed early (``| head``); output is cut short
+  without a traceback, as a shell reports a producer killed by SIGPIPE.
 
 Examples::
 
@@ -69,6 +72,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -97,6 +101,8 @@ EXIT_NO_SOLUTION = 1
 EXIT_USAGE = 2
 #: ``repro-tp analyze`` found diagnostics at the failing severity.
 EXIT_DIAGNOSTICS = 3
+#: The reader closed stdout early; 128 + SIGPIPE, as a shell reports it.
+EXIT_BROKEN_PIPE = 141
 
 
 def _add_device_arguments(parser: argparse.ArgumentParser) -> None:
@@ -482,8 +488,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     background HTTP thread additionally serves the live
     :class:`~repro.obs.MetricsRegistry` on ``/metrics`` (Prometheus
     text exposition) and ``/metrics.json`` for the session's lifetime.
-    A request whose shard worker died is answered with an ``error``
-    line; the session goes on.
+    A request whose worker died twice (it is resubmitted once) is
+    answered with an ``error`` line; the session goes on.
     """
     from repro.service import PartitionService, ShardWorkerError
 
@@ -843,7 +849,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Temporal partitioning with design space exploration "
         "(DATE 1999 reproduction)",
         epilog="exit codes: 0 success; 1 no feasible design/solution; "
-        "2 usage or input error; 3 'analyze' found failing diagnostics",
+        "2 usage or input error; 3 'analyze' found failing diagnostics; "
+        "141 stdout closed early",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
@@ -901,8 +908,8 @@ def build_parser() -> argparse.ArgumentParser:
         _add_device_arguments(sub)
         sub.add_argument(
             "--workers", type=int, default=2,
-            help="shard worker processes; 0 runs inline "
-            "(deterministic, no subprocesses), default 2",
+            help="worker processes, each solving one whole request "
+            "at a time; 0 runs inline (no subprocesses), default 2",
         )
         sub.add_argument(
             "--cache", default=None,
@@ -927,7 +934,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Read a JSON list of requests (each an object with "
         "'graph' — a task-graph JSON path or inline payload — and "
         "optional 'processor'/'config' overrides in the service wire "
-        "format), solve them concurrently over a shard worker pool, and "
+        "format), solve them concurrently over a worker process pool, and "
         "emit the outcomes as JSON.  Exit 0 when every request is "
         "feasible, 1 otherwise.",
     )
@@ -1121,7 +1128,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away (``repro-tp ... | head``).  Point stdout
+        # at devnull so the interpreter's exit-time flush of what is
+        # still buffered cannot raise a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

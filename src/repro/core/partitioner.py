@@ -285,8 +285,15 @@ class TemporalPartitioner:
         self.processor = processor
         self.config = config or PartitionerConfig()
 
-    def solve(self, request: PartitionRequest) -> PartitioningOutcome:
+    def solve(
+        self, request: PartitionRequest, should_stop=None
+    ) -> PartitioningOutcome:
         """Canonical entry point: solve one :class:`PartitionRequest`.
+
+        ``should_stop`` is an optional cooperative-cancellation probe,
+        forwarded to :func:`~repro.core.refine_partitions
+        .refine_partitions_bound`: once it returns ``True`` the search
+        stops and the outcome carries its incumbent.
 
         Raises
         ------
@@ -307,6 +314,7 @@ class TemporalPartitioner:
             config=config.search,
             options=config.formulation,
             settings=config.solver,
+            should_stop=should_stop,
         )
         prange = bounds.partition_range(
             request.graph,

@@ -120,7 +120,7 @@ class SolverSettings:
         When set, back the in-process solve cache with the persistent
         :class:`repro.solve.disk_cache.DiskSolveCache` at this path
         (SQLite).  Verdicts survive the process and are shared by every
-        executor — and every *worker process* of the sharded service —
+        executor — and every *worker process* of the service —
         pointed at the same file; the monotone reuse rules apply
         unchanged.  ``None`` (the default) keeps the cache in memory
         only, the previous behavior.
@@ -152,7 +152,7 @@ class SolverSettings:
         :class:`RunTelemetry` is read from it); one registry shared by
         several runs makes their telemetry cumulative.  Threaded like
         ``tracer``: excluded from equality, never crosses the service
-        wire boundary (shard workers count into a private registry and
+        wire boundary (service workers count into a private registry and
         ship a mergeable :class:`repro.obs.MetricsSnapshot` home).
         Scrape it with ``repro-tp serve --metrics-port`` or render it
         with :func:`repro.obs.render_promtext`.
@@ -296,9 +296,10 @@ def reduce_latency(
         this); when ``None`` a fresh executor is built from ``settings``.
     should_stop:
         Optional cooperative-cancellation probe, polled wherever the
-        deadline is (before each bisection trial).  Used by the sharded
-        service so one worker's batch cancellation (or a sibling's
-        better bound) stops the others without killing processes.
+        deadline is (before each bisection trial).  The service's
+        ``cancel_all()`` reaches running requests through it (via
+        :func:`~repro.core.refine_partitions.refine_partitions_bound`)
+        without killing processes.
         ``None`` — the default — changes nothing: the search trajectory
         is bit-identical to a run without the parameter.
     """

@@ -125,8 +125,7 @@ def partition_bound_window(
     """The latency window one partition bound explores: ``(d_max, d_min)``.
 
     ``incumbent`` clips the upper edge to the best latency already known
-    (the relax phase's window; the sharded service feeds the shared bound
-    ``D_a`` through here so workers inherit each other's progress).
+    (the relax phase's window).
     """
     c_t = processor.reconfiguration_time
     d_min = bounds.min_latency(graph, num_partitions, c_t)
@@ -148,17 +147,14 @@ def evaluate_partition_bound(
     deadline: float | None = None,
     executor: SolveExecutor | None = None,
     should_stop=None,
-    phase: str = "shard",
+    phase: str = "escalate",
 ) -> ReduceLatencyResult:
     """One ``Reduce_Latency`` run at a fixed partition bound ``N``.
 
-    This is the body of ``Refine_Partitions_Bound``'s loop, extracted so
-    it can run anywhere: the serial driver calls it per escalation /
-    relaxation step, and each worker process of the sharded service
-    (:mod:`repro.service`) calls it for the one ``N`` it owns.  The
+    This is the body of ``Refine_Partitions_Bound``'s loop: the serial
+    driver calls it per escalation / relaxation step.  The
     ``partition_bound`` tracer span and its ``phase`` annotation are
-    emitted here, so serial and sharded runs produce the same span
-    shape.
+    emitted here.
     """
     if executor is None:
         executor = SolveExecutor(settings or SolverSettings())
@@ -194,6 +190,7 @@ def refine_partitions_bound(
     options: FormulationOptions | None = None,
     settings: SolverSettings | None = None,
     executor: SolveExecutor | None = None,
+    should_stop=None,
 ) -> RefinementResult:
     """Run Algorithm ``Refine_Partitions_Bound`` (Figure 2).
 
@@ -202,6 +199,13 @@ def refine_partitions_bound(
     model per partition bound, window rows patched per iteration) and
     the telemetry span both phases.  Pass ``executor`` to share them
     across runs too (e.g. a warm-cache replay).
+
+    ``should_stop`` is an optional cooperative-cancellation probe (the
+    service wires ``cancel_all()`` here).  It is polled before each
+    partition bound and, through ``reduce_latency``, before each
+    bisection trial; once it returns ``True`` the search returns its
+    incumbent (``None`` when no bound was feasible yet).  ``None`` — the
+    default — leaves the trajectory bit-identical.
     """
     config = config or RefinementConfig()
     options = options or FormulationOptions()
@@ -217,6 +221,12 @@ def refine_partitions_bound(
 
     def time_expired() -> bool:
         return deadline is not None and time.perf_counter() > deadline
+
+    def stop_requested(phase: str) -> bool:
+        if should_stop is not None and should_stop():
+            tracer.event("cancelled", phase=phase)
+            return True
+        return False
 
     c_t = processor.reconfiguration_time
     prange = bounds.partition_range(
@@ -249,13 +259,23 @@ def refine_partitions_bound(
                 settings=settings,
                 deadline=deadline,
                 executor=executor,
+                should_stop=should_stop,
                 phase=phase,
             )
             trace.extend(result.trace)
             explored.append(num_partitions)
             return result
 
+        def no_design(**flags) -> RefinementResult:
+            root_span.annotate(feasible=False, **flags)
+            return RefinementResult(
+                None, None, trace, tuple(explored), delta,
+                telemetry=executor.telemetry, **flags,
+            )
+
         # Phase 1: find the first feasible partition bound.
+        if stop_requested("escalate"):
+            return no_design()
         result = run_reduce(
             n,
             bounds.max_latency(graph, n, c_t),
@@ -266,22 +286,15 @@ def refine_partitions_bound(
         while not result.feasible:
             if time_expired():
                 tracer.event("time_budget_expired", phase="escalate")
-                root_span.annotate(feasible=False, stopped_by_time=True)
-                return RefinementResult(
-                    None, None, trace, tuple(explored), delta,
-                    stopped_by_time=True,
-                    telemetry=executor.telemetry,
-                )
+                return no_design(stopped_by_time=True)
+            if stop_requested("escalate"):
+                return no_design()
             escalations += 1
             if escalations > config.infeasible_escalation_limit:
                 tracer.event(
                     "escalation_limit_reached", escalations=escalations
                 )
-                root_span.annotate(feasible=False)
-                return RefinementResult(
-                    None, None, trace, tuple(explored), delta,
-                    telemetry=executor.telemetry,
-                )
+                return no_design()
             n += 1
             result = run_reduce(
                 n,
@@ -305,6 +318,8 @@ def refine_partitions_bound(
             if time_expired():
                 tracer.event("time_budget_expired", phase="relax")
                 stopped_by_time = True
+                break
+            if stop_requested("relax"):
                 break
             n += 1
             d_min = bounds.min_latency(graph, n, c_t)

@@ -6,8 +6,8 @@ the metrics layer answers "what has happened *so far*": a
 :class:`Histogram` families whose children are addressed by label
 values, and a :class:`MetricsSnapshot` freezes the registry state into a
 JSON-safe, order-independent value that merges commutatively — the
-contract shard workers rely on when they ship their snapshot back to
-the parent process as their one run record.
+contract service workers rely on when they ship their snapshot back
+to the parent process as their one run record.
 
 The instrumented layers (:class:`repro.solve.executor.SolveExecutor`,
 its backend attempts, both cache tiers and
@@ -338,7 +338,7 @@ class MetricsRegistry:
         """Fold a snapshot's samples into this registry (adds values).
 
         This is the cross-process aggregation path: the parent's
-        long-lived registry absorbs each shard worker's snapshot, so a
+        long-lived registry absorbs each service worker's snapshot, so a
         scrape of the parent sees the whole fleet.  Samples are added by
         :meth:`MetricsSnapshot.merge`; a kind, label or bucket conflict
         raises ``ValueError`` before anything changes.
@@ -361,7 +361,7 @@ class MetricsSnapshot:
     where ``samples`` maps label-value tuples to a float (counter/gauge)
     or a ``(bucket_counts, sum, count)`` triple (histogram).  Dict
     comparison ignores insertion order, so equality — and therefore the
-    merge-commutativity property the shard merger relies on — is
+    merge-commutativity property the service's absorb relies on — is
     structural.
     """
 

@@ -1,14 +1,15 @@
-"""Partition-as-a-service: batch facade, sharding, persistent cache.
+"""Partition-as-a-service: batch facade, request dispatch, persistent cache.
 
-The paper's search is a single-threaded loop; this package turns it
-into a service that takes *many* partitioning problems at once:
+The paper's search is a single-threaded loop; this package serves
+*many* partitioning problems at once, each one still solved by that
+loop:
 
 * :mod:`repro.service.facade` — :class:`PartitionService`, the asyncio
-  batch entry point (``submit`` / ``submit_batch`` / ``solve_batch``);
-* :mod:`repro.service.sharding` — the coordinator distributing one
-  partition bound ``N`` per worker, with the shared incumbent ``D_a``
-  pruning across processes;
-* :mod:`repro.service.worker` — the picklable per-process shard body;
+  batch entry point (``submit`` / ``submit_batch`` / ``solve_batch``),
+  sending each whole request to one worker process;
+* :mod:`repro.service.worker` — :func:`solve_request`, the picklable
+  per-process body: the serial ``Refine_Partitions_Bound`` search, so a
+  service outcome equals :meth:`TemporalPartitioner.solve`'s;
 * :mod:`repro.service.wire` — the explicit JSON-able payloads crossing
   the process boundary (no library objects are pickled).
 
@@ -19,15 +20,13 @@ default).  See ``docs/service.md``.
 """
 
 from repro.service.facade import PartitionService, ShardWorkerError
-from repro.service.sharding import solve_sharded
 from repro.service.wire import decode_request, encode_request
-from repro.service.worker import solve_shard
+from repro.service.worker import solve_request
 
 __all__ = [
     "PartitionService",
     "ShardWorkerError",
     "decode_request",
     "encode_request",
-    "solve_shard",
-    "solve_sharded",
+    "solve_request",
 ]

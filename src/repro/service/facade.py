@@ -22,13 +22,13 @@ Three layers compose here:
   :class:`concurrent.futures.Future` (await it via :meth:`solve`, or
   batch-gather via :meth:`submit_batch`); request coordination runs in
   a small thread pool so the event loop never blocks on a solve;
-* **process-pool sharding** — each request's partition bounds are
-  evaluated by :func:`repro.service.sharding.solve_sharded` over a
-  shared :class:`~concurrent.futures.ProcessPoolExecutor`, with the
-  per-request best-latency bound ``D_a`` in a manager proxy so workers
-  prune each other, and a cooperative cancellation event
-  (:meth:`cancel_all`); ``max_workers=0`` runs every shard inline —
-  deterministic, no subprocesses;
+* **request dispatch** — each request goes whole to one worker of a
+  shared :class:`~concurrent.futures.ProcessPoolExecutor`, which runs
+  the serial search (:func:`repro.service.worker.solve_request`), so an
+  outcome equals :meth:`TemporalPartitioner.solve`'s bit for bit; a
+  manager-held event carries cooperative cancellation
+  (:meth:`cancel_all`); ``max_workers=0`` runs the same function inline
+  in the coordinator thread — no subprocesses;
 * **persistent solve cache** — ``cache_path`` points every worker (and
   the inline path) at one :class:`repro.solve.disk_cache.DiskSolveCache`
   SQLite file, so verdicts are shared across workers, requests and
@@ -36,12 +36,12 @@ Three layers compose here:
 
 Progress streams through :mod:`repro.obs`: pass ``sinks`` (e.g. a
 :class:`~repro.obs.JsonlSink`) or a ready-made ``tracer`` and the
-service emits ``service_request_*`` / ``shard_*`` events alongside the
-usual solve spans of the inline path.  Pass a
+service emits ``service_request_*`` / ``shard_*`` events (a *shard* is
+one request's run on a worker; solve spans stay in the worker).  Pass a
 :class:`~repro.obs.MetricsRegistry` as ``metrics`` and the service
 additionally counts requests (``repro_service_requests_total``,
 in-flight gauge, queue-wait and end-to-end latency histograms) and
-absorbs every shard worker's counters into the same registry — one
+absorbs every request's worker counters into the same registry — one
 scrape sees the whole fleet.
 """
 
@@ -59,30 +59,31 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Iterable, Sequence
 
 from repro.arch.processor import ReconfigurableProcessor
-from repro.core import bounds
 from repro.core.partitioner import (
     PartitionerConfig,
     PartitioningOutcome,
     PartitionRequest,
 )
-from repro.obs.metrics import as_metrics
+from repro.obs.metrics import MetricsSnapshot, as_metrics
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.service.sharding import solve_sharded
-from repro.taskgraph.validate import validate_graph
+from repro.service import wire
+from repro.service.worker import solve_request
 
 __all__ = ["PartitionService", "ShardWorkerError"]
 
 
 class ShardWorkerError(RuntimeError):
-    """A shard worker process died while serving this request.
+    """A worker process died serving this request, twice.
 
-    Only the request that met the dead worker fails; the service drops
-    the broken pool and the next request runs on a fresh one.
+    A request whose worker dies is resubmitted once on a respawned
+    pool; only when that worker dies too does the request fail.  The
+    service drops the broken pool either way, so the next request runs
+    on a fresh one.
     """
 
 
 class PartitionService:
-    """Async batch facade over the sharded partition search."""
+    """Async batch facade dispatching whole requests to worker processes."""
 
     def __init__(
         self,
@@ -95,12 +96,12 @@ class PartitionService:
         metrics=None,
     ) -> None:
         """``processor``/``config`` are defaults for requests that omit
-        them; ``max_workers`` sizes the shard pool (``None`` — the CPU
-        count; ``0`` — inline, deterministic, no subprocesses);
+        them; ``max_workers`` sizes the worker pool (``None`` — the CPU
+        count; ``0`` — inline, no subprocesses);
         ``cache_path`` is threaded into every request's solver settings
         unless they already name their own disk cache; ``metrics`` is an
         optional :class:`~repro.obs.MetricsRegistry` that collects
-        service-level counters and absorbs every shard worker's
+        service-level counters and absorbs every request's worker
         snapshot (``None`` — metrics disabled, no overhead).
         """
         if max_workers is None:
@@ -149,7 +150,7 @@ class PartitionService:
         self._manager = None
         self._cancel = None
         # One coordinator thread per in-flight request; they spend their
-        # time waiting on shard futures, so a generous cap is cheap.
+        # time waiting on worker futures, so a generous cap is cheap.
         self._coordinators = ThreadPoolExecutor(
             max_workers=max(4, max_workers),
             thread_name_prefix="partition-service",
@@ -158,19 +159,20 @@ class PartitionService:
     # -- pool lifecycle ------------------------------------------------------
 
     def _ensure_pool(self):
-        """The live ``(pool, manager, cancel event)``, spawned on demand."""
+        """The live ``(pool, cancel event)``, spawned on demand;
+        ``(None, None)`` inline.  The manager holds only the event."""
         with self._lock:
             if self._closed:
                 raise RuntimeError("PartitionService is closed")
             if self.max_workers == 0:
-                return None, None, None
+                return None, None
             if self._pool is None:
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.max_workers
                 )
                 self._manager = multiprocessing.Manager()
                 self._cancel = self._manager.Event()
-            return self._pool, self._manager, self._cancel
+            return self._pool, self._cancel
 
     def _discard_pool(self, pool) -> None:
         """Shut down ``pool`` and its manager if they are still the live
@@ -199,11 +201,12 @@ class PartitionService:
         self.tracer.close()
 
     def cancel_all(self) -> None:
-        """Cooperatively stop every in-flight shard.
+        """Cooperatively stop every in-flight request.
 
-        Workers observe the event between bisection trials and return
-        their current state; pending shards come back ``skipped``.  Only
-        the requests in flight are stopped: a fresh event is swapped in
+        Pooled requests observe the event before each partition bound
+        and each bisection trial and return their incumbent; one that has
+        not started yet returns at once, without a design.  Only the
+        requests in flight are stopped: a fresh event is swapped in
         first, so later requests run uncancelled.
         """
         with self._lock:
@@ -331,57 +334,22 @@ class PartitionService:
         config: PartitionerConfig,
         start: float,
     ) -> PartitioningOutcome:
-        if config.validate:
-            report = validate_graph(
-                request.graph,
-                resource_capacity=processor.resource_capacity,
-            )
-            report.raise_if_failed()
-        pool, manager, cancel = self._ensure_pool()
-        if pool is None:
-            bound = bound_lock = None
-        else:
-            # The incumbent bound D_a is per request (different graphs
-            # do not share latencies); cancellation reaches every
-            # request in flight when cancel_all() runs.
-            bound = manager.Value("d", float("inf"))
-            bound_lock = manager.Lock()
-        try:
-            result = solve_sharded(
-                request.graph,
-                processor,
-                config=config,
-                max_workers=self.max_workers,
-                pool=pool,
-                bound=bound,
-                bound_lock=bound_lock,
-                cancel=cancel,
-                tracer=self.tracer if self.tracer.enabled else None,
-                metrics=self.metrics if self.metrics.enabled else None,
-            )
-        except BrokenProcessPool as exc:
-            self._discard_pool(pool)
-            self.tracer.event("shard_pool_broken", request_id=request_id)
-            raise ShardWorkerError(
-                f"request {request_id}: a shard worker died ({exc})"
-            ) from exc
-        prange = bounds.partition_range(
-            request.graph,
-            processor,
-            alpha=config.search.alpha,
-            gamma=config.search.gamma,
+        report = self._dispatch(
+            request_id,
+            wire.encode_request(
+                request.replace(processor=processor, config=config)
+            ),
         )
-        outcome = PartitioningOutcome(
-            design=result.design,
-            total_latency=result.achieved,
-            trace=result.trace,
-            partition_range=prange,
-            delta=result.delta,
-            stopped_by_min_latency_cut=result.stopped_by_min_latency_cut,
-            stopped_by_time=result.stopped_by_time,
-            degraded=result.degraded,
-            telemetry=result.telemetry,
-            scenario=config.formulation.scenario,
+        if self.metrics.enabled:
+            self.metrics.absorb(MetricsSnapshot.from_dict(report["metrics"]))
+        outcome = PartitioningOutcome.from_dict(
+            report["outcome"], graph=request.graph
+        )
+        self.tracer.event(
+            "shard_completed",
+            request_id=request_id,
+            feasible=outcome.feasible,
+            achieved=outcome.total_latency,
         )
         self.tracer.event(
             "service_request_completed",
@@ -392,3 +360,29 @@ class PartitionService:
             wall_time=time.perf_counter() - start,
         )
         return outcome
+
+    def _dispatch(self, request_id: int, payload: dict) -> dict:
+        """Run :func:`solve_request` on ``payload`` — inline, or on the
+        pool, resubmitted once on a respawned pool if its worker dies."""
+        for attempt in (1, 2):
+            pool, cancel = self._ensure_pool()
+            self.tracer.event(
+                "shard_dispatched",
+                request_id=request_id,
+                inline=pool is None,
+                attempt=attempt,
+            )
+            if pool is None:
+                return solve_request(payload, cancel)
+            try:
+                return pool.submit(solve_request, payload, cancel).result()
+            except BrokenProcessPool as exc:
+                self._discard_pool(pool)
+                self.tracer.event(
+                    "shard_pool_broken", request_id=request_id, attempt=attempt
+                )
+                broken = exc
+        raise ShardWorkerError(
+            f"request {request_id}: its worker died on both attempts "
+            f"({broken})"
+        ) from broken

@@ -1,17 +1,17 @@
 """Wire format for crossing the process boundary.
 
-The sharded service runs one partition bound per worker *process*
+The service runs each request in a worker *process*
 (:mod:`repro.service.worker`).  Work is described to workers as plain
 JSON-able dicts — graphs through the versioned
 :mod:`repro.taskgraph.io` schema, everything else through the explicit
 encoders here — instead of pickling live library objects.  That keeps
 the boundary inspectable (the CLI's ``batch`` mode reads the same
 payloads from disk), independent of pickle's import-path coupling, and
-honest about what transfers: a :class:`~repro.obs.tracer.Tracer` or an
-absolute ``time.perf_counter`` deadline never silently crosses — the
-tracer is dropped (workers report through returned telemetry), the
-deadline is re-expressed as *remaining seconds* and re-anchored on the
-worker's own clock.
+honest about what transfers: a :class:`~repro.obs.tracer.Tracer` or a
+:class:`~repro.obs.MetricsRegistry` never silently crosses — both are
+dropped, and workers report through the returned outcome and metrics
+snapshot.  No deadline crosses either: the search's ``time_budget``
+starts on the worker's clock when it starts the request.
 """
 
 from __future__ import annotations

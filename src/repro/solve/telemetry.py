@@ -59,8 +59,9 @@ class RunTelemetry:
     #: cache (a verdict some other process — or a previous run — paid
     #: for); a subset of ``cache_hits``.
     disk_hits: int = 0
-    #: Worker snapshots merged into this one (sharded runs); 0 for an
-    #: ordinary single-process run.
+    #: Worker snapshots a caller merged into this record (see
+    #: :meth:`from_snapshot`); 0 for one run, including a request
+    #: served by :class:`repro.service.PartitionService`.
     workers_merged: int = 0
     #: Pre-solve analyzer passes run (``SolverSettings.analyze != "off"``).
     analysis_runs: int = 0
@@ -188,7 +189,7 @@ class RunTelemetry:
         Raw totals hide the long tail that the acceleration counters are
         meant to shrink; the percentiles make them interpretable.  All
         zeros when there are no per-window rows (nothing solved yet, or
-        a merged sharded run).
+        telemetry built from a bare snapshot).
         """
         times = [s.wall_time for s in self.solves]
         return {

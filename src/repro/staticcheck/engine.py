@@ -7,7 +7,7 @@ solver-client code, fingerprint-affecting modules, ...).  A
 :class:`Project` wraps all contexts of one run and builds the
 cross-module *worker index*: functions submitted to a process pool in
 module A are checked where they are defined, even when that is module
-B (``service/sharding.py`` submits ``repro.service.worker.solve_shard``
+B (``service/facade.py`` submits ``repro.service.worker.solve_request``
 — the RL006 checks run against ``worker.py``).
 
 Suppression comments (``# repro-lint: ignore`` /
@@ -227,7 +227,7 @@ class Project:
     def __init__(self, files: Iterable[FileContext]) -> None:
         self.files = list(files)
         #: Dotted names of functions submitted to a process pool
-        #: anywhere in the run (``repro.service.worker.solve_shard``).
+        #: anywhere in the run (``repro.service.worker.solve_request``).
         self.process_worker_targets: set[str] = set()
         #: Per-file local worker defs, by ``id(FunctionDef)``.
         self.local_workers: set[int] = set()
@@ -237,8 +237,8 @@ class Project:
 
     # A receiver "looks like" a process pool when it resolves to a
     # ProcessPoolExecutor construction, or failing resolution, when its
-    # name says so — the sharding coordinator receives the service's
-    # pool as a parameter literally named ``pool``.
+    # name says so — the service's dispatch loop unpacks its pool into
+    # a local literally named ``pool``.
     _POOL_NAME = re.compile(r"(^|_)pool$")
 
     def _is_process_pool(self, ctx: FileContext, receiver: ast.expr) -> bool:

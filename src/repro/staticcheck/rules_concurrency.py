@@ -1,12 +1,12 @@
 """The concurrency rule pack: RL006 (process-pool workers) and RL007
 (blocking calls in async bodies).
 
-Both rules are grounded in the service layer added by PRs 6–8:
-``service/sharding.py`` submits ``repro.service.worker.solve_shard`` to
-a ``ProcessPoolExecutor`` — the sharded search's determinism argument
-only holds while workers are pure functions of their payload — and
-``service/facade.py``'s asyncio facade promises the event loop never
-blocks on a solve.
+Both rules are grounded in the service layer:
+``service/facade.py`` submits ``repro.service.worker.solve_request`` to
+a ``ProcessPoolExecutor`` — a served outcome equals the serial search's
+only while workers are pure functions of their payload — and the same
+module's asyncio facade promises the event loop never blocks on a
+solve.
 """
 
 from __future__ import annotations
@@ -43,16 +43,17 @@ _BLOCKING_CALLS = frozenset({
     title="process-pool workers must not touch shared module state",
     severity="error",
     rationale=(
-        "Shard worker functions run in separate processes; module "
-        "globals they capture are stale copies and writes to them are "
-        "silently lost, so any dependence on them breaks the sharded "
-        "search's determinism guarantee (service/sharding.py merges "
-        "shard reports assuming workers are pure functions of their "
-        "payload and the manager proxies)."
+        "Process-pool worker functions run in separate processes; "
+        "module globals they capture are stale copies and writes to "
+        "them are silently lost, so any dependence on them breaks the "
+        "service's guarantee that a request's outcome equals the "
+        "serial search's (service/facade.py restores each outcome from "
+        "the worker's report, assuming the worker is a pure function "
+        "of its payload and the cancel event)."
     ),
     fix_hint=(
         "Pass all inputs through the wire payload; communicate results "
-        "only via the returned report and the manager proxies."
+        "only via the returned report."
     ),
 )
 def _check_rl006(rule, ctx, project) -> Iterator[Finding]:

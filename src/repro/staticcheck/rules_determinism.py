@@ -3,7 +3,8 @@
 Fingerprint-affecting modules (``solve/fingerprint.py``,
 ``ilp/compile.py``, ``core/formulation.py``, ``core/families.py``) must
 produce bit-identical output for identical inputs: solve-cache keys,
-golden trajectories and the cross-process shard merge all assume it.
+golden trajectories and the service's serial-identical outcomes all
+assume it.
 Three construct classes silently break that promise:
 
 * **wall-clock or RNG reads** — two builds of the same model diverge;
@@ -69,8 +70,8 @@ def _iteration_sites(tree: ast.Module) -> Iterator[tuple[ast.AST, ast.expr]]:
     title="fingerprint-affecting modules must be deterministic",
     severity="error",
     rationale=(
-        "Solve-cache keys, golden trajectories and the sharded merge "
-        "assume compiling the same model twice is bit-identical; "
+        "Solve-cache keys, golden trajectories and the service's "
+        "serial-identical outcomes assume compiling the same model twice is bit-identical; "
         "wall-clock/RNG reads, set-iteration order (randomized per "
         "process via str hashing) and unfrozen compiled arrays all "
         "silently fork fingerprints."

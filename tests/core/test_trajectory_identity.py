@@ -1,11 +1,11 @@
-"""The unsharded search trajectory is untouched by this refactor.
+"""The serial search trajectory is untouched by its extension points.
 
-``refine_partitions_bound`` now routes every partition bound through the
-extracted :func:`repro.core.refine_partitions.evaluate_partition_bound`
-(the same function the sharded service calls), and ``reduce_latency``
-grew an optional ``should_stop`` hook.  Both must be invisible to the
-serial path: identical iteration records, identical verdicts, identical
-designs — bit for bit, not approximately.
+``refine_partitions_bound`` routes every partition bound through
+:func:`repro.core.refine_partitions.evaluate_partition_bound`, and both
+it and ``reduce_latency`` take an optional ``should_stop`` hook (the
+service's cancellation).  Both must be invisible to the serial path:
+identical iteration records, identical verdicts, identical designs —
+bit for bit, not approximately.
 """
 
 from __future__ import annotations
@@ -178,3 +178,68 @@ def test_cancellation_mid_search_keeps_the_incumbent(
         # The windows it did run are the full run's prefix, bit for bit.
         prefix = record_tuples(full.trace)[: len(cancelled.trace.records)]
         assert record_tuples(cancelled.trace) == prefix
+
+
+def test_should_stop_none_leaves_refine_partitions_untouched(
+    ar_graph, ar_device, fast_settings
+):
+    config = RefinementConfig(time_budget=60.0)
+    plain = refine_partitions_bound(
+        ar_graph, ar_device, config=config, settings=fast_settings
+    )
+    explicit_none = refine_partitions_bound(
+        ar_graph,
+        ar_device,
+        config=config,
+        settings=fast_settings,
+        should_stop=None,
+    )
+    assert record_tuples(plain.trace) == record_tuples(explicit_none.trace)
+    assert plain.achieved == explicit_none.achieved
+    assert plain.explored_partitions == explicit_none.explored_partitions
+    assert plain.design.as_assignment() == explicit_none.design.as_assignment()
+
+
+def test_refine_partitions_stopped_before_any_bound_has_no_design(
+    diamond_graph, ar_device, fast_settings
+):
+    result = refine_partitions_bound(
+        diamond_graph,
+        ar_device,
+        settings=fast_settings,
+        should_stop=lambda: True,
+    )
+    assert result.design is None
+    assert result.explored_partitions == ()
+    assert len(result.trace) == 0
+    assert result.telemetry.total_solves == 0
+
+
+def test_refine_partitions_stopped_mid_search_returns_the_incumbent(
+    ar_graph, ar_device, fast_settings
+):
+    config = RefinementConfig(time_budget=60.0)
+    full = refine_partitions_bound(
+        ar_graph, ar_device, config=config, settings=fast_settings
+    )
+    calls = {"n": 0}
+
+    def stop_after_the_opening_window() -> bool:
+        # Poll 1 comes before the first partition bound, poll 2 before
+        # its first bisection trial: the opening window alone runs.
+        calls["n"] += 1
+        return calls["n"] > 1
+
+    stopped = refine_partitions_bound(
+        ar_graph,
+        ar_device,
+        config=config,
+        settings=fast_settings,
+        should_stop=stop_after_the_opening_window,
+    )
+    assert len(stopped.trace) == 1 < len(full.trace)
+    assert record_tuples(stopped.trace) == record_tuples(full.trace)[:1]
+    opening = stopped.trace.records[0]
+    assert stopped.design is not None
+    assert stopped.achieved == opening.achieved >= full.achieved
+    assert stopped.explored_partitions == (opening.num_partitions,)

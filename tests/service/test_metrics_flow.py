@@ -1,12 +1,10 @@
 """Metrics across the process boundary: workers count, the parent merges.
 
-The load-bearing acceptance property: a sharded run's merged
-``MetricsSnapshot`` carries the same window/solve counters as the serial
-run over the same inputs, and the run's ``RunTelemetry`` is a view of
-that merged snapshot.  That only holds on workloads where the
-min-latency cut never fires (the serial relax phase clips windows with
-its incumbent, pooled shards bisect full windows), so these tests use
-the default ``gamma=0`` range where every shard is fully evaluated.
+Each request runs on one worker with a private registry; the worker
+ships that registry's snapshot home and the service absorbs it.  The
+load-bearing property: a served request's counters are the serial
+run's counters, and the outcome's ``RunTelemetry`` reads the same
+record.
 """
 
 from __future__ import annotations
@@ -15,16 +13,15 @@ import pytest
 
 from repro.core import (
     PartitionerConfig,
+    PartitionRequest,
     RefinementConfig,
     SolverSettings,
     refine_partitions_bound,
 )
 from repro.obs import MetricsRegistry, MetricsSnapshot
-from repro.service import wire
-from repro.service.sharding import solve_sharded
-from repro.service.worker import solve_shard
+from repro.service import PartitionService, wire
+from repro.service.worker import solve_request
 from repro.solve import RunTelemetry
-from repro.taskgraph import io as graph_io
 
 
 def shard_config(**search_overrides) -> PartitionerConfig:
@@ -33,6 +30,22 @@ def shard_config(**search_overrides) -> PartitionerConfig:
         search=search,
         solver=SolverSettings(backend="highs", time_limit=10.0),
     )
+
+
+def request_payload(graph, device) -> dict:
+    return wire.encode_request(
+        PartitionRequest(graph=graph, processor=device, config=shard_config())
+    )
+
+
+def serve(graph, device, registry=None):
+    with PartitionService(
+        processor=device,
+        config=shard_config(),
+        max_workers=0,
+        metrics=registry,
+    ) as service:
+        return service.submit(PartitionRequest(graph=graph)).result()
 
 
 class TestWireExcludesMetrics:
@@ -59,22 +72,17 @@ class TestWireExcludesMetrics:
 
 class TestWorkerReports:
     def test_shard_report_carries_a_snapshot(self, diamond_graph, ar_device):
-        config = shard_config()
-        payload = {
-            "graph": graph_io.to_dict(diamond_graph),
-            "processor": wire.encode_processor(ar_device),
-            "config": wire.encode_config(config),
-            "num_partitions": 2,
-            "delta": 10.0,
-        }
-        report = solve_shard(payload)
-        assert report["metrics"] is not None
+        report = solve_request(request_payload(diamond_graph, ar_device))
+        assert set(report) == {"outcome", "metrics"}
         snapshot = MetricsSnapshot.from_dict(report["metrics"])
         assert snapshot.total("repro_window_solves_total") > 0
         assert snapshot.total("repro_backend_wins_total") > 0
-        # The snapshot is the shard's one run record: no telemetry rides
-        # alongside it.
-        assert "telemetry" not in report
+        # The outcome's telemetry reads the same registry.
+        telemetry = report["outcome"]["telemetry"]
+        assert telemetry["total_solves"] == snapshot.total(
+            "repro_window_solves_total"
+        )
+        assert len(telemetry["solves"]) == telemetry["total_solves"]
 
     def test_cancelled_shard_reports_no_metrics(
         self, diamond_graph, ar_device
@@ -83,37 +91,33 @@ class TestWorkerReports:
 
         cancel = threading.Event()
         cancel.set()
-        config = shard_config()
-        payload = {
-            "graph": graph_io.to_dict(diamond_graph),
-            "processor": wire.encode_processor(ar_device),
-            "config": wire.encode_config(config),
-            "num_partitions": 2,
-            "delta": 10.0,
-        }
-        report = solve_shard(payload, cancel=cancel)
-        assert report["skipped"] == "cancelled"
-        assert report["metrics"] is None
+        report = solve_request(
+            request_payload(diamond_graph, ar_device), cancel=cancel
+        )
+        # Cancelled before its first partition bound: no design, no
+        # window, and a snapshot with nothing counted in any family.
+        outcome = report["outcome"]
+        assert outcome["feasible"] is False
+        assert outcome["trace"]["records"] == []
+        assert outcome["telemetry"]["total_solves"] == 0
+        snapshot = MetricsSnapshot.from_dict(report["metrics"])
+        assert snapshot.names()
+        for name in snapshot.names():
+            assert snapshot.total(name) == 0, name
 
 
 class TestShardedMergeEqualsSerial:
     def test_merged_counters_reconcile_with_merged_telemetry(
         self, diamond_graph, ar_device
     ):
-        # The result's telemetry and the caller's registry are two views
-        # of the same merged shard snapshots: they agree field by field.
+        # The outcome's telemetry and the caller's registry are two views
+        # of the worker's one snapshot: they agree field by field.
         registry = MetricsRegistry()
-        result = solve_sharded(
-            diamond_graph,
-            ar_device,
-            config=shard_config(),
-            max_workers=0,
-            metrics=registry,
-        )
-        assert result.feasible
-        telemetry = result.telemetry
+        outcome = serve(diamond_graph, ar_device, registry)
+        assert outcome.feasible
+        telemetry = outcome.telemetry
         caller_view = RunTelemetry.from_snapshot(
-            registry.snapshot(), workers_merged=telemetry.workers_merged
+            registry.snapshot(), solves=telemetry.solves
         )
         assert caller_view.to_dict() == telemetry.to_dict()
         assert registry.snapshot().total("repro_backend_wins_total") == sum(
@@ -123,86 +127,74 @@ class TestShardedMergeEqualsSerial:
     def test_sharded_telemetry_counts_its_windows(
         self, diamond_graph, ar_device
     ):
-        # Regression: shard workers shipped counters but no per-window
-        # rows, so a sharded outcome read "0 solves (cache idle)".
+        # Regression: workers once shipped counters but no per-window
+        # rows, so a served outcome read "0 solves (cache idle)".
         registry = MetricsRegistry()
-        result = solve_sharded(
-            diamond_graph,
-            ar_device,
-            config=shard_config(),
-            max_workers=0,
-            metrics=registry,
-        )
-        telemetry = result.telemetry
+        telemetry = serve(diamond_graph, ar_device, registry).telemetry
         windows = registry.snapshot().total("repro_window_solves_total")
         assert telemetry.total_solves == windows
         assert telemetry.template_instantiations == windows
         assert windows > 0
         assert not telemetry.summary().startswith("0 solves")
+        assert telemetry.wall_time_percentiles()["p50"] > 0.0
 
-    def test_sharded_counts_full_windows_of_every_explored_bound(
+    def test_served_windows_equal_serial(
         self, diamond_graph, ar_device
     ):
-        # Serial and sharded runs are verdict-compatible but not
-        # trajectory-identical (the serial relax phase clips windows
-        # with its incumbent; shards bisect full windows), so window
-        # counters compare as >=, never ==.
-        config = shard_config()
+        # The worker runs the serial search, so its counters equal the
+        # serial run's — not merely bound them.
         serial_registry = MetricsRegistry()
         serial = refine_partitions_bound(
             diamond_graph,
             ar_device,
-            config=config.search,
+            config=shard_config().search,
             settings=SolverSettings(
                 backend="highs", time_limit=10.0, metrics=serial_registry
             ),
         )
-        sharded_registry = MetricsRegistry()
-        sharded = solve_sharded(
-            diamond_graph,
-            ar_device,
-            config=config,
-            max_workers=0,
-            metrics=sharded_registry,
-        )
-        assert sharded.feasible == serial.feasible
-        assert sharded_registry.snapshot().total(
-            "repro_window_solves_total"
-        ) >= serial_registry.snapshot().total("repro_window_solves_total")
+        served_registry = MetricsRegistry()
+        served = serve(diamond_graph, ar_device, served_registry)
+        assert served.total_latency == serial.achieved
+        for name in (
+            "repro_window_solves_total",
+            "repro_template_builds_total",
+            "repro_backend_wins_total",
+        ):
+            assert served_registry.snapshot().total(
+                name
+            ) == serial_registry.snapshot().total(name), name
 
     def test_merge_order_does_not_change_the_aggregate(
-        self, diamond_graph, ar_device
+        self, diamond_graph, chain_graph, ar_device
     ):
-        config = shard_config()
-        result = solve_sharded(
-            diamond_graph,
-            ar_device,
-            config=config,
-            max_workers=0,
-            metrics=MetricsRegistry(),
+        # Two requests' worker snapshots absorbed in either order give
+        # the same aggregate (the commutative-merge contract).
+        first, second = (
+            MetricsSnapshot.from_dict(
+                solve_request(request_payload(graph, ar_device))["metrics"]
+            )
+            for graph in (diamond_graph, chain_graph)
         )
-        assert result.feasible
-        # Re-run and absorb the same shard snapshots in reverse order:
-        # the commutative-merge contract says the aggregate is equal.
-        registry_fwd = MetricsRegistry()
-        registry_rev = MetricsRegistry()
-        again = solve_sharded(
-            diamond_graph,
-            ar_device,
-            config=config,
-            max_workers=0,
-            metrics=registry_fwd,
+        forward, reverse = MetricsRegistry(), MetricsRegistry()
+        forward.absorb(first)
+        forward.absorb(second)
+        reverse.absorb(second)
+        reverse.absorb(first)
+        assert forward.snapshot() == reverse.snapshot()
+        assert forward.snapshot().total("repro_window_solves_total") == (
+            first.total("repro_window_solves_total")
+            + second.total("repro_window_solves_total")
         )
-        assert again.feasible
-        snapshot = registry_fwd.snapshot()
-        registry_rev.absorb(snapshot)
-        assert registry_rev.snapshot() == snapshot
 
     def test_no_registry_means_no_metrics_work(self, diamond_graph, ar_device):
-        result = solve_sharded(
-            diamond_graph, ar_device, config=shard_config(), max_workers=0
-        )
-        assert result.feasible  # metrics=None path stays intact
+        with PartitionService(
+            processor=ar_device, config=shard_config(), max_workers=0
+        ) as service:
+            assert not service.metrics.enabled
+            outcome = service.submit(
+                PartitionRequest(graph=diamond_graph)
+            ).result()
+        assert outcome.feasible  # metrics=None path stays intact
 
 
 @pytest.mark.slow
@@ -210,9 +202,6 @@ class TestPooledMergeEqualsSerial:
     def test_pooled_sharded_counters_match_inline(
         self, diamond_graph, ar_device
     ):
-        from repro.service import PartitionService
-        from repro.core.partitioner import PartitionRequest
-
         config = shard_config()
         inline_registry = MetricsRegistry()
         with PartitionService(
@@ -237,6 +226,7 @@ class TestPooledMergeEqualsSerial:
             )[0]
 
         assert pooled.feasible == inline.feasible
+        assert pooled.total_latency == inline.total_latency
         a = inline_registry.snapshot()
         b = pooled_registry.snapshot()
         for name in (

@@ -1,6 +1,8 @@
 """Tests for the repro-tp command-line interface."""
 
 import json
+import os
+import sys
 
 import pytest
 
@@ -44,6 +46,41 @@ class TestBounds:
         out = capsys.readouterr().out
         assert "N_min^l (min-area partitions): 3" in out
         assert "N=3:" in out
+
+
+class TestBrokenPipe:
+    """``repro-tp ... | head``: the reader closes stdout early."""
+
+    def run_into_closed_pipe(self, monkeypatch, argv) -> int:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as closed_stdout:
+            monkeypatch.setattr(sys, "stdout", closed_stdout)
+            code = main(argv)
+            monkeypatch.undo()
+        return code
+
+    def test_bounds_exits_quietly(self, monkeypatch, capsys, ar_json):
+        code = self.run_into_closed_pipe(
+            monkeypatch, ["bounds", ar_json, "--r-max", "400", "--ct", "20"]
+        )
+        assert code == 141
+        assert capsys.readouterr().err == ""
+
+    def test_trace_report_exits_quietly(
+        self, monkeypatch, capsys, ar_json, tmp_path
+    ):
+        run = tmp_path / "run.jsonl"
+        assert main([
+            "partition", ar_json, "--r-max", "400", "--m-max", "128",
+            "--ct", "20", "--trace-jsonl", str(run),
+        ]) == 0
+        capsys.readouterr()
+        code = self.run_into_closed_pipe(
+            monkeypatch, ["trace", "report", str(run)]
+        )
+        assert code == 141
+        assert capsys.readouterr().err == ""
 
 
 class TestPartition:
