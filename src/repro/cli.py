@@ -71,6 +71,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -478,6 +479,33 @@ def _dump_metrics(args: argparse.Namespace, registry, file=None) -> None:
     print(f"metrics written to {args.metrics_json}", file=file or sys.stderr)
 
 
+@contextlib.contextmanager
+def _answer_stream():
+    """The stream ``serve`` answers on, with fd 1 pointed at stderr.
+
+    Native solver code (HiGHS) prints to file descriptor 1, and pool
+    workers inherit it, so for the session the JSONL answers go to a
+    private duplicate of fd 1 and fd 1 itself points at stderr.  When
+    ``sys.stdout`` is not fd 1 (replaced in-process) the answers keep
+    going to it.
+    """
+    sys.stdout.flush()
+    try:
+        on_fd1 = sys.stdout.fileno() == 1
+    except (AttributeError, OSError, ValueError):
+        on_fd1 = False
+    saved = os.dup(1)
+    answers = os.fdopen(os.dup(saved), "w") if on_fd1 else sys.stdout
+    os.dup2(2, 1)
+    try:
+        yield answers
+    finally:
+        os.dup2(saved, 1)
+        os.close(saved)
+        if on_fd1:
+            answers.close()
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     """JSONL request/response loop over stdin/stdout.
 
@@ -489,7 +517,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     :class:`~repro.obs.MetricsRegistry` on ``/metrics`` (Prometheus
     text exposition) and ``/metrics.json`` for the session's lifetime.
     A request whose worker died twice (it is resubmitted once) is
-    answered with an ``error`` line; the session goes on.
+    answered with an ``error`` line; the session goes on.  Solver output
+    on fd 1 goes to stderr (:func:`_answer_stream`).
     """
     from repro.service import PartitionService, ShardWorkerError
 
@@ -502,7 +531,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         server.start()
         print(f"metrics at {server.url}", file=sys.stderr, flush=True)
     try:
-        with PartitionService(
+        with _answer_stream() as answers, PartitionService(
             processor=_device(args),
             config=_service_config(args),
             max_workers=args.workers,
@@ -521,7 +550,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     )
                 except (ValueError, SystemExit):
                     print(
-                        json.dumps({"error": "invalid request"}), flush=True
+                        json.dumps({"error": "invalid request"}),
+                        file=answers, flush=True,
                     )
                     continue
                 try:
@@ -529,11 +559,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 except ShardWorkerError as exc:
                     # Only this request fails; the service respawns its
                     # worker pool for the next line.
-                    print(json.dumps({"error": str(exc)}), flush=True)
+                    print(
+                        json.dumps({"error": str(exc)}),
+                        file=answers, flush=True,
+                    )
                     continue
                 print(
                     json.dumps(outcome.to_dict(include_trace=args.trace)),
-                    flush=True,
+                    file=answers, flush=True,
                 )
                 served += 1
     finally:

@@ -56,7 +56,12 @@ __all__ = [
 #: * 3 — adds ``scenario``, the id of the registered formulation
 #:   scenario that produced the design (``paper_oneshot`` for every
 #:   pre-v3 payload).
-OUTCOME_SCHEMA_VERSION = 3
+#: * 4 — trace records take the one :meth:`repro.solve.WindowOutcome
+#:   .to_dict` shape (``status`` and ``bound`` written; ``iterations``
+#:   replaces ``solver_iterations``); the telemetry carries no
+#:   ``solves`` rows, :meth:`PartitioningOutcome.from_dict` rebuilds
+#:   them from the trace.
+OUTCOME_SCHEMA_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -143,18 +148,13 @@ class PartitioningOutcome:
     def execution_latency(self) -> float | None:
         return None if self.design is None else self.design.execution_latency()
 
-    def to_dict(
-        self,
-        include_solves: bool = False,
-        include_trace: bool = False,
-    ) -> dict:
+    def to_dict(self, include_trace: bool = False) -> dict:
         """JSON-serializable summary (design as placement table).
 
-        ``include_solves`` forwards to
-        :meth:`repro.solve.RunTelemetry.to_dict` — per-solve records are
-        verbose, so they are off by default.  ``include_trace`` adds the
-        full per-iteration :class:`~repro.core.trace.SearchTrace` (the
-        paper-table rows); :meth:`from_dict` restores it.
+        ``include_trace`` adds the full per-iteration
+        :class:`~repro.core.trace.SearchTrace` (the paper-table rows, the
+        outcome's only copy of its window records — they are verbose, so
+        they are off by default); :meth:`from_dict` restores it.
         """
         design = None
         if self.design is not None:
@@ -191,7 +191,7 @@ class PartitioningOutcome:
             "telemetry": (
                 None
                 if self.telemetry is None
-                else self.telemetry.to_dict(include_solves=include_solves)
+                else self.telemetry.to_dict(include_solves=False)
             ),
         }
         if include_trace:
@@ -204,12 +204,15 @@ class PartitioningOutcome:
     ) -> "PartitioningOutcome":
         """Restore an outcome from a :meth:`to_dict` payload.
 
-        Accepts schema versions 1 through 3 (version 1 payloads predate
+        Accepts schema versions 1 through 4 (version 1 payloads predate
         the ``schema_version`` key; pre-v3 payloads default ``scenario``
         to ``paper_oneshot``).  The design is only reconstructed when
         the originating ``graph`` is supplied — placements reference
         design points by label, which live on the graph's tasks; without
         it the summary fields round-trip and ``design`` stays ``None``.
+        Telemetry without ``solves`` rows gets the trace's records back
+        as its rows: all but the windows the LP/packing bound emptied
+        before any solve (``backend=""`` and not degraded).
         """
         version = int(payload.get("schema_version", 1))
         if version > OUTCOME_SCHEMA_VERSION:
@@ -253,11 +256,13 @@ class PartitioningOutcome:
             else SearchTrace()
         )
         telemetry_payload = payload.get("telemetry")
-        telemetry = (
-            RunTelemetry.from_dict(telemetry_payload)
-            if telemetry_payload is not None
-            else None
-        )
+        telemetry = None
+        if telemetry_payload is not None:
+            telemetry = RunTelemetry.from_dict(telemetry_payload)
+            if "solves" not in telemetry_payload:
+                telemetry.solves = [
+                    r for r in trace if r.backend or r.degraded
+                ]
         return cls(
             design=design,
             total_latency=payload.get("total_latency"),

@@ -31,7 +31,7 @@ compiled once and each window costs two right-hand-side patches (see
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.arch.processor import ReconfigurableProcessor
@@ -399,8 +399,9 @@ def reduce_latency(
                     options,
                     deadline=deadline,
                     gap=gap,
+                    iteration=iteration,
                 )
-            trace.add(replace(outcome, iteration=iteration))
+            trace.add(outcome)
             iteration += 1
             return outcome
 

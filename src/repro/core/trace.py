@@ -22,8 +22,8 @@ __all__ = ["SearchTrace"]
 class SearchTrace:
     """The search's window records, in order: one per ILP call.
 
-    Each entry is the executor's :class:`WindowOutcome` with its
-    ``iteration`` stamped by ``Reduce_Latency``, plus one record
+    Each entry is the executor's :class:`WindowOutcome`, which carries
+    the ``Reduce_Latency`` iteration that asked it, plus one record
     (``backend=""``, not degraded) for each window the LP/packing bound
     emptied before any solve.
     """
@@ -57,13 +57,13 @@ class SearchTrace:
 
     def to_dict(self) -> dict:
         """JSON-serializable form (inverse of :meth:`from_dict`)."""
-        return {"records": [r.to_trace_dict() for r in self.records]}
+        return {"records": [r.to_dict() for r in self.records]}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SearchTrace":
         return cls(
             records=[
-                WindowOutcome.from_trace_dict(r)
+                WindowOutcome.from_dict(r)
                 for r in payload.get("records", [])
             ]
         )

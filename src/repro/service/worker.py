@@ -41,9 +41,10 @@ def solve_request(payload: dict[str, Any], cancel=None) -> dict[str, Any]:
     defaults before dispatch).
 
     Returns ``{"outcome": ..., "metrics": ...}``: the outcome as
-    ``to_dict(include_solves=True, include_trace=True)`` (restored with
-    :meth:`PartitioningOutcome.from_dict`) and the snapshot of the
-    registry this request's executor counted into.
+    ``to_dict(include_trace=True)`` (restored with
+    :meth:`PartitioningOutcome.from_dict`, which refills the telemetry
+    rows from the trace) and the snapshot of the registry this
+    request's executor counted into.
     """
     request = wire.decode_request(payload)
     # Settings never carry a registry across the wire, so the executor
@@ -58,6 +59,6 @@ def solve_request(payload: dict[str, Any], cancel=None) -> dict[str, Any]:
         should_stop=None if cancel is None else cancel.is_set,
     )
     return {
-        "outcome": outcome.to_dict(include_solves=True, include_trace=True),
+        "outcome": outcome.to_dict(include_trace=True),
         "metrics": registry.snapshot().to_dict(),
     }

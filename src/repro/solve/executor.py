@@ -86,7 +86,8 @@ class WindowOutcome:
     builds exactly one per window; the ``window_verdict`` event (and
     the window metrics folded from it), the span annotations, the
     :attr:`repro.solve.RunTelemetry.solves` rows and the entries of a
-    :class:`repro.core.trace.SearchTrace` are all read from it.
+    :class:`repro.core.trace.SearchTrace` are all this record, in the
+    one JSON shape of :meth:`to_dict`.
 
     Attributes
     ----------
@@ -116,7 +117,7 @@ class WindowOutcome:
         The query: partition bound and latency window (incl. overhead).
     iteration:
         The bisection step of ``Reduce_Latency`` that asked the query
-        (stamped by the search; ``0`` outside one).
+        (``solve_window(..., iteration=...)``; ``0`` outside one).
     bound:
         The solver's proven lower bound on the latency of any design in
         the window, from a gap-limited minimize solve (``solve_window(...,
@@ -159,26 +160,20 @@ class WindowOutcome:
             achieved,
         )
 
-    def verdict_event(self) -> dict:
-        """Attributes of the ``window_verdict`` tracer event: the
-        telemetry row, plus the verdict's latency and dual bound."""
-        return {
-            **self.to_dict(),
-            "feasible": self.feasible,
-            "achieved": self.achieved,
-            "bound": self.bound,
-        }
-
-    # -- the two JSON shapes -------------------------------------------------
+    # -- the one JSON shape -------------------------------------------------
 
     def to_dict(self) -> dict:
-        """The :class:`RunTelemetry` row (``--telemetry-json`` solves)."""
+        """Every field but the design, once: the trace entry, the
+        telemetry row and the ``window_verdict`` event attributes."""
         return {
             "num_partitions": self.num_partitions,
+            "iteration": self.iteration,
             "d_min": self.d_min,
             "d_max": self.d_max,
-            "backend": self.backend,
+            "achieved": self.achieved,
+            "bound": self.bound,
             "status": self.status.value,
+            "backend": self.backend,
             "wall_time": self.wall_time,
             "iterations": self.iterations,
             "cache_hit": self.cache_hit,
@@ -187,80 +182,43 @@ class WindowOutcome:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "WindowOutcome":
-        """Inverse of :meth:`to_dict` (no design or latency)."""
-        return cls(
-            design=None,
-            achieved=None,
-            status=SolveStatus(payload["status"]),
-            backend=str(payload.get("backend", "")),
-            wall_time=float(payload.get("wall_time", 0.0)),
-            iterations=int(payload.get("iterations", 0)),
-            cache_hit=bool(payload.get("cache_hit", False)),
-            degraded=bool(payload.get("degraded", False)),
-            num_partitions=int(payload["num_partitions"]),
-            d_min=float(payload["d_min"]),
-            d_max=float(payload["d_max"]),
-        )
+        """Inverse of :meth:`to_dict` (no design).
 
-    def to_trace_dict(self) -> dict:
-        """The :class:`repro.core.trace.SearchTrace` entry (a table row).
-
-        ``bound`` is written only when the window has one, so a search
-        without dual-bound trials keeps the outcome v3 record shape.
-        """
-        payload = {
-            "num_partitions": self.num_partitions,
-            "iteration": self.iteration,
-            "d_max": self.d_max,
-            "d_min": self.d_min,
-            "achieved": self.achieved,
-            "wall_time": self.wall_time,
-            "solver_iterations": self.iterations,
-            "backend": self.backend,
-            "cache_hit": self.cache_hit,
-            "degraded": self.degraded,
-        }
-        if self.bound is not None:
-            payload["bound"] = self.bound
-        return payload
-
-    @classmethod
-    def from_trace_dict(cls, payload: dict) -> "WindowOutcome":
-        """Inverse of :meth:`to_trace_dict` (no design).
-
-        The trace shape carries no status; it is inferred: a latency
-        means ``FEASIBLE``, a degraded window without one ``TIME_LIMIT``,
+        Also reads the outcome v1–v3 shapes: telemetry rows (no
+        ``iteration``, ``achieved`` or ``bound``) and trace entries,
+        which name the backend's work ``solver_iterations`` and carry no
+        ``status``.  Such a status is inferred: a latency means
+        ``FEASIBLE``, a degraded window without one ``TIME_LIMIT``,
         anything else ``INFEASIBLE``.
         """
         achieved = payload.get("achieved")
         bound = payload.get("bound")
         degraded = bool(payload.get("degraded", False))
-        if achieved is not None:
-            status = SolveStatus.FEASIBLE
-        elif degraded:
-            status = SolveStatus.TIME_LIMIT
-        else:
-            status = SolveStatus.INFEASIBLE
+        status = payload.get("status")
+        if status is None:
+            if achieved is not None:
+                status = SolveStatus.FEASIBLE
+            elif degraded:
+                status = SolveStatus.TIME_LIMIT
+            else:
+                status = SolveStatus.INFEASIBLE
         return cls(
             design=None,
             achieved=None if achieved is None else float(achieved),
-            status=status,
+            status=SolveStatus(status),
             backend=str(payload.get("backend", "")),
             wall_time=float(payload.get("wall_time", 0.0)),
-            iterations=int(payload.get("solver_iterations", 0)),
+            iterations=int(
+                payload.get("iterations", payload.get("solver_iterations", 0))
+            ),
             cache_hit=bool(payload.get("cache_hit", False)),
             degraded=degraded,
             num_partitions=int(payload["num_partitions"]),
             d_min=float(payload["d_min"]),
             d_max=float(payload["d_max"]),
-            iteration=int(payload["iteration"]),
+            iteration=int(payload.get("iteration", 0)),
             bound=None if bound is None else float(bound),
         )
-
-
-#: The verdict attributes :meth:`SolveExecutor._conclude` annotates on the
-#: enclosing span.
-_SPAN_VERDICT_KEYS = ("backend", "status", "cache_hit", "degraded", "feasible")
 
 
 def _conclusive(status: SolveStatus, design) -> bool:
@@ -511,6 +469,7 @@ class SolveExecutor:
         options: "FormulationOptions | None" = None,
         deadline: float | None = None,
         gap: float | None = None,
+        iteration: int = 0,
     ) -> WindowOutcome:
         """Answer "is there a design in ``[d_min, d_max]`` at ``N``?".
 
@@ -523,6 +482,9 @@ class SolveExecutor:
         within ``gap`` of its dual bound (a relative gap of
         ``gap / d_max``).  The outcome then carries that dual bound as
         ``bound``: no design in the window has a lower latency.
+
+        ``iteration`` is the caller's bisection step, stamped on the
+        window's record (and so on its event and telemetry row).
 
         Model preparation is incremental: the window is instantiated
         from the shared :class:`ModelTemplate` (two RHS patches on the
@@ -542,7 +504,7 @@ class SolveExecutor:
             )
         outcome = self._solve_window(
             graph, processor, num_partitions, d_max, d_min, options,
-            deadline, gap,
+            deadline, gap, iteration,
         )
         if self.incumbent_reuse and outcome.design is not None:
             key = (
@@ -569,8 +531,16 @@ class SolveExecutor:
         options: "FormulationOptions | None" = None,
         deadline: float | None = None,
         gap: float | None = None,
+        iteration: int = 0,
     ) -> WindowOutcome:
         start = time.perf_counter()
+        # The query half of the window's record.
+        window = {
+            "num_partitions": num_partitions,
+            "d_min": d_min,
+            "d_max": d_max,
+            "iteration": iteration,
+        }
         tracer = self.tracer
         with tracer.span(
             "solve_window",
@@ -599,9 +569,7 @@ class SolveExecutor:
                         tier=getattr(hit, "tier", "memory"),
                         feasible=hit.verdict.feasible,
                     )
-                    return self._from_cache(
-                        hit, num_partitions, d_min, d_max, fp, start
-                    )
+                    return self._from_cache(hit, window, fp, start)
                 self._emit("cache_miss")
 
             # Incumbent carry-over: check the previous feasible design
@@ -609,8 +577,7 @@ class SolveExecutor:
             warm_values = None
             if self.incumbent_reuse:
                 reused, warm_values = self._try_incumbent(
-                    tp_model, graph, processor, num_partitions,
-                    d_min, d_max, fp, start,
+                    tp_model, graph, processor, window, fp, start
                 )
                 if reused is not None:
                     return reused
@@ -621,8 +588,8 @@ class SolveExecutor:
                 # immediately.
                 self._emit("deadline_expired", phase="pre_solve")
                 return self._degrade(
-                    graph, processor, num_partitions, d_max, d_min,
-                    options, fp, start, timed_out=True,
+                    graph, processor, window, options, fp, start,
+                    timed_out=True,
                 )
 
             status, design, iterations, bound = self._run_attempt(
@@ -636,14 +603,12 @@ class SolveExecutor:
                 )
                 return self._conclude(
                     design, achieved, status, self.settings.backend,
-                    num_partitions, d_min, d_max, fp, start,
-                    iterations=iterations, bound=bound,
+                    window, fp, start, iterations=iterations, bound=bound,
                 )
 
             # The backend ran out of budget or crashed: degrade.
             return self._degrade(
-                graph, processor, num_partitions, d_max, d_min,
-                options, fp, start,
+                graph, processor, window, options, fp, start,
                 timed_out=status is not SolveStatus.ERROR,
                 iterations=iterations,
             )
@@ -698,9 +663,7 @@ class SolveExecutor:
         achieved,
         status: SolveStatus,
         backend: str,
-        num_partitions: int,
-        d_min: float,
-        d_max: float,
+        window: dict,
         fp: ModelFingerprint | None,
         start: float,
         iterations: int = 0,
@@ -710,7 +673,8 @@ class SolveExecutor:
     ) -> WindowOutcome:
         """Build the window's one record and feed every view from it.
 
-        This is also the cache's only writer (``fp`` is the window's
+        ``window`` is the query (``num_partitions``, ``d_min``,
+        ``d_max``, ``iteration``).  This is also the cache's only writer (``fp`` is the window's
         fingerprint, ``None`` when caching is off): a design is stored
         as a feasibility certificate, with the solve's dual ``bound``,
         and only a backend's ``INFEASIBLE`` verdict as an emptiness
@@ -726,16 +690,14 @@ class SolveExecutor:
             iterations=iterations,
             cache_hit=cache_hit,
             degraded=degraded,
-            num_partitions=num_partitions,
-            d_min=d_min,
-            d_max=d_max,
             bound=bound,
+            **window,
         )
-        verdict = record.verdict_event()
+        row = record.to_dict()
         span = self.tracer.current_span()
         if span is not None:
-            span.annotate(**{key: verdict[key] for key in _SPAN_VERDICT_KEYS})
-        self._emit("window_verdict", **verdict)
+            span.annotate(**row)
+        self._emit("window_verdict", **row)
         self._solves.append(record)
         if fp is not None and not cache_hit:
             if design is not None:
@@ -748,19 +710,17 @@ class SolveExecutor:
         return record
 
     def _from_cache(
-        self, hit, num_partitions: int, d_min: float, d_max: float,
-        fp: ModelFingerprint, start: float,
+        self, hit, window: dict, fp: ModelFingerprint, start: float
     ) -> WindowOutcome:
         verdict = hit.verdict
         if verdict.feasible:
             return self._conclude(
                 verdict.design, verdict.achieved, SolveStatus.FEASIBLE,
-                "cache", num_partitions, d_min, d_max, fp, start,
-                cache_hit=True, bound=hit.bound,
+                "cache", window, fp, start, cache_hit=True, bound=hit.bound,
             )
         return self._conclude(
             None, None, SolveStatus.INFEASIBLE,
-            "cache", num_partitions, d_min, d_max, fp, start, cache_hit=True,
+            "cache", window, fp, start, cache_hit=True,
         )
 
     # -- cross-window acceleration -------------------------------------------
@@ -785,9 +745,7 @@ class SolveExecutor:
         tp_model,
         graph,
         processor,
-        num_partitions: int,
-        d_min: float,
-        d_max: float,
+        window: dict,
         fp: ModelFingerprint | None,
         start: float,
     ) -> tuple[WindowOutcome | None, dict | None]:
@@ -806,7 +764,7 @@ class SolveExecutor:
         if held is None:
             return None, None
         design, achieved, _processor = held
-        if design.num_partitions_used > num_partitions:
+        if design.num_partitions_used > window["num_partitions"]:
             return None, None
         with self.tracer.span("incumbent_check", achieved=achieved) as sp:
             values = warm_values_from_design(tp_model, design)
@@ -825,7 +783,7 @@ class SolveExecutor:
         return (
             self._conclude(
                 design, achieved, SolveStatus.FEASIBLE, "incumbent",
-                num_partitions, d_min, d_max, fp, start,
+                window, fp, start,
             ),
             None,
         )
@@ -873,9 +831,7 @@ class SolveExecutor:
         self,
         graph,
         processor,
-        num_partitions: int,
-        d_max: float,
-        d_min: float,
+        window: dict,
         options,
         fp: ModelFingerprint | None,
         start: float,
@@ -891,24 +847,26 @@ class SolveExecutor:
         keeps the ``iterations`` the backend spent before giving up.
         """
         if self.settings.heuristic_fallback:
+            num_partitions = window["num_partitions"]
             with self.tracer.span(
                 "heuristic_fallback", num_partitions=num_partitions
             ) as sp:
                 found = self._greedy_certificate(
-                    graph, processor, options, num_partitions, d_max
+                    graph, processor, options, num_partitions,
+                    window["d_max"],
                 )
                 if found is not None:
                     policy, design, achieved = found
                     sp.annotate(policy=policy, achieved=achieved)
                     return self._conclude(
                         design, achieved, SolveStatus.FEASIBLE,
-                        f"heuristic:{policy}", num_partitions, d_min, d_max,
-                        fp, start, iterations=iterations, degraded=True,
+                        f"heuristic:{policy}", window, fp, start,
+                        iterations=iterations, degraded=True,
                     )
                 sp.annotate(policy=None, exhausted=True)
         status = SolveStatus.TIME_LIMIT if timed_out else SolveStatus.ERROR
         return self._conclude(
-            None, None, status, "", num_partitions, d_min, d_max, fp, start,
+            None, None, status, "", window, fp, start,
             iterations=iterations, degraded=True,
         )
 

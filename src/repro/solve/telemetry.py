@@ -59,10 +59,6 @@ class RunTelemetry:
     #: cache (a verdict some other process — or a previous run — paid
     #: for); a subset of ``cache_hits``.
     disk_hits: int = 0
-    #: Worker snapshots a caller merged into this record (see
-    #: :meth:`from_snapshot`); 0 for one run, including a request
-    #: served by :class:`repro.service.PartitionService`.
-    workers_merged: int = 0
     #: Pre-solve analyzer passes run (``SolverSettings.analyze != "off"``).
     analysis_runs: int = 0
     #: ERROR-severity diagnostics across all analyzer passes.
@@ -78,10 +74,7 @@ class RunTelemetry:
 
     @classmethod
     def from_snapshot(
-        cls,
-        snapshot,
-        solves: Iterable["WindowOutcome"] = (),
-        workers_merged: int = 0,
+        cls, snapshot, solves: Iterable["WindowOutcome"] = ()
     ) -> "RunTelemetry":
         """The telemetry a :class:`repro.obs.MetricsSnapshot` records.
 
@@ -109,7 +102,6 @@ class RunTelemetry:
                 _per_label(snapshot, "repro_solve_cache_hits_total", "tier")
                 .get("disk", 0)
             ),
-            workers_merged=workers_merged,
             analysis_runs=int(total("repro_model_analyses_total")),
             analysis_errors=int(severities.get("error", 0)),
             analysis_warnings=int(severities.get("warning", 0)),
@@ -135,9 +127,10 @@ class RunTelemetry:
         Derived fields (hit rates, ``degraded``) are recomputed from the
         restored counters; the percentiles come from the per-solve rows,
         so a payload serialized with ``include_solves=False`` restores
-        them as zeros.  Keys this version no longer records (the
-        ``basis_restarts``/``pooled_cuts`` counters of older payloads)
-        are ignored.
+        them as zeros (an outcome's telemetry is written so, and
+        :meth:`repro.core.PartitioningOutcome.from_dict` refills the rows
+        from its trace).  Keys this version no longer records (counters
+        of older payloads, such as ``basis_restarts``) are ignored.
         """
         from repro.solve.executor import WindowOutcome
 
@@ -210,7 +203,6 @@ class RunTelemetry:
             "fallbacks": self.fallbacks,
             "incumbent_reuses": self.incumbent_reuses,
             "disk_hits": self.disk_hits,
-            "workers_merged": self.workers_merged,
             "wall_time_percentiles": self.wall_time_percentiles(),
             "template_builds": self.template_builds,
             "template_instantiations": self.template_instantiations,
@@ -249,11 +241,6 @@ class RunTelemetry:
             # No window was solved: a "0.0% hit rate" would read as a
             # cold cache when the cache was simply never consulted.
             cache = "(cache idle)"
-        service = (
-            f", merged from {self.workers_merged} worker(s)"
-            if self.workers_merged
-            else ""
-        )
         return (
             f"{self.total_solves} solves "
             f"{cache}, wins: {backends}, "
@@ -262,7 +249,7 @@ class RunTelemetry:
             f"{self.template_instantiations} instantiated, "
             f"window wall p50/p90/max "
             f"{pct['p50']:.2f}/{pct['p90']:.2f}/{pct['max']:.2f}s, "
-            f"{self.total_wall_time:.2f}s total{service}"
+            f"{self.total_wall_time:.2f}s total"
         )
 
 

@@ -3,9 +3,11 @@
 ``tests/golden/outcome_v1.json`` is a payload in the pre-redesign
 format — no ``schema_version`` key, no ``partition_bounds`` block, no
 service-era telemetry counters.  ``outcome_v2.json`` adds explicit
-versioning and round-trippable design labels; ``outcome_v3.json`` is
-the current format with the ``scenario`` id.  All must keep parsing;
-new schema bumps add a fixture here.
+versioning and round-trippable design labels; ``outcome_v3.json`` adds
+the ``scenario`` id.  All must keep parsing.  The current format (v4)
+writes each window once, in the trace, in the one
+:meth:`repro.solve.WindowOutcome.to_dict` shape; :class:`TestLiveRoundTrip`
+checks that a live outcome comes back from it window for window.
 """
 
 from __future__ import annotations
@@ -15,8 +17,16 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import OUTCOME_SCHEMA_VERSION
+from repro.core import (
+    OUTCOME_SCHEMA_VERSION,
+    PartitionerConfig,
+    PartitionRequest,
+    SolverSettings,
+    TemporalPartitioner,
+)
 from repro.core.partitioner import PartitioningOutcome
+from repro.ilp import model as ilp_model
+from repro.ilp.status import Solution, SolveStatus
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 
@@ -62,12 +72,8 @@ class TestGoldenCompatibility:
     def test_current_format_matches_the_v3_golden_shape(
         self, chain_graph, ar_device, fast_settings
     ):
-        from repro.core import (
-            PartitionerConfig,
-            PartitionRequest,
-            TemporalPartitioner,
-        )
-
+        """v4 keeps the v3 outcome keys; its records add ``status`` and
+        ``bound`` and rename ``solver_iterations`` to ``iterations``."""
         outcome = TemporalPartitioner(
             ar_device, PartitionerConfig(solver=fast_settings)
         ).solve(PartitionRequest(graph=chain_graph))
@@ -77,10 +83,14 @@ class TestGoldenCompatibility:
         assert set(payload["partition_bounds"]) == set(
             golden["partition_bounds"]
         )
-        assert set(payload["trace"]["records"][0]) == set(
-            golden["trace"]["records"][0]
+        v3_record = set(golden["trace"]["records"][0])
+        assert set(payload["trace"]["records"][0]) == (
+            v3_record - {"solver_iterations"}
+            | {"iterations", "status", "bound"}
         )
-        assert payload["schema_version"] == OUTCOME_SCHEMA_VERSION
+        assert "solves" not in payload["telemetry"]
+        assert "workers_merged" not in payload["telemetry"]
+        assert payload["schema_version"] == OUTCOME_SCHEMA_VERSION == 4
 
 
 class TestVersionGate:
@@ -94,10 +104,11 @@ class TestVersionGate:
         payload = load("outcome_v3.json")
         outcome = PartitioningOutcome.from_dict(payload, graph=chain_graph)
         again = outcome.to_dict(include_trace=True)
-        # Telemetry percentiles are recomputed from per-solve records
-        # (absent in the golden), so compare the stable summary fields.
+        # Telemetry percentiles are recomputed from the trace's records
+        # (the golden has no telemetry rows), so compare the stable
+        # summary fields; the payload is rewritten as the current version.
+        assert again["schema_version"] == OUTCOME_SCHEMA_VERSION
         for key in (
-            "schema_version",
             "scenario",
             "feasible",
             "degraded",
@@ -113,4 +124,71 @@ class TestVersionGate:
             "design",
         ):
             assert again[key] == payload[key], key
-        assert again["trace"] == payload["trace"]
+        # The trace is rewritten in the v4 record shape, value for value.
+        (record,) = again["trace"]["records"]
+        (old,) = payload["trace"]["records"]
+        assert record == {
+            **{k: v for k, v in old.items() if k != "solver_iterations"},
+            "iterations": old["solver_iterations"],
+            "status": "feasible",
+            "bound": None,
+        }
+        # Its telemetry rows come back from the trace.
+        assert outcome.telemetry.solves == list(outcome.trace)
+
+
+def crashing_backend(model, **options):
+    raise RuntimeError("backend crashed")
+
+
+def timed_out_backend(model, **options):
+    return Solution(status=SolveStatus.TIME_LIMIT)
+
+
+class TestLiveRoundTrip:
+    """``from_dict(to_dict(include_trace=True))`` gives back every window:
+    the trace and the telemetry rows equal the live ones, status and
+    dual bound included, and so do the percentiles read from them."""
+
+    @pytest.mark.parametrize(
+        "settings, backend, status",
+        [
+            (SolverSettings(backend="highs", time_limit=10.0), None, None),
+            (SolverSettings.paper_exact(time_limit=10.0), None, None),
+            (SolverSettings.fast(time_limit=10.0), None, None),
+            (
+                SolverSettings(time_limit=10.0, heuristic_fallback=False),
+                crashing_backend,
+                SolveStatus.ERROR,
+            ),
+            (
+                SolverSettings(time_limit=10.0, heuristic_fallback=False),
+                timed_out_backend,
+                SolveStatus.TIME_LIMIT,
+            ),
+        ],
+        ids=["default", "paper_exact", "fast", "error", "time_limit"],
+    )
+    def test_restored_windows_equal_the_live_ones(
+        self, monkeypatch, ar_graph, ar_device, settings, backend, status
+    ):
+        if backend is not None:
+            monkeypatch.setitem(ilp_model._BACKENDS, "highs", backend)
+        live = TemporalPartitioner(
+            ar_device, PartitionerConfig(solver=settings)
+        ).solve(PartitionRequest(graph=ar_graph))
+        payload = json.loads(json.dumps(live.to_dict(include_trace=True)))
+        back = PartitioningOutcome.from_dict(payload, graph=ar_graph)
+
+        assert "solves" not in payload["telemetry"]
+        assert list(back.trace) == list(live.trace)
+        assert back.telemetry.solves == live.telemetry.solves
+        assert (
+            back.telemetry.wall_time_percentiles()
+            == live.telemetry.wall_time_percentiles()
+        )
+        if status is not None:
+            assert live.trace.records
+            assert {r.status for r in back.trace} == {status}
+        if settings.dual_bound:
+            assert any(r.bound is not None for r in back.trace)

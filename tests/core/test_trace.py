@@ -52,22 +52,52 @@ class TestIterationRecord:
 
 
 class TestJsonShapes:
-    """One record, two JSON shapes, both as they were before the record
-    types merged."""
+    """One record, one JSON shape; the outcome v1–v3 trace entries
+    (``solver_iterations``, no ``status``) and telemetry rows (no
+    ``iteration``, ``achieved`` or ``bound``) still load."""
 
     GOLDEN = Path(__file__).resolve().parent.parent / "golden"
+
+    def test_one_shape_writes_every_field_once(self):
+        assert list(record().to_dict()) == [
+            "num_partitions", "iteration", "d_min", "d_max", "achieved",
+            "bound", "status", "backend", "wall_time", "iterations",
+            "cache_hit", "degraded",
+        ]
+
+    @pytest.mark.parametrize("status", list(SolveStatus))
+    def test_every_status_round_trips(self, status):
+        live = replace(
+            record(achieved=None), status=status, bound=42.5, degraded=True
+        )
+        payload = json.loads(json.dumps(live.to_dict()))
+        restored = WindowOutcome.from_dict(payload)
+        assert restored == live
+        assert restored.status is status
+        assert restored.design is None
 
     @pytest.mark.parametrize(
         "name", ["outcome_v1.json", "outcome_v2.json", "outcome_v3.json"]
     )
-    def test_golden_trace_round_trips_byte_for_byte(self, name):
-        payload = json.loads((self.GOLDEN / name).read_text())["trace"]
-        restored = SearchTrace.from_dict(payload)
-        assert json.dumps(restored.to_dict(), sort_keys=True) == json.dumps(
-            payload, sort_keys=True
-        )
+    def test_golden_trace_loads_into_the_one_shape(self, name):
+        entries = json.loads((self.GOLDEN / name).read_text())["trace"][
+            "records"
+        ]
+        restored = SearchTrace.from_dict({"records": entries})
+        for entry, row in zip(
+            entries, restored.to_dict()["records"], strict=True
+        ):
+            expected = dict(entry, status="feasible", bound=None)
+            expected["iterations"] = expected.pop("solver_iterations")
+            assert row == expected
 
     def test_trace_shape_infers_status(self):
+        def old_entry(live):
+            entry = live.to_dict()
+            del entry["status"], entry["bound"]
+            entry["solver_iterations"] = entry.pop("iterations")
+            return entry
+
         feasible = record()
         proof = record(achieved=None)
         gave_up = replace(
@@ -75,22 +105,16 @@ class TestJsonShapes:
             status=SolveStatus.TIME_LIMIT, backend="", degraded=True,
         )
         for live in (feasible, proof, gave_up):
-            restored = WindowOutcome.from_trace_dict(live.to_trace_dict())
-            assert restored == live
-            assert restored.design is None
-        assert WindowOutcome.from_trace_dict(
-            gave_up.to_trace_dict()
-        ).status is SolveStatus.TIME_LIMIT
+            assert WindowOutcome.from_dict(old_entry(live)) == live
 
     def test_telemetry_row_round_trips(self):
-        live = record(achieved=None)
-        assert list(live.to_dict()) == [
-            "num_partitions", "d_min", "d_max", "backend", "status",
-            "wall_time", "iterations", "cache_hit", "degraded",
-        ]
-        assert WindowOutcome.from_dict(live.to_dict()) == replace(
-            live, iteration=0
-        )
+        live = replace(record(achieved=None), status=SolveStatus.ERROR)
+        assert WindowOutcome.from_dict(live.to_dict()) == live
+        old_row = {
+            key: value for key, value in live.to_dict().items()
+            if key not in ("iteration", "achieved", "bound")
+        }
+        assert WindowOutcome.from_dict(old_row) == replace(live, iteration=0)
 
     def test_degraded_is_any_degraded_record(self):
         trace = SearchTrace()

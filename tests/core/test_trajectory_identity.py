@@ -27,17 +27,17 @@ from repro.core.refine_partitions import (
 
 
 def record_tuples(trace):
-    """Every decision-relevant field of every iteration record.
+    """Every field of every iteration record but ``wall_time``.
 
-    ``wall_time`` (and backend-reported iteration counts, which depend
-    on it via per-solve budgets) are physical measurements, not search
-    decisions — everything else must match bit for bit.
+    ``wall_time`` is a physical measurement, not a search decision.
+    Everything else, the backend-reported ``iterations`` included, must
+    match bit for bit.
     """
     return [
         tuple(
             getattr(r, f.name)
             for f in dataclasses.fields(r)
-            if f.name not in ("wall_time", "solver_iterations")
+            if f.name != "wall_time"
         )
         for r in trace.records
     ]

@@ -393,4 +393,3 @@ class TestRunTelemetryProperties:
         )
         for name, value in fields.items():
             assert getattr(restored, name) == value
-        assert restored.workers_merged == telemetry.workers_merged

@@ -13,6 +13,7 @@ import pytest
 
 from repro.core import (
     PartitionerConfig,
+    PartitioningOutcome,
     PartitionRequest,
     RefinementConfig,
     SolverSettings,
@@ -82,7 +83,11 @@ class TestWorkerReports:
         assert telemetry["total_solves"] == snapshot.total(
             "repro_window_solves_total"
         )
-        assert len(telemetry["solves"]) == telemetry["total_solves"]
+        # Each window travels once, in the trace; the restored telemetry
+        # reads its rows from there.
+        assert "solves" not in telemetry
+        restored = PartitioningOutcome.from_dict(report["outcome"])
+        assert len(restored.telemetry.solves) == telemetry["total_solves"]
 
     def test_cancelled_shard_reports_no_metrics(
         self, diamond_graph, ar_device

@@ -81,7 +81,7 @@ class TestOutcomeShape:
         import json
 
         outcome = partitioner.solve(PartitionRequest(graph=ar_filter()))
-        payload = json.loads(json.dumps(outcome.to_dict(include_solves=True)))
+        payload = json.loads(json.dumps(outcome.to_dict(include_trace=True)))
         assert payload["feasible"] is True
         assert payload["degraded"] is False
         assert payload["num_partitions"] == outcome.num_partitions

@@ -131,19 +131,17 @@ class TestSummary:
         assert "50% disk rate" in summary
         assert telemetry.disk_hit_rate == 0.5
 
-    def test_merged_worker_summary_surfaces_disk_and_workers(self):
-        # Shard reports carry a snapshot but no per-window rows: the
-        # window counts still come through, only the percentiles idle.
+    def test_snapshot_summary_surfaces_disk_hits(self):
+        # A merged snapshot without per-window rows: the window counts
+        # still come through, only the percentiles idle.
         worker = counted(
             *[stats(backend="cache", cache_hit=True)] * 3, disk_hits=3
         )
         merged = RunTelemetry.from_snapshot(
-            MetricsSnapshot.empty().merge(worker.snapshot()),
-            workers_merged=1,
+            MetricsSnapshot.empty().merge(worker.snapshot())
         )
         summary = merged.summary()
         assert summary.startswith("3 solves (3 cached (3 disk, 100% disk rate)")
-        assert "merged from 1 worker(s)" in summary
         assert "p50/p90/max 0.00/0.00/0.00s" in summary
 
     def test_single_process_summary_has_no_worker_suffix(self):

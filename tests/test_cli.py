@@ -453,6 +453,37 @@ class TestServe:
         }
         assert "served 0 requests" in captured.err
 
+    def test_solver_output_on_fd1_cannot_corrupt_answers(
+        self, monkeypatch, capfd
+    ):
+        """Native HiGHS prints to file descriptor 1, the answer channel."""
+        import io
+
+        from repro.ilp import model as ilp_model
+        from repro.ilp.scipy_backend import solve_with_highs
+        from repro.taskgraph import io as graph_io
+
+        def noisy_highs(model, **options):
+            os.write(1, b"HighsMipSolverData::noise\n")
+            return solve_with_highs(model, **options)
+
+        monkeypatch.setitem(ilp_model._BACKENDS, "highs", noisy_highs)
+        line = json.dumps({"graph": graph_io.to_dict(ar_filter())})
+        monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n\n"))
+        code = main([
+            "serve",
+            "--r-max", "400", "--m-max", "128", "--ct", "20",
+            "--workers", "0", "--solve-limit", "10",
+        ])
+        assert code == 0
+        out, err = capfd.readouterr()
+        answers = [json.loads(text) for text in out.splitlines()]
+        assert [a["feasible"] for a in answers] == [True]
+        assert "HighsMipSolverData::noise" in err
+        # fd 1 is the answer channel again once the session is over.
+        os.write(1, b"after\n")
+        assert capfd.readouterr().out == "after\n"
+
 
 class TestMetricsFlags:
     def test_partition_metrics_json(self, ar_json, tmp_path, capsys):

@@ -69,3 +69,15 @@ class TestCheckWindowRecords:
         err = capsys.readouterr().err
         assert "window 0: status" in err
         assert "window_verdict events but" in err
+
+    def test_every_key_of_the_shape_is_compared(self, run_pair, capsys):
+        jsonl, telemetry = run_pair
+        payload = json.loads(telemetry.read_text())
+        payload["solves"][0]["iteration"] += 1
+        del payload["solves"][1]["achieved"]
+        telemetry.write_text(json.dumps(payload))
+        assert check_window_records.main([str(jsonl), str(telemetry)]) == 1
+        err = capsys.readouterr().err
+        assert "window 0: iteration" in err
+        assert "window 1: achieved" in err
+        assert "'<missing>' in the telemetry row" in err

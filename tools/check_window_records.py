@@ -6,11 +6,11 @@ Usage::
     python tools/check_window_records.py run.jsonl telemetry.json
 
 ``run.jsonl`` is a ``--trace-jsonl`` file and ``telemetry.json`` the
-``--telemetry-json`` file of the same run.  Both are views of one
-per-window record, so the ``window_verdict`` events and the telemetry
-``solves`` rows must agree one-to-one, in order, on every field they
-share.  Exits 0 when they do; otherwise lists each disagreement and
-exits 1.
+``--telemetry-json`` file of the same run.  Both write one per-window
+record in its one JSON shape, so the ``window_verdict`` events and the
+telemetry ``solves`` rows must agree one-to-one, in order, on every
+key: a key only one side carries is a disagreement too.  Exits 0 when
+they do; otherwise lists each disagreement and exits 1.
 """
 
 from __future__ import annotations
@@ -20,11 +20,8 @@ import json
 import sys
 from pathlib import Path
 
-#: The fields both views carry.
-FIELDS = (
-    "num_partitions", "d_min", "d_max", "backend", "status", "wall_time",
-    "iterations", "cache_hit", "degraded",
-)
+#: Stands in for a key one side does not carry.
+MISSING = "<missing>"
 
 
 def verdict_events(path: Path) -> list[dict]:
@@ -47,11 +44,12 @@ def compare(events: list[dict], rows: list[dict]) -> list[str]:
             "telemetry rows"
         )
     for index, (event, row) in enumerate(zip(events, rows)):
-        for name in FIELDS:
-            if event.get(name) != row.get(name):
+        for name in {**event, **row}:
+            got, want = event.get(name, MISSING), row.get(name, MISSING)
+            if got != want:
                 problems.append(
-                    f"window {index}: {name} is {event.get(name)!r} in the "
-                    f"event but {row.get(name)!r} in the telemetry row"
+                    f"window {index}: {name} is {got!r} in the "
+                    f"event but {want!r} in the telemetry row"
                 )
     return problems
 
