@@ -16,22 +16,28 @@ from repro.core import (
     refine_partitions_bound,
 )
 from repro.experiments import TextTable, ar_processor
+from repro.ilp import model as ilp_model
+from repro.ilp.branch_and_bound import solve_with_bnb
 from repro.taskgraph import ar_filter
 
 
-def run_backend(graph, processor, backend, **extra):
+def run_backend(graph, processor, backend):
     start = time.perf_counter()
     result = refine_partitions_bound(
         graph,
         processor,
         config=RefinementConfig(delta=10.0, gamma=1),
-        settings=SolverSettings(backend=backend, time_limit=30.0,
-                                extra=extra),
+        settings=SolverSettings(backend=backend, time_limit=30.0),
     )
     return result, time.perf_counter() - start
 
 
-def test_backends_agree(benchmark, artifact_writer):
+def own_simplex_bnb(form, **options):
+    """Branch & bound with node relaxations on the own simplex."""
+    return solve_with_bnb(form, **options, lp_engine="own")
+
+
+def test_backends_agree(benchmark, artifact_writer, monkeypatch):
     graph = ar_filter()
     processor = ar_processor()
 
@@ -39,9 +45,9 @@ def test_backends_agree(benchmark, artifact_writer):
         rows = {}
         rows["highs"] = run_backend(graph, processor, "highs")
         rows["bnb/scipy-lp"] = run_backend(graph, processor, "bnb")
-        rows["bnb/own-simplex"] = run_backend(
-            graph, processor, "bnb", lp_engine="own"
-        )
+        with monkeypatch.context() as patch:
+            patch.setitem(ilp_model._BACKENDS, "bnb", own_simplex_bnb)
+            rows["bnb/own-simplex"] = run_backend(graph, processor, "bnb")
         return rows
 
     rows = benchmark.pedantic(run_all, rounds=1, iterations=1)

@@ -45,8 +45,7 @@ def main() -> None:
             processor,
             PartitionerConfig(
                 search=RefinementConfig(gamma=2, delta_fraction=0.05,
-                                        time_budget=60.0,
-                                        infeasible_escalation_limit=6),
+                                        time_budget=60.0),
                 solver=SolverSettings(time_limit=10.0),
             ),
         )

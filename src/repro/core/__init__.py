@@ -65,8 +65,6 @@ from repro.core.reduce_latency import (
 from repro.core.refine_partitions import (
     RefinementConfig,
     RefinementResult,
-    evaluate_partition_bound,
-    partition_bound_window,
     refine_partitions_bound,
 )
 from repro.core.sensitivity import SensitivityReport, capacity_shadow_prices
@@ -118,7 +116,6 @@ __all__ = [
     "design_point_histogram",
     "diagnose_infeasibility",
     "estimate_alpha_gamma",
-    "evaluate_partition_bound",
     "extract_design",
     "get_scenario",
     "greedy_partition",
@@ -127,7 +124,6 @@ __all__ = [
     "max_latency",
     "min_area_partitions",
     "min_latency",
-    "partition_bound_window",
     "partition_latency_curve",
     "partition_range",
     "reduce_latency",

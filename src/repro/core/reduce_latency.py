@@ -170,7 +170,6 @@ class SolverSettings:
     dual_bound: bool = False
     cache_path: str | None = None
     analyze: str = "off"
-    extra: dict = field(default_factory=dict)
     tracer: "object | None" = field(default=None, repr=False, compare=False)
     metrics: "object | None" = field(default=None, repr=False, compare=False)
 
@@ -261,6 +260,23 @@ class ReduceLatencyResult:
         return self.trace.degraded
 
 
+def _executor_for(
+    settings: SolverSettings | None, executor: SolveExecutor | None
+) -> SolveExecutor:
+    """The search's executor, whose ``settings`` are the run's settings.
+
+    ``settings`` only builds the executor when none is passed; passing
+    both is allowed only when they agree.
+    """
+    if executor is None:
+        return SolveExecutor(settings or SolverSettings())
+    if settings is not None and settings != executor.settings:
+        raise ValueError(
+            "settings differ from executor.settings; pass one or the other"
+        )
+    return executor
+
+
 def reduce_latency(
     graph: TaskGraph,
     processor: ReconfigurableProcessor,
@@ -290,10 +306,12 @@ def reduce_latency(
         Absolute ``time.perf_counter()`` stamp after which no further ILP
         is started (the paper's ``TimeExpired()``); also clips the
         backend's per-solve budget.
-    executor:
-        The execution layer to solve through.  Passing one shares its
+    settings, executor:
+        The execution layer to solve through, and the solver settings it
+        runs (``executor.settings``).  Passing an executor shares its
         solve cache and telemetry across calls (the outer search does
         this); when ``None`` a fresh executor is built from ``settings``.
+        Passing both with different settings raises ``ValueError``.
     should_stop:
         Optional cooperative-cancellation probe, polled wherever the
         deadline is (before each bisection trial).  The service's
@@ -306,9 +324,8 @@ def reduce_latency(
     if delta <= 0:
         raise ValueError("latency tolerance delta must be positive")
     options = options or FormulationOptions()
-    settings = settings or SolverSettings()
-    if executor is None:
-        executor = SolveExecutor(settings)
+    executor = _executor_for(settings, executor)
+    settings = executor.settings
     # The executor's tracer is the run's tracer: sharing an executor
     # across calls keeps every span in one tree.
     tracer = executor.tracer

@@ -5,7 +5,8 @@ This is Figure 2 of the paper: the outer loop around
 
 1. Start at ``N = N_min^l + alpha`` partitions.  While the partition bound
    is infeasible, increase ``N`` by one (the paper's Table 4 shows exactly
-   this: 8 partitions infeasible, 9 succeeds).
+   this: 8 partitions infeasible, 9 succeeds), up to ``max(|T|, start)``:
+   no design needs more partitions than tasks.
 2. Once a solution exists with latency ``D_a``, relax ``N`` one step at a
    time up to ``N_min^u + gamma``.  Each relaxation first checks the cheap
    cut ``MinLatency(N) >= D_a``: if even the critical path on the fastest
@@ -28,6 +29,7 @@ from repro.core.formulation import FormulationOptions
 from repro.core.reduce_latency import (
     ReduceLatencyResult,
     SolverSettings,
+    _executor_for,
     reduce_latency,
 )
 from repro.core.solution import PartitionedDesign
@@ -39,8 +41,6 @@ from repro.taskgraph.graph import TaskGraph
 __all__ = [
     "RefinementConfig",
     "RefinementResult",
-    "evaluate_partition_bound",
-    "partition_bound_window",
     "refine_partitions_bound",
 ]
 
@@ -67,11 +67,6 @@ class RefinementConfig:
     time_budget:
         Overall wall-clock budget in seconds (the paper's
         ``TimeExpired()`` guard); ``None`` disables it.
-    infeasible_escalation_limit:
-        Safety net: how many consecutive infeasible partition bounds to
-        try past the explored range before giving up (the paper's loop
-        has no textual bound; a graph whose smallest design points cannot
-        fit the device would loop forever without this).
     """
 
     alpha: int = 0
@@ -79,7 +74,6 @@ class RefinementConfig:
     delta: float | None = None
     delta_fraction: float = 0.02
     time_budget: float | None = None
-    infeasible_escalation_limit: int = 64
 
     def resolve_delta(self, d_max_at_start: float) -> float:
         if self.delta is not None:
@@ -116,73 +110,6 @@ class RefinementResult:
         return self.trace.degraded
 
 
-def partition_bound_window(
-    graph: TaskGraph,
-    processor: ReconfigurableProcessor,
-    num_partitions: int,
-    incumbent: float | None = None,
-) -> tuple[float, float]:
-    """The latency window one partition bound explores: ``(d_max, d_min)``.
-
-    ``incumbent`` clips the upper edge to the best latency already known
-    (the relax phase's window).
-    """
-    c_t = processor.reconfiguration_time
-    d_min = bounds.min_latency(graph, num_partitions, c_t)
-    d_max = bounds.max_latency(graph, num_partitions, c_t)
-    if incumbent is not None:
-        d_max = min(d_max, incumbent)
-    return d_max, d_min
-
-
-def evaluate_partition_bound(
-    graph: TaskGraph,
-    processor: ReconfigurableProcessor,
-    num_partitions: int,
-    d_max: float,
-    d_min: float,
-    delta: float,
-    options: FormulationOptions | None = None,
-    settings: SolverSettings | None = None,
-    deadline: float | None = None,
-    executor: SolveExecutor | None = None,
-    should_stop=None,
-    phase: str = "escalate",
-) -> ReduceLatencyResult:
-    """One ``Reduce_Latency`` run at a fixed partition bound ``N``.
-
-    This is the body of ``Refine_Partitions_Bound``'s loop: the serial
-    driver calls it per escalation / relaxation step.  The
-    ``partition_bound`` tracer span and its ``phase`` annotation are
-    emitted here.
-    """
-    if executor is None:
-        executor = SolveExecutor(settings or SolverSettings())
-    tracer = executor.tracer
-    with tracer.span(
-        "partition_bound",
-        num_partitions=num_partitions,
-        phase=phase,
-        d_min=float(d_min),
-        d_max=float(d_max),
-    ) as sp:
-        result = reduce_latency(
-            graph,
-            processor,
-            num_partitions,
-            d_max,
-            d_min,
-            delta,
-            options=options,
-            settings=settings,
-            deadline=deadline,
-            executor=executor,
-            should_stop=should_stop,
-        )
-        sp.annotate(feasible=result.feasible, achieved=result.achieved)
-    return result
-
-
 def refine_partitions_bound(
     graph: TaskGraph,
     processor: ReconfigurableProcessor,
@@ -198,7 +125,10 @@ def refine_partitions_bound(
     the run, so the solve cache, the model templates (one compiled base
     model per partition bound, window rows patched per iteration) and
     the telemetry span both phases.  Pass ``executor`` to share them
-    across runs too (e.g. a warm-cache replay).
+    across runs too (e.g. a warm-cache replay).  The solver settings are
+    ``executor.settings``; ``settings`` only builds the executor when
+    none is passed, and passing both with different values raises
+    ``ValueError``.
 
     ``should_stop`` is an optional cooperative-cancellation probe (the
     service wires ``cancel_all()`` here).  It is polled before each
@@ -209,9 +139,7 @@ def refine_partitions_bound(
     """
     config = config or RefinementConfig()
     options = options or FormulationOptions()
-    settings = settings or SolverSettings()
-    if executor is None:
-        executor = SolveExecutor(settings)
+    executor = _executor_for(settings, executor)
     tracer = executor.tracer
     deadline = (
         time.perf_counter() + config.time_budget
@@ -248,20 +176,26 @@ def refine_partitions_bound(
         def run_reduce(
             num_partitions, d_max, d_min, phase
         ) -> ReduceLatencyResult:
-            result = evaluate_partition_bound(
-                graph,
-                processor,
-                num_partitions,
-                d_max,
-                d_min,
-                delta,
-                options=options,
-                settings=settings,
-                deadline=deadline,
-                executor=executor,
-                should_stop=should_stop,
+            with tracer.span(
+                "partition_bound",
+                num_partitions=num_partitions,
                 phase=phase,
-            )
+                d_min=float(d_min),
+                d_max=float(d_max),
+            ) as sp:
+                result = reduce_latency(
+                    graph,
+                    processor,
+                    num_partitions,
+                    d_max,
+                    d_min,
+                    delta,
+                    options=options,
+                    deadline=deadline,
+                    executor=executor,
+                    should_stop=should_stop,
+                )
+                sp.annotate(feasible=result.feasible, achieved=result.achieved)
             trace.extend(result.trace)
             explored.append(num_partitions)
             return result
@@ -273,7 +207,11 @@ def refine_partitions_bound(
                 telemetry=executor.telemetry, **flags,
             )
 
-        # Phase 1: find the first feasible partition bound.
+        # Phase 1: find the first feasible partition bound.  No design
+        # needs more partitions than tasks: one feasible at N > |T| keeps
+        # its feasibility with its (at most |T|) non-empty partitions
+        # renumbered in order, so the escalation ends at |T|.
+        n_cap = max(len(graph), prange.start)
         if stop_requested("escalate"):
             return no_design()
         result = run_reduce(
@@ -282,17 +220,17 @@ def refine_partitions_bound(
             bounds.min_latency(graph, n, c_t),
             phase="escalate",
         )
-        escalations = 0
         while not result.feasible:
             if time_expired():
                 tracer.event("time_budget_expired", phase="escalate")
                 return no_design(stopped_by_time=True)
             if stop_requested("escalate"):
                 return no_design()
-            escalations += 1
-            if escalations > config.infeasible_escalation_limit:
+            if n >= n_cap:
                 tracer.event(
-                    "escalation_limit_reached", escalations=escalations
+                    "escalation_limit_reached",
+                    num_partitions=n,
+                    escalations=n - prange.start,
                 )
                 return no_design()
             n += 1

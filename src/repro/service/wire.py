@@ -70,22 +70,27 @@ _LOCAL_SETTINGS_FIELDS = frozenset({"tracer", "metrics"})
 def _encode_settings(settings: SolverSettings) -> dict[str, Any]:
     # Field-wise, not asdict: tracer and metrics are process-local and
     # never cross the boundary.
-    payload = {
+    return {
         f.name: getattr(settings, f.name)
         for f in dataclasses.fields(settings)
         if f.name not in _LOCAL_SETTINGS_FIELDS
     }
-    payload["extra"] = dict(settings.extra)
-    return payload
+
+
+def _known_fields(cls, payload: dict[str, Any]) -> dict[str, Any]:
+    """The keys of ``payload`` that are still fields of ``cls``.
+
+    An older payload may carry a field since deleted (a retired
+    knob); it is dropped, not rejected.
+    """
+    known = {f.name for f in dataclasses.fields(cls)}
+    return {k: v for k, v in payload.items() if k in known}
 
 
 def _decode_settings(payload: dict[str, Any]) -> SolverSettings:
-    known = {f.name for f in dataclasses.fields(SolverSettings)}
-    kwargs = {
-        k: v
-        for k, v in payload.items()
-        if k in known and k not in _LOCAL_SETTINGS_FIELDS
-    }
+    kwargs = _known_fields(SolverSettings, payload)
+    for name in _LOCAL_SETTINGS_FIELDS:
+        kwargs.pop(name, None)
     return SolverSettings(**kwargs)
 
 
@@ -100,7 +105,9 @@ def encode_config(config: PartitionerConfig) -> dict[str, Any]:
 
 def decode_config(payload: dict[str, Any]) -> PartitionerConfig:
     return PartitionerConfig(
-        search=RefinementConfig(**payload.get("search", {})),
+        search=RefinementConfig(
+            **_known_fields(RefinementConfig, payload.get("search", {}))
+        ),
         formulation=FormulationOptions(**payload.get("formulation", {})),
         solver=_decode_settings(payload.get("solver", {})),
         validate=bool(payload.get("validate", True)),

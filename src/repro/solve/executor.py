@@ -845,8 +845,17 @@ class SolveExecutor:
         after a budget ran out (``timed_out``) and ``ERROR`` after a
         backend crash.  Either way the outcome is marked ``degraded`` and
         keeps the ``iterations`` the backend spent before giving up.
+
+        Greedy designs are checked with :meth:`PartitionedDesign.audit`,
+        which knows only the paper's constraints, so they certify only
+        ``paper_oneshot`` windows; another scenario's window (e.g.
+        ``slot_coresident``, whose slots hold a fraction of ``R_max``)
+        gets no greedy certificate.
         """
-        if self.settings.heuristic_fallback:
+        if (
+            self.settings.heuristic_fallback
+            and options.scenario == "paper_oneshot"
+        ):
             num_partitions = window["num_partitions"]
             with self.tracer.span(
                 "heuristic_fallback", num_partitions=num_partitions
@@ -950,7 +959,7 @@ class SolveExecutor:
         gap: float | None,
         d_max: float,
     ) -> "tuple[SolveStatus, PartitionedDesign | None, int, float | None]":
-        kwargs = dict(self.settings.extra)
+        kwargs = {}
         if gap is not None:
             # No incumbent in the window exceeds d_max, so a relative
             # gap of gap / d_max is at most gap in absolute terms.
@@ -960,11 +969,11 @@ class SolveExecutor:
             # incumbent only after a full bounds/integrality/rows check;
             # highs accepts-and-ignores it (scipy's milp has no MIP-start
             # hook).
-            kwargs.setdefault("warm_start", warm_values)
+            kwargs["warm_start"] = warm_values
         if self.tracer.enabled:
             # Only forwarded when tracing is live: test-registered
             # backends need not accept the keyword otherwise.
-            kwargs.setdefault("tracer", self.tracer)
+            kwargs["tracer"] = self.tracer
         solution = tp_model.solve(
             backend=backend,
             first_feasible=gap is None,

@@ -55,9 +55,7 @@ class TestFacade:
         graph = TaskGraph("big")
         graph.add_task("huge", (DesignPoint(10_000, 10),))
         config = PartitionerConfig(
-            search=RefinementConfig(
-                delta=10.0, infeasible_escalation_limit=2
-            ),
+            search=RefinementConfig(delta=10.0),
             solver=SolverSettings(time_limit=5.0),
             validate=False,
         )
@@ -86,7 +84,7 @@ class TestFacade:
         graph.add_task("a", (DesignPoint(300, 10),))
         graph.add_task("b", (DesignPoint(300, 10),))
         graph.add_edge("a", "b", 9999)   # cannot cross: memory is 128
-        config = quick_config(infeasible_escalation_limit=2)
+        config = quick_config()
         partitioner = TemporalPartitioner(
             ReconfigurableProcessor(400, 128, 20), config
         )

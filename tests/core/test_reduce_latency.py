@@ -126,6 +126,49 @@ class TestExtensions:
         assert result.feasible
 
 
+class TestSettingsSource:
+    """The executor's settings are the run's settings: ``settings`` only
+    builds the executor when none is passed."""
+
+    @staticmethod
+    def records(result):
+        return [
+            (r.num_partitions, r.d_min, r.d_max, r.achieved, r.status, r.bound)
+            for r in result.trace
+        ]
+
+    def test_executor_alone_runs_its_own_settings(self, ar_graph):
+        # fast() turns on dual-bound trials: a bare fast() executor must
+        # run them, not the default settings' midpoint bisection.
+        fast = SolverSettings.fast(time_limit=15.0)
+        d_max = bounds.max_latency(ar_graph, 4, 20.0)
+        d_min = bounds.min_latency(ar_graph, 4, 20.0)
+        via_executor = reduce_latency(
+            ar_graph, proc(), 4, d_max, d_min, 10.0,
+            executor=SolveExecutor(fast),
+        )
+        via_settings = run(ar_graph, proc(), 4, settings=fast)
+        assert self.records(via_executor) == self.records(via_settings)
+        assert any(r.bound is not None for r in via_executor.trace)
+
+    def test_equal_settings_and_executor_are_accepted(self, ar_graph):
+        settings = SolverSettings(time_limit=15.0)
+        result = run(
+            ar_graph, proc(), 3, settings=settings,
+            executor=SolveExecutor(SolverSettings(time_limit=15.0)),
+        )
+        assert result.feasible
+
+    def test_mismatched_settings_and_executor_raise(self, ar_graph):
+        executor = SolveExecutor(SolverSettings.fast(time_limit=15.0))
+        with pytest.raises(ValueError, match="executor.settings"):
+            run(
+                ar_graph, proc(), 3,
+                settings=SolverSettings(time_limit=15.0), executor=executor,
+            )
+        assert executor.telemetry.total_solves == 0
+
+
 class TestDeadline:
     def test_expired_deadline_stops_after_first_solve(self, ar_graph):
         import time

@@ -6,8 +6,13 @@ from repro.arch import ReconfigurableProcessor
 from repro.core import (
     RefinementConfig,
     SolverSettings,
+    bounds,
     refine_partitions_bound,
 )
+from repro.ilp import model as ilp_model
+from repro.ilp.status import Solution, SolveStatus
+from repro.obs import MemorySink, Tracer
+from repro.solve import SolveExecutor
 from repro.taskgraph import DesignPoint, TaskGraph
 
 
@@ -78,16 +83,71 @@ class TestSearch:
         graph.add_edge("big", "big2", 100)
         # Memory of 1 unit cannot carry the edge, and area forces a split.
         processor = ReconfigurableProcessor(600, 1, 5)
+        sink = MemorySink()
         result = refine_partitions_bound(
             graph,
             processor,
-            config=RefinementConfig(
-                delta=5.0, infeasible_escalation_limit=3
-            ),
-            settings=settings(),
+            config=RefinementConfig(delta=5.0),
+            settings=SolverSettings(time_limit=15.0, tracer=Tracer(sink)),
         )
         assert not result.feasible
-        assert len(result.explored_partitions) == 1 + 3
+        # The area forces N = 2 = |T|, and no design needs more
+        # partitions than tasks: one bound, then the search gives up.
+        assert result.explored_partitions == (2,)
+        given_up = [
+            e["attrs"] for e in sink.events
+            if e["type"] == "event" and e["name"] == "escalation_limit_reached"
+        ]
+        assert given_up == [{"num_partitions": 2, "escalations": 0}]
+
+    @pytest.mark.parametrize(
+        "status", [SolveStatus.ERROR, SolveStatus.TIME_LIMIT],
+        ids=["crash", "time_limit"],
+    )
+    def test_unknown_windows_escalate_no_further_than_the_task_count(
+        self, monkeypatch, ar_graph, ar_device, status
+    ):
+        def gives_up(model, **options):
+            if status is SolveStatus.ERROR:
+                raise RuntimeError("backend crashed")
+            return Solution(status=status)
+
+        monkeypatch.setitem(ilp_model._BACKENDS, "highs", gives_up)
+        result = refine_partitions_bound(
+            ar_graph,
+            ar_device,
+            config=RefinementConfig(delta=10.0),
+            settings=SolverSettings(time_limit=15.0, heuristic_fallback=False),
+        )
+        start = bounds.partition_range(ar_graph, ar_device).start
+        cap = max(len(ar_graph), start)
+        assert not result.feasible
+        assert result.explored_partitions == tuple(range(start, cap + 1))
+        assert {r.status for r in result.trace} == {status}
+
+    def test_mismatched_settings_and_executor_raise(self, ar_graph, ar_device):
+        executor = SolveExecutor(SolverSettings.fast(time_limit=15.0))
+        with pytest.raises(ValueError, match="executor.settings"):
+            refine_partitions_bound(
+                ar_graph, ar_device, settings=settings(), executor=executor
+            )
+        assert executor.telemetry.total_solves == 0
+
+    def test_executor_settings_run_the_search(self, ar_graph, ar_device):
+        config = RefinementConfig(delta=10.0)
+        fast = SolverSettings.fast(time_limit=15.0)
+        via_executor = refine_partitions_bound(
+            ar_graph, ar_device, config=config, executor=SolveExecutor(fast)
+        )
+        via_settings = refine_partitions_bound(
+            ar_graph, ar_device, config=config, settings=fast
+        )
+        assert [r.row() for r in via_executor.trace] == [
+            r.row() for r in via_settings.trace
+        ]
+        assert [r.bound for r in via_executor.trace] == [
+            r.bound for r in via_settings.trace
+        ]
 
     def test_min_latency_cut_fires_with_large_ct(self, ar_graph):
         processor = proc(c_t=1e6)

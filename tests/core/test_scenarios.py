@@ -23,6 +23,7 @@ from repro.core import (
     PartitionerConfig,
     PartitionRequest,
     RefinementConfig,
+    SolverSettings,
     TemporalPartitioner,
     bounds,
     build_model,
@@ -31,8 +32,9 @@ from repro.core import (
 )
 from repro.core.families import ScenarioSpec
 from repro.core.formulation import ModelTemplate
+from repro.ilp import model as ilp_model
 from repro.ilp import solve_compiled
-from repro.ilp.status import SolveStatus
+from repro.ilp.status import Solution, SolveStatus
 from repro.service.wire import decode_config, encode_config
 from repro.solve.fingerprint import WINDOW_ROW_NAMES
 
@@ -222,6 +224,34 @@ class TestSlotCoresident:
             json.loads(json.dumps(payload)), graph=ar_graph
         )
         assert restored.scenario == "slot_coresident"
+
+    def test_timed_out_windows_get_no_greedy_design(
+        self, monkeypatch, ar_graph
+    ):
+        # The greedy designs are audited against the paper's constraints
+        # only: the min_area design packs 710 area units into a partition
+        # although each of the two slots holds 400.  Without a backend
+        # answer the windows stay unknown instead of taking it.
+        def timed_out(model, **options):
+            return Solution(status=SolveStatus.TIME_LIMIT)
+
+        monkeypatch.setitem(ilp_model._BACKENDS, "highs", timed_out)
+        processor = ReconfigurableProcessor(800, 256, 20.0)
+        config = PartitionerConfig(
+            search=RefinementConfig(delta=100.0),
+            formulation=slot_options(),
+            solver=SolverSettings(time_limit=15.0),
+        )
+        assert config.solver.heuristic_fallback
+        outcome = TemporalPartitioner(processor, config).solve(
+            PartitionRequest(graph=ar_graph)
+        )
+        assert not outcome.feasible
+        assert {r.backend for r in outcome.trace} == {""}
+        timeouts = [
+            r for r in outcome.trace if r.status is SolveStatus.TIME_LIMIT
+        ]
+        assert timeouts and all(r.degraded for r in timeouts)
 
     def test_wire_round_trips_scenario_options(self):
         config = PartitionerConfig(

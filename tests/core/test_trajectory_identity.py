@@ -1,11 +1,9 @@
 """The serial search trajectory is untouched by its extension points.
 
-``refine_partitions_bound`` routes every partition bound through
-:func:`repro.core.refine_partitions.evaluate_partition_bound`, and both
-it and ``reduce_latency`` take an optional ``should_stop`` hook (the
-service's cancellation).  Both must be invisible to the serial path:
-identical iteration records, identical verdicts, identical designs —
-bit for bit, not approximately.
+``refine_partitions_bound`` and ``reduce_latency`` take an optional
+``should_stop`` hook (the service's cancellation).  It must be
+invisible to the serial path: identical iteration records, identical
+verdicts, identical designs — bit for bit, not approximately.
 """
 
 from __future__ import annotations
@@ -17,13 +15,19 @@ import pytest
 from repro.core import (
     RefinementConfig,
     SolverSettings,
+    bounds,
     reduce_latency,
     refine_partitions_bound,
 )
-from repro.core.refine_partitions import (
-    evaluate_partition_bound,
-    partition_bound_window,
-)
+
+
+def full_window(graph, processor, num_partitions):
+    """The full latency window of one partition bound: ``(d_max, d_min)``."""
+    c_t = processor.reconfiguration_time
+    return (
+        bounds.max_latency(graph, num_partitions, c_t),
+        bounds.min_latency(graph, num_partitions, c_t),
+    )
 
 
 def record_tuples(trace):
@@ -78,7 +82,7 @@ def test_should_stop_none_leaves_reduce_latency_untouched(
     diamond_graph, ar_device, fast_settings
 ):
     """The cancellation hook's default is literally no code on the path."""
-    d_max, d_min = partition_bound_window(diamond_graph, ar_device, 2)
+    d_max, d_min = full_window(diamond_graph, ar_device, 2)
     kwargs = dict(
         graph=diamond_graph,
         processor=ar_device,
@@ -94,38 +98,10 @@ def test_should_stop_none_leaves_reduce_latency_untouched(
     assert plain.achieved == explicit_none.achieved
 
 
-def test_evaluate_partition_bound_matches_direct_reduce_latency(
-    diamond_graph, ar_device, fast_settings
-):
-    """The shard-shaped wrapper is the serial iteration, verbatim."""
-    d_max, d_min = partition_bound_window(diamond_graph, ar_device, 2)
-    direct = reduce_latency(
-        graph=diamond_graph,
-        processor=ar_device,
-        num_partitions=2,
-        d_max=d_max,
-        d_min=d_min,
-        delta=25.0,
-        settings=fast_settings,
-    )
-    wrapped = evaluate_partition_bound(
-        diamond_graph,
-        ar_device,
-        2,
-        d_max,
-        d_min,
-        25.0,
-        settings=fast_settings,
-    )
-    assert record_tuples(direct.trace) == record_tuples(wrapped.trace)
-    assert direct.achieved == wrapped.achieved
-    assert direct.feasible == wrapped.feasible
-
-
 def test_cancelled_immediately_still_returns_a_valid_result(
     diamond_graph, ar_device, fast_settings
 ):
-    d_max, d_min = partition_bound_window(diamond_graph, ar_device, 2)
+    d_max, d_min = full_window(diamond_graph, ar_device, 2)
     result = reduce_latency(
         graph=diamond_graph,
         processor=ar_device,
@@ -153,7 +129,7 @@ def test_cancellation_mid_search_keeps_the_incumbent(
         calls["n"] += 1
         return calls["n"] > 1
 
-    d_max, d_min = partition_bound_window(diamond_graph, ar_device, 2)
+    d_max, d_min = full_window(diamond_graph, ar_device, 2)
     full = reduce_latency(
         graph=diamond_graph,
         processor=ar_device,

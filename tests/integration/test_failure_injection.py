@@ -82,9 +82,7 @@ class TestHostileBudgets:
         outcome = TemporalPartitioner(
             processor,
             PartitionerConfig(
-                search=RefinementConfig(
-                    delta=5.0, infeasible_escalation_limit=2
-                ),
+                search=RefinementConfig(delta=5.0),
                 solver=SolverSettings(time_limit=10.0),
             ),
         ).solve(PartitionRequest(graph=graph))

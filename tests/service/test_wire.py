@@ -66,6 +66,25 @@ def test_settings_with_retired_fields_still_decode():
     assert decoded.solver == SolverSettings.fast(time_limit=7.5)
 
 
+def test_config_with_retired_knobs_still_decodes():
+    # Payloads written before the escalation cap replaced
+    # ``RefinementConfig.infeasible_escalation_limit`` and before
+    # ``SolverSettings.extra`` was removed carry those keys; decoding
+    # drops them.
+    config = PartitionerConfig(
+        search=RefinementConfig(delta=50.0),
+        solver=SolverSettings.fast(time_limit=7.5),
+    )
+    payload = encode_config(config)
+    assert "infeasible_escalation_limit" not in payload["search"]
+    assert "extra" not in payload["solver"]
+    payload["search"]["infeasible_escalation_limit"] = 6
+    payload["solver"]["extra"] = {"lp_engine": "own"}
+    decoded = decode_config(json.loads(json.dumps(payload)))
+    assert decoded.search == config.search
+    assert decoded.solver == config.solver
+
+
 def test_tracer_never_crosses_the_boundary():
     config = PartitionerConfig(solver=SolverSettings(tracer=Tracer()))
     payload = encode_config(config)

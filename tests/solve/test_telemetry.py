@@ -145,4 +145,11 @@ class TestSummary:
         assert "p50/p90/max 0.00/0.00/0.00s" in summary
 
     def test_single_process_summary_has_no_worker_suffix(self):
-        assert "merged" not in RunTelemetry().summary()
+        """A one-process, one-window run's summary, word for word: no
+        suffix follows the wall-time total."""
+        telemetry = view(stats(wall_time=0.25))
+        assert telemetry.summary() == (
+            "1 solves (0 cached, hit rate 0%), wins: highs: 1, "
+            "0 timeouts, 0 fallbacks, templates: 0 built/1 instantiated, "
+            "window wall p50/p90/max 0.25/0.25/0.25s, 0.25s total"
+        )
