@@ -303,7 +303,10 @@ def _cmd_partition(args: argparse.Namespace) -> int:
             n, i, d_min, d_max, achieved = record.row(
                 processor.reconfiguration_time
             )
-            shown = "Inf." if achieved is None else f"{achieved:,.1f}"
+            if record.unknown:
+                shown = "T/O"
+            else:
+                shown = "Inf." if achieved is None else f"{achieved:,.1f}"
             print(f"{n:<3}{i:<3}{d_min:<13,.1f}{d_max:<13,.1f}{shown}")
         print()
         print(outcome.trace.convergence_chart())

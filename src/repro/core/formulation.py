@@ -60,8 +60,6 @@ from repro.ilp import CompiledModel, Model, RowGroup, Solution, solve_compiled
 from repro.taskgraph.graph import TaskGraph
 from repro.core.families import (
     BuildContext,
-    _w_name,
-    _y_name,
     build_scenario,
     get_scenario,
     interchangeable_groups,
@@ -76,7 +74,6 @@ __all__ = [
     "extract_design",
     "interchangeable_groups",
     "lp_latency_lower_bound",
-    "warm_values_from_design",
 ]
 
 
@@ -195,6 +192,9 @@ class TemporalPartitioningModel:
     y_name: Mapping[tuple[str, int, int], str] = field(default_factory=dict)
     d_name: Mapping[int, str] = field(default_factory=dict)
     eta_name: str = "eta"
+    #: ``C_T`` as the scenario's rows charge it per used partition
+    #: (``slot_coresident`` charges one slot's reconfiguration).
+    reconfiguration_cost: float = 0.0
     #: Window-patched sparse standard form (template path); ``None`` when
     #: built freshly by :func:`build_model`.
     compiled: CompiledModel | None = None
@@ -223,6 +223,17 @@ class TemporalPartitioningModel:
         """Decode a solver solution into a :class:`PartitionedDesign`."""
         return extract_design(self, solution)
 
+    def total_latency(self, design: PartitionedDesign) -> float:
+        """``design``'s latency as this model's window rows and objective
+        measure it: ``sum(d_p) + reconfiguration_cost * eta``.
+
+        Equals :meth:`PartitionedDesign.total_latency` in the paper's
+        scenario, where every partition pays the full ``C_T``.
+        """
+        return design.execution_latency() + (
+            design.num_partitions_used * self.reconfiguration_cost
+        )
+
 
 def _populate_ilp(
     graph: TaskGraph,
@@ -232,12 +243,7 @@ def _populate_ilp(
     d_max: float,
     d_min: float,
     include_lb: bool = False,
-) -> tuple[
-    Model,
-    dict[tuple[str, int, int], str],
-    dict[int, str],
-    tuple[RowGroup, ...],
-]:
+) -> tuple[BuildContext, tuple[RowGroup, ...]]:
     """Assemble the scenario's constraint families into a fresh Model.
 
     Shared by the fresh-build path (:func:`build_model`) and the
@@ -266,8 +272,7 @@ def _populate_ilp(
         include_lb=include_lb,
         params=scenario.resolved_params(options),
     )
-    row_groups = build_scenario(scenario, ctx)
-    return ctx.model, ctx.y_name, ctx.d_name, row_groups
+    return ctx, build_scenario(scenario, ctx)
 
 
 def build_model(
@@ -295,20 +300,21 @@ def build_model(
     if d_max < d_min:
         raise ValueError(f"empty latency window [{d_min}, {d_max}]")
     options = options or FormulationOptions()
-    model, y_name, d_name, row_groups = _populate_ilp(
+    ctx, row_groups = _populate_ilp(
         graph, processor, num_partitions, options, d_max, d_min
     )
     return TemporalPartitioningModel(
-        model=model,
+        model=ctx.model,
         graph=graph,
         processor=processor,
         num_partitions=num_partitions,
         d_max=d_max,
         d_min=d_min,
         options=options,
-        y_name=y_name,
-        d_name=d_name,
+        y_name=ctx.y_name,
+        d_name=ctx.d_name,
         eta_name="eta",
+        reconfiguration_cost=ctx.reconfiguration_cost,
         row_groups=row_groups,
     )
 
@@ -358,7 +364,7 @@ class ModelTemplate:
         self.options = options or FormulationOptions()
         scenario = get_scenario(self.options.scenario)
         with tracer.span("template_populate", num_partitions=num_partitions):
-            model, y_name, d_name, row_groups = _populate_ilp(
+            ctx, row_groups = _populate_ilp(
                 graph,
                 processor,
                 num_partitions,
@@ -367,11 +373,12 @@ class ModelTemplate:
                 d_min=0.0,
                 include_lb=True,
             )
-        self._model = model
-        self._y_name = y_name
-        self._d_name = d_name
+        self._model = ctx.model
+        self._y_name = ctx.y_name
+        self._d_name = ctx.d_name
+        self._reconfiguration_cost = ctx.reconfiguration_cost
         with tracer.span("template_compile") as sp:
-            compiled = model.compile()
+            compiled = self._model.compile()
             compiled.row_groups = row_groups
             sp.annotate(
                 ub_rows=compiled.num_ub_rows,
@@ -447,6 +454,7 @@ class ModelTemplate:
             y_name=self._y_name,
             d_name=self._d_name,
             eta_name="eta",
+            reconfiguration_cost=self._reconfiguration_cost,
             compiled=compiled,
             base_fingerprint=self.base_fingerprint,
         )
@@ -490,83 +498,6 @@ def lp_latency_lower_bound(
         # No usable bound; fall back to "no information".
         return 0.0
     return objective + form.c0
-
-
-def warm_values_from_design(
-    tp_model: TemporalPartitioningModel, design: PartitionedDesign
-) -> dict[str, float]:
-    """Lift a :class:`PartitionedDesign` back into ILP variable space.
-
-    The inverse of :func:`extract_design`, extended to *every* variable
-    of the formulation — ``Y``, ``d_p``, ``eta``, the crossing
-    indicators ``w`` and (in levels mode) the start times ``s`` /
-    same-partition indicators.  The returned mapping is a complete
-    assignment: if the design satisfies the model's constraints, the
-    point is feasible, so it can serve as an incumbent-reuse certificate
-    (:meth:`repro.ilp.compile.CompiledModel.point_feasible`) or a
-    validated MILP warm start.
-    """
-    graph = tp_model.graph
-    n = tp_model.num_partitions
-    values: dict[str, float] = {}
-    part: dict[str, int] = {}
-    for task in graph:
-        placement = design.placements[task.name]
-        part[task.name] = placement.partition
-        chosen_k = None
-        for k, dp in enumerate(task.design_points, start=1):
-            if dp == placement.design_point:
-                chosen_k = k  # first matching index: duplicates pick one Y
-                break
-        if chosen_k is None:
-            raise ValueError(
-                f"design point of task {task.name!r} is not among the "
-                "task's design points"
-            )
-        for p in range(1, n + 1):
-            for k in range(1, len(task.design_points) + 1):
-                values[tp_model.y_name[(task.name, p, k)]] = float(
-                    p == placement.partition and k == chosen_k
-                )
-    for p in range(1, n + 1):
-        values[tp_model.d_name[p]] = float(design.partition_latency(p))
-    values[tp_model.eta_name] = float(design.num_partitions_used)
-    # Crossing indicators exist from partition num_slots+1 on and fire
-    # when the producer's slot has been reconfigured (num_slots steps
-    # later) while the consumer has not run yet; num_slots is 1 in the
-    # paper scenario (w[p] = 1 iff part[src] < p <= part[dst]).
-    scenario = get_scenario(tp_model.options.scenario)
-    resident = scenario.num_slots(tp_model.options)
-    for p in range(1 + resident, n + 1):
-        for src, dst, _volume in graph.edges:
-            values[_w_name(p, src, dst)] = float(
-                part[src] + resident <= p <= part[dst]
-            )
-    # Levels-mode extras: start offsets within each partition and the
-    # same-partition edge indicators.  Detected by variable presence so
-    # "auto" templates are handled regardless of how the mode resolved.
-    if tp_model.compiled is not None:
-        known = tp_model.compiled.var_index
-    else:
-        known = {var.name: j for j, var in enumerate(tp_model.model.variables)}
-    first_task = next(iter(graph)).name
-    if f"s[{first_task}]" in known:
-        start: dict[str, float] = {}
-        for name in graph.topological_order():
-            arrival = max(
-                (
-                    start[pred]
-                    + design.placements[pred].design_point.latency
-                    for pred in graph.predecessors(name)
-                    if part[pred] == part[name]
-                ),
-                default=0.0,
-            )
-            start[name] = arrival
-            values[f"s[{name}]"] = arrival
-        for src, dst, _volume in graph.edges:
-            values[f"same[{src},{dst}]"] = float(part[src] == part[dst])
-    return values
 
 
 def extract_design(

@@ -93,13 +93,13 @@ class SolverSettings:
         level-packing heuristics and mark the outcome ``degraded=True``
         instead of silently reporting infeasibility.
     incumbent_reuse:
-        Carry the last feasible assignment across windows: before any
-        backend starts, the previous incumbent is checked against the
-        new window's rows (one sparse matrix-vector product); if it
-        still fits, the window is answered SAT with zero solver work,
-        otherwise it is installed as a validated MILP warm start.
-        Sound under the monotone window rules: the check is a full
-        feasibility certificate, never a guess.
+        Carry the incumbent into each relaxed partition bound:
+        ``Refine_Partitions_Bound`` hands its best design to the opening
+        window of every phase-2 bound (opened at ``D_max = D_a``), and
+        on a cache miss the executor answers that window with it, with
+        zero solver work, when it uses at most ``N`` partitions and its
+        latency lies in the window.  Sound: a design that fits ``N``
+        partitions and the window is a feasibility certificate.
     symmetry_breaking:
         Force :attr:`FormulationOptions.symmetry_breaking` on for every
         window model prepared by the executor (lexicographic
@@ -289,6 +289,7 @@ def reduce_latency(
     deadline: float | None = None,
     executor: SolveExecutor | None = None,
     should_stop: Callable[[], bool] | None = None,
+    incumbent: tuple[PartitionedDesign, float] | None = None,
 ) -> ReduceLatencyResult:
     """Run Algorithm ``Reduce_Latency(N, D_max, D_min)`` (Figure 1).
 
@@ -320,6 +321,11 @@ def reduce_latency(
         without killing processes.
         ``None`` — the default — changes nothing: the search trajectory
         is bit-identical to a run without the parameter.
+    incumbent:
+        Optional ``(design, achieved)`` the caller already holds (the
+        outer search's ``D_a``), handed to the first window solve as a
+        certificate (see :meth:`SolveExecutor.solve_window`).  The
+        bisection trials never get it: they all undercut ``achieved``.
     """
     if delta <= 0:
         raise ValueError("latency tolerance delta must be positive")
@@ -397,7 +403,10 @@ def reduce_latency(
             d_min = max(d_min, tightened)
 
         def solve(
-            window_max: float, window_min: float, gap: float | None = None
+            window_max: float,
+            window_min: float,
+            gap: float | None = None,
+            incumbent: tuple[PartitionedDesign, float] | None = None,
         ) -> WindowOutcome:
             nonlocal iteration
             with tracer.span(
@@ -417,13 +426,14 @@ def reduce_latency(
                     deadline=deadline,
                     gap=gap,
                     iteration=iteration,
+                    incumbent=incumbent,
                 )
             trace.add(outcome)
             iteration += 1
             return outcome
 
         # First call on the full window.
-        first = solve(d_max, d_min)
+        first = solve(d_max, d_min, incumbent=incumbent)
         if first.design is None:
             return result(None, None)
         achieved = first.achieved

@@ -174,7 +174,7 @@ def refine_partitions_bound(
     ) as root_span:
 
         def run_reduce(
-            num_partitions, d_max, d_min, phase
+            num_partitions, d_max, d_min, phase, incumbent=None
         ) -> ReduceLatencyResult:
             with tracer.span(
                 "partition_bound",
@@ -194,6 +194,7 @@ def refine_partitions_bound(
                     deadline=deadline,
                     executor=executor,
                     should_stop=should_stop,
+                    incumbent=incumbent,
                 )
                 sp.annotate(feasible=result.feasible, achieved=result.achieved)
             trace.extend(result.trace)
@@ -248,10 +249,10 @@ def refine_partitions_bound(
 
         # Phase 2: relax N while better solutions remain possible.
         # Each relaxation opens a window at the incumbent's latency, so
-        # with ``SolverSettings.incumbent_reuse`` the carried design
-        # usually answers the opening solve outright — this loop is
-        # where the cross-window acceleration pays off, not inside the
-        # bisections (whose trial windows always undercut the incumbent).
+        # with ``SolverSettings.incumbent_reuse`` the incumbent itself
+        # answers that opening solve on a cache miss.  It is offered
+        # nowhere else: the bisection trials always undercut it.
+        carry = executor.settings.incumbent_reuse
         while n < prange.stop:
             if time_expired():
                 tracer.event("time_budget_expired", phase="relax")
@@ -273,7 +274,10 @@ def refine_partitions_bound(
                 )
                 stopped_by_cut = True
                 break
-            result = run_reduce(n, best_latency, d_min, phase="relax")
+            result = run_reduce(
+                n, best_latency, d_min, phase="relax",
+                incumbent=(best_design, best_latency) if carry else None,
+            )
             if result.feasible and result.achieved < best_latency:
                 best_design = result.design
                 best_latency = result.achieved

@@ -3,7 +3,8 @@
 The paper reports its results as tables whose *rows are iterations*: each
 row shows the partition bound ``N``, the iteration number ``I``, the
 latency window ``[D_min, D_max]`` given to the ILP, and either the
-achieved latency ``D_a`` or "Inf." (infeasible).  This module captures
+achieved latency ``D_a`` or "Inf." (infeasible); a window that timed out
+or crashed is unknown and prints "T/O".  This module captures
 exactly that, so the experiment harness can print paper-shaped tables
 directly from a search run.
 """

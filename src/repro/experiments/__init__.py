@@ -8,7 +8,6 @@ from repro.experiments.figures import (
     figure5_ar_graph,
     figure6_dct_graph,
 )
-from repro.experiments.report import TextTable, format_value
 from repro.experiments.runner import (
     LARGE_CT,
     SMALL_CT,
@@ -34,6 +33,7 @@ from repro.experiments.tables import (
     table7,
     table8,
 )
+from repro.report import TextTable, format_value
 
 __all__ = [
     "DCT_EXPERIMENTS",

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from repro.arch.processor import ReconfigurableProcessor
 from repro.core.formulation import FormulationOptions, build_model
 from repro.core.solution import PartitionedDesign
-from repro.experiments.report import TextTable
+from repro.report import TextTable
 from repro.taskgraph.designpoint import DesignPoint
 from repro.taskgraph.graph import TaskGraph
 from repro.taskgraph.io import to_dot

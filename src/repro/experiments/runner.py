@@ -19,7 +19,8 @@ from repro.core import (
     refine_partitions_bound,
 )
 from repro.core.refine_partitions import RefinementResult
-from repro.experiments.report import TextTable
+from repro.core.trace import SearchTrace
+from repro.report import TextTable
 from repro.taskgraph.graph import TaskGraph
 
 __all__ = ["DctExperiment", "ExperimentResult", "run_experiment"]
@@ -112,9 +113,7 @@ class ExperimentResult:
             ),
             columns=("N", "I", "D_min (ns)", "D_max (ns)", "D_a (ns)"),
         )
-        for record in self.result.trace:
-            n, i, d_min, d_max, achieved = record.row(c_t)
-            table.add_row(n, i, round(d_min, 1), round(d_max, 1), achieved)
+        t_o_note = add_trace_rows(table, self.result.trace, c_t)
         best = self.result.trace.best()
         if best is None:
             note = "infeasible"
@@ -132,8 +131,28 @@ class ExperimentResult:
             note += "; stopped early: MinLatency(N) >= D_a"
         if self.result.degraded:
             note += "; degraded: heuristic fallback used"
-        table.footer = note
+        table.footer = note + t_o_note
         return table
+
+
+def add_trace_rows(table: TextTable, trace: SearchTrace, c_t: float) -> str:
+    """Add one ``(N, I, D_min, D_max, D_a)`` row per window of ``trace``.
+
+    ``D_a`` reads ``Inf.`` only for a window proven empty; an unknown
+    window (timed out or crashed, :attr:`WindowOutcome.unknown`) reads
+    ``T/O``.  Returns the footer note counting the ``T/O`` rows, or
+    ``""`` when there are none.
+    """
+    unknown = 0
+    for record in trace:
+        n, i, d_min, d_max, achieved = record.row(c_t)
+        if record.unknown:
+            unknown += 1
+            achieved = "T/O"
+        table.add_row(n, i, round(d_min, 1), round(d_max, 1), achieved)
+    if not unknown:
+        return ""
+    return f"; {unknown} T/O rows (timed out or crashed, not proven empty)"
 
 
 def run_experiment(

@@ -21,7 +21,7 @@ from repro.core import (
     refine_partitions_bound,
 )
 from repro.core.heuristics import greedy_partition
-from repro.experiments.report import TextTable
+from repro.report import TextTable
 from repro.taskgraph.graph import TaskGraph
 
 __all__ = ["SweepPoint", "reconfiguration_sweep", "sweep_table"]

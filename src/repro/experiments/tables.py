@@ -27,14 +27,15 @@ from repro.core import (
     refine_partitions_bound,
     solve_optimal,
 )
-from repro.experiments.report import TextTable
 from repro.experiments.runner import (
     LARGE_CT,
     SMALL_CT,
     DctExperiment,
     ExperimentResult,
+    add_trace_rows,
     run_experiment,
 )
+from repro.report import TextTable
 from repro.taskgraph.library import (
     DCT_T1_POINTS,
     DCT_T2_POINTS,
@@ -104,15 +105,14 @@ def table1_ar_filter(
         ),
         columns=("N", "I", "D_min (ns)", "D_max (ns)", "D_a (ns)"),
     )
-    for record in iterative.trace:
-        n, i, d_min, d_max, achieved = record.row(
-            processor.reconfiguration_time
-        )
-        table.add_row(n, i, round(d_min, 1), round(d_max, 1), achieved)
+    t_o_note = add_trace_rows(
+        table, iterative.trace, processor.reconfiguration_time
+    )
     table.footer = (
         f"iterative D_a = {iterative.achieved:,.0f} ns; "
         f"optimal = {optimal.latency:,.0f} ns "
         f"({'match' if abs(iterative.achieved - optimal.latency) < 1e-6 else 'MISMATCH'})"
+        + t_o_note
     )
     return Table1Result(
         iterative_latency=iterative.achieved,

@@ -453,9 +453,9 @@ class CompiledModel:
         """Cheap feasibility certificate: does ``x`` satisfy this model?
 
         Evaluates bounds and both row blocks through the cached sparse
-        views — no solver involved.  This is the incumbent-reuse check:
-        a previous window's assignment that still passes here answers
-        the new window SAT with zero solver work.
+        views — no solver involved.  Branch & bound validates a warm
+        start with it before installing the point as its incumbent, and
+        LP rounding (:mod:`repro.ilp.rounding`) checks its candidates.
         """
         x = np.asarray(x, dtype=float)
         if x.shape != self.lb.shape or not np.all(np.isfinite(x)):

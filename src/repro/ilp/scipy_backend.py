@@ -73,7 +73,9 @@ def solve_with_highs(form, **options) -> Solution:
     parity with :func:`repro.ilp.branch_and_bound.solve_with_bnb` but
     ignored: :func:`scipy.optimize.milp` exposes no MIP-start hook.  It
     *is* honored by the solve-error fallback, which re-dispatches to the
-    from-scratch branch & bound with the original options.
+    from-scratch branch & bound with the original options.  The window
+    executor (:class:`repro.solve.SolveExecutor`) passes a warm start to
+    no backend; it is an option of the ILP library alone.
     """
     milp_options: dict = {}
     time_limit = options.get("time_limit")

@@ -43,7 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.solve.disk_cache import DiskSolveCache
     from repro.taskgraph.graph import TaskGraph
 
-__all__ = ["CachedVerdict", "CacheHit", "SolveCache"]
+__all__ = ["CachedVerdict", "CacheHit", "SolveCache", "window_holds"]
 
 #: Tolerance for window comparisons (floats produced by bisection).
 _EPS = 1e-9
@@ -53,6 +53,11 @@ def _same_window(
     a_min: float, a_max: float, b_min: float, b_max: float
 ) -> bool:
     return abs(a_min - b_min) <= _EPS and abs(a_max - b_max) <= _EPS
+
+
+def window_holds(lo: float, hi: float, achieved: float) -> bool:
+    """A design of latency ``achieved`` certifies the window ``[lo, hi]``."""
+    return lo - _EPS <= achieved <= hi + _EPS
 
 
 def _rank(
@@ -76,7 +81,7 @@ def _rank(
             if (
                 feasible is None
                 and achieved is not None
-                and lo - _EPS <= achieved <= hi + _EPS
+                and window_holds(lo, hi, achieved)
             ):
                 feasible = ("feasible", item)
         elif (

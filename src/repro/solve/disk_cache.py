@@ -56,8 +56,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["DiskSolveCache", "SCHEMA_VERSION"]
 
 #: Bump when the table layout or row semantics change; an on-disk store
-#: with a different version is dropped and recreated on open.
-SCHEMA_VERSION = 2
+#: with a different version is dropped and recreated on open.  Version 3:
+#: ``achieved`` charges a ``slot_coresident`` design one slot's
+#: reconfiguration per partition, as the model's rows do, not ``C_T``.
+SCHEMA_VERSION = 3
 
 #: Opens tried while another process holds the store locked (switching a
 #: fresh file to WAL can fail with ``database is locked`` at once,

@@ -14,14 +14,15 @@
    the template path — no hashing) and the
    :class:`repro.solve.cache.SolveCache` consulted before any backend
    runs (exact replays and window-monotone verdict reuse),
-3. **incumbent carry-over** — with ``settings.incumbent_reuse`` the
-   best feasible design seen so far is checked against the window's
-   rows; if it still fits, the window is answered with zero solver work,
+3. **incumbent certificate** — a design the caller hands in
+   (``solve_window(..., incumbent=...)``, the search's carried ``D_a``)
+   answers the window with zero solver work when it uses at most ``N``
+   partitions and its latency lies in the window,
 4. **deadline policy** — the per-solve budget is the minimum of the
    settings' ``time_limit`` and whatever remains of the search's overall
    deadline; an already-expired deadline skips the backend entirely,
 5. **backend execution** — every window not answered by the cache or
-   the incumbent goes straight to ``settings.backend`` (``highs``,
+   the certificate goes straight to ``settings.backend`` (``highs``,
    ``bnb`` or ``cp``), inline on the caller's thread, once; a backend
    that raises is contained as an ``ERROR`` attempt,
 6. **graceful degradation** — when the backend exhausts its budget,
@@ -37,7 +38,9 @@
    :class:`repro.solve.telemetry.RunTelemetry` view of both.
 
 One executor instance is created per ``Refine_Partitions_Bound`` run (or
-handed in by the caller to share the cache across runs).
+handed in by the caller to share the cache across runs).  It carries
+nothing from one window to the next but its templates, its cache, its
+metrics and its window records.
 """
 
 from __future__ import annotations
@@ -47,15 +50,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
-import numpy as np
-
 from repro.analysis.analyzer import ANALYZE_MODES
 from repro.analysis.diagnostics import Severity
 from repro.ilp.model import accepts_keyword
 from repro.ilp.status import SolveStatus
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import as_tracer
-from repro.solve.cache import SolveCache
+from repro.solve.cache import SolveCache, window_holds
 from repro.solve.fingerprint import ModelFingerprint, fingerprint_model
 from repro.solve.telemetry import RunTelemetry
 
@@ -141,6 +142,14 @@ class WindowOutcome:
     @property
     def feasible(self) -> bool:
         return self.achieved is not None
+
+    @property
+    def unknown(self) -> bool:
+        """Neither a design nor a proof: the window timed out, hit its
+        node limit or crashed.  Tables print it ``T/O``, not ``Inf.``."""
+        return self.achieved is None and self.status in (
+            SolveStatus.TIME_LIMIT, SolveStatus.NODE_LIMIT, SolveStatus.ERROR,
+        )
 
     def row(self, reconfiguration_time: float = 0.0) -> tuple:
         """(N, I, D_min, D_max, D_a) with the overhead ``N*C_T`` removed.
@@ -243,7 +252,7 @@ def _fold_table(m: MetricsRegistry) -> "dict[str, Callable[[dict], None]]":
     )
     incumbent_reuses = m.counter(
         "repro_incumbent_reuses_total",
-        "Windows answered by re-validating the carried incumbent.",
+        "Windows answered by the search's carried incumbent.",
     )
     template_builds = m.counter(
         "repro_template_builds_total",
@@ -372,16 +381,6 @@ class SolveExecutor:
         self._templates: dict[
             tuple[int, int, int, "FormulationOptions"], "ModelTemplate"
         ] = {}
-        # Cross-window acceleration state (see docs/solving.md).  The
-        # incumbent map holds the best feasible design seen per
-        # (graph, processor, options); the processor is pinned in the
-        # value (and the graph via the design) so the id-based key can
-        # never be recycled under a live entry.
-        self.incumbent_reuse = settings.incumbent_reuse
-        self._incumbents: dict[
-            tuple[int, int, "FormulationOptions"],
-            tuple["PartitionedDesign", float, "ReconfigurableProcessor"],
-        ] = {}
 
     def _emit(self, name: str, **attrs) -> None:
         """Emit one executor fact: a tracer event, folded into
@@ -470,6 +469,7 @@ class SolveExecutor:
         deadline: float | None = None,
         gap: float | None = None,
         iteration: int = 0,
+        incumbent: "tuple[PartitionedDesign, float] | None" = None,
     ) -> WindowOutcome:
         """Answer "is there a design in ``[d_min, d_max]`` at ``N``?".
 
@@ -492,47 +492,20 @@ class SolveExecutor:
         expressions; the result is array-identical to what
         :func:`repro.core.formulation.build_model` produces.
 
-        With ``settings.incumbent_reuse`` every feasible verdict —
-        whoever produced it — is remembered per ``(graph, processor,
-        options)`` and offered to the next window, first as a zero-work
-        feasibility certificate, then as a validated MILP warm start.
+        ``incumbent`` is a ``(design, achieved)`` pair the caller already
+        holds, a design of this search (same graph, processor and
+        options) with its latency ``achieved``.  After a cache miss it
+        concludes the window ``FEASIBLE``, with backend ``"incumbent"``
+        and no solver work, when the design uses at most ``N`` partitions
+        and ``achieved`` lies in the window (the bounds of the cache's
+        feasible rule).  Its other rows hold at any such ``N``: the
+        partitions it leaves empty add no area, memory or latency.
         """
         if gap is not None and self.settings.backend != "highs":
             raise ValueError(
                 "gap-limited window solves need the 'highs' backend, not "
                 f"{self.settings.backend!r}"
             )
-        outcome = self._solve_window(
-            graph, processor, num_partitions, d_max, d_min, options,
-            deadline, gap, iteration,
-        )
-        if self.incumbent_reuse and outcome.design is not None:
-            key = (
-                id(graph), id(processor), self._effective_options(options),
-            )
-            held = self._incumbents.get(key)
-            if held is None or (
-                outcome.achieved is not None and outcome.achieved < held[1]
-            ):
-                self._incumbents[key] = (
-                    outcome.design,
-                    float(outcome.achieved),
-                    processor,
-                )
-        return outcome
-
-    def _solve_window(
-        self,
-        graph: "TaskGraph",
-        processor: "ReconfigurableProcessor",
-        num_partitions: int,
-        d_max: float,
-        d_min: float,
-        options: "FormulationOptions | None" = None,
-        deadline: float | None = None,
-        gap: float | None = None,
-        iteration: int = 0,
-    ) -> WindowOutcome:
         start = time.perf_counter()
         # The query half of the window's record.
         window = {
@@ -572,15 +545,15 @@ class SolveExecutor:
                     return self._from_cache(hit, window, fp, start)
                 self._emit("cache_miss")
 
-            # Incumbent carry-over: check the previous feasible design
-            # against this window's rows before any backend runs.
-            warm_values = None
-            if self.incumbent_reuse:
-                reused, warm_values = self._try_incumbent(
-                    tp_model, graph, processor, window, fp, start
-                )
-                if reused is not None:
-                    return reused
+            if incumbent is not None:
+                design, achieved = incumbent
+                if design.num_partitions_used <= num_partitions and (
+                    window_holds(d_min, d_max, achieved)
+                ):
+                    return self._conclude(
+                        design, achieved, SolveStatus.FEASIBLE, "incumbent",
+                        window, fp, start,
+                    )
 
             budget = self._remaining_budget(deadline)
             if budget is not None and budget <= 0.0:
@@ -594,12 +567,11 @@ class SolveExecutor:
 
             status, design, iterations, bound = self._run_attempt(
                 tp_model, graph, processor, num_partitions, d_max, options,
-                budget, warm_values, gap,
+                budget, gap,
             )
             if _conclusive(status, design):  # a design, or proven empty
                 achieved = (
-                    None if design is None
-                    else design.total_latency(processor)
+                    None if design is None else tp_model.total_latency(design)
                 )
                 return self._conclude(
                     design, achieved, status, self.settings.backend,
@@ -723,70 +695,7 @@ class SolveExecutor:
             "cache", window, fp, start, cache_hit=True,
         )
 
-    # -- cross-window acceleration -------------------------------------------
-
-    @staticmethod
-    def _vectorize(compiled, values: dict) -> "np.ndarray | None":
-        """Order a name -> value mapping into the compiled column order.
-
-        Returns ``None`` when any compiled variable is missing from the
-        mapping — a partial point is no feasibility certificate.
-        """
-        x = np.empty(compiled.num_vars)
-        for name, j in compiled.var_index.items():
-            value = values.get(name)
-            if value is None:
-                return None
-            x[j] = value
-        return x
-
-    def _try_incumbent(
-        self,
-        tp_model,
-        graph,
-        processor,
-        window: dict,
-        fp: ModelFingerprint | None,
-        start: float,
-    ) -> tuple[WindowOutcome | None, dict | None]:
-        """Check the carried incumbent against this window's rows.
-
-        Returns ``(outcome, warm_values)``: a concluded outcome when the
-        incumbent is still feasible (one sparse matrix-vector product,
-        zero solver work), else the lifted variable assignment to offer
-        the backend as a validated warm start (or ``None`` if there is
-        no usable incumbent).
-        """
-        from repro.core.formulation import warm_values_from_design
-
-        key = (id(graph), id(processor), tp_model.options)
-        held = self._incumbents.get(key)
-        if held is None:
-            return None, None
-        design, achieved, _processor = held
-        if design.num_partitions_used > window["num_partitions"]:
-            return None, None
-        with self.tracer.span("incumbent_check", achieved=achieved) as sp:
-            values = warm_values_from_design(tp_model, design)
-            compiled = tp_model.compiled
-            if compiled is None:
-                sp.annotate(result="no_compiled_form")
-                return None, values
-            x = self._vectorize(compiled, values)
-            if x is None:
-                sp.annotate(result="incomplete_point")
-                return None, None
-            if not compiled.point_feasible(x):
-                sp.annotate(result="stale")
-                return None, values
-            sp.annotate(result="reused")
-        return (
-            self._conclude(
-                design, achieved, SolveStatus.FEASIBLE, "incumbent",
-                window, fp, start,
-            ),
-            None,
-        )
+    # -- degradation ---------------------------------------------------------
 
     def _greedy_certificate(
         self,
@@ -899,7 +808,6 @@ class SolveExecutor:
         d_max: float,
         options,
         time_limit: float | None,
-        warm_values: dict | None,
         gap: float | None = None,
     ) -> "tuple[SolveStatus, PartitionedDesign | None, int, float | None]":
         """Run ``settings.backend`` on the window, inline, and count it.
@@ -927,7 +835,7 @@ class SolveExecutor:
                     )
                 else:
                     status, design, iterations, bound = self._ilp_attempt(
-                        tp_model, name, time_limit, warm_values, gap, d_max
+                        tp_model, name, time_limit, gap, d_max
                     )
             except Exception as exc:  # noqa: BLE001 - deliberate containment
                 status, design, iterations = SolveStatus.ERROR, None, 0
@@ -955,7 +863,6 @@ class SolveExecutor:
         tp_model,
         backend: str,
         time_limit,
-        warm_values: dict | None,
         gap: float | None,
         d_max: float,
     ) -> "tuple[SolveStatus, PartitionedDesign | None, int, float | None]":
@@ -964,12 +871,6 @@ class SolveExecutor:
             # No incumbent in the window exceeds d_max, so a relative
             # gap of gap / d_max is at most gap in absolute terms.
             kwargs["mip_rel_gap"] = gap / max(d_max, gap)
-        if warm_values is not None:
-            # Validated by the backend: bnb installs it as the initial
-            # incumbent only after a full bounds/integrality/rows check;
-            # highs accepts-and-ignores it (scipy's milp has no MIP-start
-            # hook).
-            kwargs["warm_start"] = warm_values
         if self.tracer.enabled:
             # Only forwarded when tracing is live: test-registered
             # backends need not accept the keyword otherwise.

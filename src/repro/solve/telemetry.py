@@ -40,7 +40,7 @@ class RunTelemetry:
     solves: list["WindowOutcome"] = field(default_factory=list)
     #: Wall seconds per backend, over every attempt it ran.
     backend_wall: dict[str, float] = field(default_factory=dict)
-    #: Window solves each backend (or the incumbent check) decided.
+    #: Window solves each backend (or the carried incumbent) decided.
     backend_wins: dict[str, int] = field(default_factory=dict)
     #: Backend attempts that exhausted their budget without a verdict.
     timeouts: int = 0
@@ -52,8 +52,8 @@ class RunTelemetry:
     #: Window models served by patching a template (cheap path); compare
     #: with ``template_builds`` for the incremental-reuse ratio.
     template_instantiations: int = 0
-    #: Window solves answered by a still-feasible previous incumbent
-    #: (zero solver work; ``SolverSettings.incumbent_reuse``).
+    #: Window solves answered by the search's carried incumbent (zero
+    #: solver work; ``SolverSettings.incumbent_reuse``).
     incumbent_reuses: int = 0
     #: Window solves answered by the *persistent* disk tier of the solve
     #: cache (a verdict some other process — or a previous run — paid

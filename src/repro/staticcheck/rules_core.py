@@ -242,8 +242,8 @@ def _check_rl003(rule, ctx, project) -> Iterator[Finding]:
     severity="error",
     rationale=(
         "Window solves must go through SolveExecutor.solve_window, "
-        "which layers the solve cache, the incumbent check, the "
-        "deadline policy and the greedy fallback around the backend; "
+        "which layers the solve cache, the incumbent certificate, "
+        "the deadline policy and the greedy fallback around the backend; "
         "a direct backend call skips all of that."
     ),
     fix_hint="Solve through SolveExecutor.solve_window.",
@@ -263,7 +263,7 @@ def _check_rl004(rule, ctx, project) -> Iterator[Finding]:
                 f"direct call to backend entry point '{name}' in "
                 "library code — solve through "
                 "SolveExecutor.solve_window so the cache, incumbent "
-                "check, deadline policy and greedy fallback apply"
+                "certificate, deadline policy and greedy fallback apply"
             ))
 
 

@@ -210,3 +210,63 @@ class TestSearch:
             if best_earlier is not None:
                 first_later = by_n[later][0]
                 assert first_later.d_max <= best_earlier + 1e-6
+
+
+class TestCarriedIncumbent:
+    """Under ``fast()`` the search's incumbent answers exactly the
+    opening window of each relaxed (phase-2) partition bound."""
+
+    GRAPHS = [
+        ("ar", 10.0),
+        ("fork_join", 25.0),
+        ("layered", 25.0),
+        ("series_parallel", 25.0),
+    ]
+
+    @staticmethod
+    def graph(kind):
+        from repro.taskgraph import ar_filter, generators
+
+        return {
+            "ar": ar_filter,
+            "fork_join": lambda: generators.fork_join_graph(
+                branches=3, branch_length=2, seed=5
+            ),
+            "layered": lambda: generators.layered_graph(
+                num_levels=3, tasks_per_level=2, seed=7
+            ),
+            "series_parallel": lambda: generators.series_parallel_graph(
+                depth=2, seed=11
+            ),
+        }[kind]()
+
+    @pytest.mark.parametrize("kind,delta", GRAPHS)
+    def test_only_phase_two_openings_reuse_it(self, kind, delta, ar_device):
+        result = refine_partitions_bound(
+            self.graph(kind),
+            ar_device,
+            config=RefinementConfig(delta=delta, time_budget=120.0),
+            settings=SolverSettings.fast(time_limit=12.0),
+        )
+        assert result.feasible
+        ns = list(dict.fromkeys(result.explored_partitions))
+        first_feasible = next(
+            i for i, n in enumerate(ns)
+            if any(r.feasible for r in result.trace.for_partitions(n))
+        )
+        phase_two = ns[first_feasible + 1:]
+        reused = [r for r in result.trace if r.backend == "incumbent"]
+        assert reused  # every graph here relaxes at least one bound
+        for record in reused:
+            assert record.iteration == 1
+            assert record.num_partitions in phase_two
+        for n in phase_two:
+            records = result.trace.for_partitions(n)
+            pruned = len(records) == 1 and records[0].backend == "" and (
+                not records[0].degraded
+            )
+            if pruned:
+                continue  # the LP/packing bound emptied the window
+            assert [r.backend for r in records].count("incumbent") == 1
+            assert records[0].backend == "incumbent"
+        assert len(reused) == result.telemetry.incumbent_reuses

@@ -36,6 +36,7 @@ from repro.ilp import model as ilp_model
 from repro.ilp import solve_compiled
 from repro.ilp.status import Solution, SolveStatus
 from repro.service.wire import decode_config, encode_config
+from repro.solve import SolveExecutor
 from repro.solve.fingerprint import WINDOW_ROW_NAMES
 
 
@@ -224,6 +225,43 @@ class TestSlotCoresident:
             json.loads(json.dumps(payload)), graph=ar_graph
         )
         assert restored.scenario == "slot_coresident"
+
+    def test_window_latency_charges_one_slot_per_partition(self, ar_graph):
+        # Two slots of C_T = 20 ns: each partition pays 10 ns, as in the
+        # model's window rows and objective (520 ns at the optimum), not
+        # the whole device's 20 ns (550 ns).
+        processor = ReconfigurableProcessor(800, 256, 20.0)
+        n = 3
+        d_max = bounds.max_latency(ar_graph, n, 20.0)
+        optimum = build_model(
+            ar_graph, processor, n, d_max, 0.0,
+            slot_options(minimize_latency=True),
+        ).solve(backend="highs")
+        assert optimum.objective == pytest.approx(520.0)
+        outcome = SolveExecutor(SolverSettings(time_limit=15.0)).solve_window(
+            ar_graph, processor, n, d_max, 0.0, slot_options(), gap=1.0,
+        )
+        design = outcome.design
+        assert outcome.achieved == 520.0
+        assert outcome.achieved == (
+            design.execution_latency() + 10.0 * design.num_partitions_used
+        )
+
+    def test_outcome_latency_is_the_scenarios(self, ar_graph):
+        processor = ReconfigurableProcessor(800, 256, 20.0)
+        config = PartitionerConfig(
+            search=RefinementConfig(delta=10.0, time_budget=60.0),
+            formulation=slot_options(),
+            solver=SolverSettings(time_limit=15.0),
+        )
+        outcome = TemporalPartitioner(processor, config).solve(
+            PartitionRequest(graph=ar_graph)
+        )
+        design = outcome.design
+        assert outcome.total_latency == (
+            design.execution_latency() + 10.0 * design.num_partitions_used
+        )
+        assert outcome.trace.best().achieved == outcome.total_latency
 
     def test_timed_out_windows_get_no_greedy_design(
         self, monkeypatch, ar_graph

@@ -15,7 +15,35 @@ from repro.experiments import (
     table1_ar_filter,
     table2_design_points,
 )
-from repro.taskgraph import dct_4x4
+from repro.ilp import model as ilp_model
+from repro.ilp.scipy_backend import solve_with_highs
+from repro.ilp.status import Solution, SolveStatus
+from repro.taskgraph import ar_filter, dct_4x4
+
+
+@pytest.fixture
+def searches_time_out_after_the_first(monkeypatch):
+    """HiGHS answers the first feasibility solve of a run and times out
+    on every later one; other solves (the optimal ILP) run as usual."""
+    calls = []
+
+    def stub(model, **options):
+        if options.get("first_feasible"):
+            calls.append(None)
+            if len(calls) > 1:
+                return Solution(status=SolveStatus.TIME_LIMIT)
+        return solve_with_highs(model, **options)
+
+    monkeypatch.setitem(ilp_model._BACKENDS, "highs", stub)
+
+
+def d_a_cells(text: str) -> list[str]:
+    """The ``D_a`` column of a rendered iteration table."""
+    return [
+        line.split("|")[-2].strip()
+        for line in text.splitlines()
+        if line.startswith("|") and not line.startswith("|-")
+    ][1:]
 
 
 class TestTable1:
@@ -33,6 +61,18 @@ class TestTable1:
         text = result.table.render()
         assert "Inf." in text          # bisection probes below optimum
         assert "match" in text
+        assert "T/O" not in text       # every window was decided
+
+    def test_unknown_windows_print_t_o(
+        self, searches_time_out_after_the_first
+    ):
+        result = table1_ar_filter(
+            settings=SolverSettings(time_limit=15.0, heuristic_fallback=False)
+        )
+        text = result.table.render()
+        cells = d_a_cells(text)
+        assert "T/O" in cells
+        assert f"{cells.count('T/O')} T/O rows" in result.table.footer
 
 
 class TestTable2:
@@ -42,6 +82,37 @@ class TestTable2:
         text = table.render()
         assert "T1" in text and "T2" in text
         assert "4,160" in text.replace(" ", ",")
+
+
+class TestUnknownRows:
+    """A window that timed out is unknown, not infeasible: ``T/O``."""
+
+    def test_experiment_table_prints_t_o_and_counts_it(
+        self, searches_time_out_after_the_first
+    ):
+        experiment = DctExperiment(
+            table="stub",
+            resource_capacity=400,
+            reconfiguration_time=20.0,
+            delta=10.0,
+            memory_capacity=128.0,
+            solver=SolverSettings(time_limit=15.0, heuristic_fallback=False),
+        )
+        result = run_experiment(experiment, ar_filter())
+        records = list(result.result.trace)
+        unknown = sum(r.unknown for r in records)
+        assert unknown >= 1
+        table = result.table()
+        cells = d_a_cells(table.render())
+        assert len(cells) == len(records)
+        for record, cell in zip(records, cells):
+            if record.unknown:
+                assert cell == "T/O"
+            elif record.status is SolveStatus.INFEASIBLE:
+                assert cell == "Inf."
+            else:
+                assert record.feasible and cell not in ("T/O", "Inf.")
+        assert f"; {unknown} T/O rows" in table.footer
 
 
 class TestRunner:

@@ -1,9 +1,11 @@
-"""Cross-window acceleration: the incumbent carry-over.
+"""Cross-window acceleration: the carried incumbent.
 
-The acceleration layer must be *transparent*: a reused incumbent is a
-feasibility certificate (re-checked against the window's rows), so the
-search trajectory ends at the same latency whether the shortcut fires
-or not.  These tests pin both halves — the shortcut does fire (the
+``Refine_Partitions_Bound`` hands its best design to the opening window
+of each relaxed partition bound (``SolverSettings.incumbent_reuse``).
+The shortcut must be *transparent*: the design answers only a window it
+fits (at most ``N`` partitions, latency inside the window), only after
+the cache missed, and the executor carries nothing between windows by
+itself.  These tests pin both halves — the shortcut does fire (the
 counter moves, the backend is labelled), and the finals do not move.
 """
 
@@ -14,6 +16,7 @@ from repro.arch import ReconfigurableProcessor
 from repro.core import SolverSettings, bounds
 from repro.core.reduce_latency import reduce_latency
 from repro.core.refine_partitions import refine_partitions_bound
+from repro.core.solution import PartitionedDesign
 from repro.solve import SolveExecutor
 from repro.taskgraph import ar_filter
 
@@ -36,30 +39,42 @@ def accelerated(**overrides) -> SolverSettings:
     return SolverSettings(**kwargs)
 
 
+def highs_solves(executor) -> int:
+    return executor.telemetry.backend_wins.get("highs", 0)
+
+
 class TestIncumbentReuse:
-    def test_previous_incumbent_answers_wider_window(self, processor):
-        # The N=3 incumbent still fits the (different-fingerprint, so
-        # cache-miss) N=4 opening window: the executor must answer SAT
-        # from the carried design with zero solver work.
-        executor = SolveExecutor(
-            SolverSettings(time_limit=15.0, incumbent_reuse=True)
-        )
-        graph = ar_filter()
+    def found_at_three(self, executor, graph, processor):
         first = executor.solve_window(graph, processor, 3, *window(graph, 3))
-        reused = executor.solve_window(graph, processor, 4, *window(graph, 4))
-        assert first.feasible and reused.feasible
+        assert first.feasible
+        return first
+
+    def test_previous_incumbent_answers_wider_window(self, processor):
+        # The N=3 design fits the (different-fingerprint, so cache-miss)
+        # N=4 opening window: handed in, it answers with zero solver work.
+        executor = SolveExecutor(SolverSettings(time_limit=15.0))
+        graph = ar_filter()
+        first = self.found_at_three(executor, graph, processor)
+        reused = executor.solve_window(
+            graph, processor, 4, *window(graph, 4),
+            incumbent=(first.design, first.achieved),
+        )
+        assert reused.feasible
         assert not reused.cache_hit
         assert reused.backend == "incumbent"
         assert reused.achieved == first.achieved
+        assert reused.design is first.design
         assert executor.telemetry.incumbent_reuses == 1
+        assert highs_solves(executor) == 1
 
     def test_reused_design_is_a_real_certificate(self, processor):
-        executor = SolveExecutor(
-            SolverSettings(time_limit=15.0, incumbent_reuse=True)
-        )
+        executor = SolveExecutor(SolverSettings(time_limit=15.0))
         graph = ar_filter()
-        executor.solve_window(graph, processor, 3, *window(graph, 3))
-        reused = executor.solve_window(graph, processor, 4, *window(graph, 4))
+        first = self.found_at_three(executor, graph, processor)
+        reused = executor.solve_window(
+            graph, processor, 4, *window(graph, 4),
+            incumbent=(first.design, first.achieved),
+        )
         design = reused.design
         assert design is not None
         assert not design.audit(processor)
@@ -68,11 +83,64 @@ class TestIncumbentReuse:
         assert reused.achieved <= d_max + 1e-9
 
     def test_flag_off_never_reuses(self, processor):
+        result = refine_partitions_bound(
+            ar_filter(), processor, settings=SolverSettings(time_limit=15.0)
+        )
+        assert "incumbent" not in {r.backend for r in result.trace}
+        assert result.telemetry.incumbent_reuses == 0
+
+    def test_windows_carry_nothing_between_them(self, processor):
+        # Without a certificate the next window goes to the backend,
+        # whatever the executor solved before.
+        executor = SolveExecutor(accelerated())
+        graph = ar_filter()
+        self.found_at_three(executor, graph, processor)
+        second = executor.solve_window(graph, processor, 4, *window(graph, 4))
+        assert second.backend == "highs"
+        assert executor.telemetry.incumbent_reuses == 0
+
+    def test_cache_answers_before_the_certificate(self, processor):
         executor = SolveExecutor(SolverSettings(time_limit=15.0))
         graph = ar_filter()
-        executor.solve_window(graph, processor, 3, *window(graph, 3))
-        second = executor.solve_window(graph, processor, 4, *window(graph, 4))
-        assert second.backend != "incumbent"
+        first = self.found_at_three(executor, graph, processor)
+        replay = executor.solve_window(
+            graph, processor, 3, *window(graph, 3),
+            incumbent=(first.design, first.achieved),
+        )
+        assert replay.cache_hit and replay.backend == "cache"
+        assert executor.telemetry.incumbent_reuses == 0
+
+    def test_certificate_above_the_window_is_ignored(self, processor):
+        executor = SolveExecutor(SolverSettings(time_limit=15.0))
+        graph = ar_filter()
+        first = self.found_at_three(executor, graph, processor)
+        _, d_min = window(graph, 4)
+        below = executor.solve_window(
+            graph, processor, 4, first.achieved - 1.0, d_min,
+            incumbent=(first.design, first.achieved),
+        )
+        assert below.backend == "highs"
+        assert below.achieved is None or below.achieved < first.achieved
+        assert executor.telemetry.incumbent_reuses == 0
+
+    def test_certificate_with_too_many_partitions_is_ignored(
+        self, processor
+    ):
+        graph = ar_filter()
+        # One task per partition, in topological order, fastest points.
+        spread = PartitionedDesign.from_labels(graph, {
+            name: (p, min(graph.task(name).design_points,
+                          key=lambda dp: dp.latency).name)
+            for p, name in enumerate(graph.topological_order(), start=1)
+        })
+        achieved = spread.total_latency(processor)
+        executor = SolveExecutor(SolverSettings(time_limit=15.0))
+        d_max, d_min = window(graph, 3)
+        assert d_min <= achieved <= d_max
+        outcome = executor.solve_window(
+            graph, processor, 3, d_max, d_min, incumbent=(spread, achieved),
+        )
+        assert outcome.backend == "highs"
         assert executor.telemetry.incumbent_reuses == 0
 
 

@@ -103,6 +103,30 @@ class TestPartition:
         assert set(assignment) == {"T1", "T2", "T3", "T4", "T5", "T6"}
         assert "cluster_p1" in out_dot.read_text()
 
+    def test_trace_prints_t_o_for_unknown_windows(
+        self, monkeypatch, ar_json, capsys
+    ):
+        from repro.ilp import model as ilp_model
+        from repro.ilp.status import Solution, SolveStatus
+
+        def timed_out(model, **options):
+            return Solution(status=SolveStatus.TIME_LIMIT)
+
+        monkeypatch.setitem(ilp_model._BACKENDS, "highs", timed_out)
+        main([
+            "partition", ar_json,
+            "--r-max", "400", "--m-max", "128", "--ct", "20",
+            "--delta", "10", "--trace",
+        ])
+        rows = [
+            line.split()
+            for line in capsys.readouterr().out.splitlines()
+            if line[:1].isdigit()
+        ]
+        assert rows
+        # A timed-out window without a greedy design is unknown.
+        assert "T/O" in {row[-1] for row in rows}
+
     def test_partition_report_flag(self, ar_json, capsys):
         code = main([
             "partition", ar_json,

@@ -1,14 +1,7 @@
-"""Tests for the top-level repro.report module and its shim."""
-
-from repro.experiments import report as shim
-from repro import report
+"""Tests for the top-level repro.report module."""
 
 
-class TestShim:
-    def test_shim_reexports_same_objects(self):
-        assert shim.TextTable is report.TextTable
-        assert shim.format_value is report.format_value
-
+class TestImportCycle:
     def test_import_core_analysis_does_not_pull_experiments(self):
         # Regression for the circular import: importing core.analysis in
         # a fresh interpreter must not require repro.experiments.
