@@ -291,9 +291,14 @@ def _cmd_partition(args: argparse.Namespace) -> int:
         print(f"telemetry written to {args.telemetry_json}")
     _dump_metrics(args, registry, sys.stdout)
     if outcome.degraded:
+        detail = (
+            "some were answered by the heuristic fallback"
+            if outcome.trace.used_fallback
+            else "they stay unknown"
+        )
         print(
             "warning: solver budget exhausted on some windows; "
-            "result comes from the heuristic fallback (degraded)",
+            f"{detail} (degraded)",
             file=sys.stderr,
         )
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 from repro.arch.processor import ReconfigurableProcessor
 from repro.core import bounds
+from repro.core.families import get_scenario
 from repro.core.formulation import FormulationOptions
 from repro.core.reduce_latency import SolverSettings
 from repro.core.refine_partitions import (
@@ -342,7 +343,9 @@ class TemporalPartitioner:
 
     def bounds_for(self, graph: TaskGraph, num_partitions: int) -> tuple[float, float]:
         """(D_max, D_min) for ``num_partitions`` — convenience accessor."""
-        c_t = self.processor.reconfiguration_time
+        options = self.config.formulation
+        device = get_scenario(options.scenario).device(self.processor, options)
+        c_t = device.reconfiguration_time
         return (
             bounds.max_latency(graph, num_partitions, c_t),
             bounds.min_latency(graph, num_partitions, c_t),

@@ -36,6 +36,7 @@ from typing import Callable
 
 from repro.arch.processor import ReconfigurableProcessor
 from repro.core import bounds
+from repro.core.families import get_scenario
 from repro.core.formulation import (
     FormulationOptions,
     lp_latency_lower_bound,
@@ -371,11 +372,12 @@ def reduce_latency(
                     graph, processor, num_partitions, options
                 )
                 sp.annotate(bound=lp_bound)
+            device = get_scenario(options.scenario).device(processor, options)
             with tracer.span(
                 "packing_bound", num_partitions=num_partitions
             ) as sp:
                 packing = bounds.packing_min_latency(
-                    graph, processor, num_partitions
+                    graph, device, num_partitions
                 )
                 sp.annotate(bound=packing)
             tightened = max(lp_bound, packing)

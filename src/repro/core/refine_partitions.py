@@ -16,6 +16,8 @@ This is Figure 2 of the paper: the outer loop around
    relax ``N``.
 3. Otherwise re-run the latency refinement with the incumbent as the new
    upper bound, keeping the better result.
+
+The windows and the cut charge the scenario's per-partition ``C_T``.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 
 from repro.arch.processor import ReconfigurableProcessor
 from repro.core import bounds
+from repro.core.families import get_scenario
 from repro.core.formulation import FormulationOptions
 from repro.core.reduce_latency import (
     ReduceLatencyResult,
@@ -156,7 +159,8 @@ def refine_partitions_bound(
             return True
         return False
 
-    c_t = processor.reconfiguration_time
+    device = get_scenario(options.scenario).device(processor, options)
+    c_t = device.reconfiguration_time
     prange = bounds.partition_range(
         graph, processor, alpha=config.alpha, gamma=config.gamma
     )

@@ -56,6 +56,13 @@ class SearchTrace:
         """Some window fell back past the backend's budget."""
         return any(r.degraded for r in self.records)
 
+    @property
+    def used_fallback(self) -> bool:
+        """Some window was answered by the greedy fallback
+        (``heuristic:<policy>``); a degraded trace without one only has
+        unknown windows."""
+        return any(r.backend.startswith("heuristic:") for r in self.records)
+
     def to_dict(self) -> dict:
         """JSON-serializable form (inverse of :meth:`from_dict`)."""
         return {"records": [r.to_dict() for r in self.records]}
@@ -91,9 +98,11 @@ class SearchTrace:
         """ASCII view of the bisection: window per iteration, incumbent.
 
         One line per record: ``-`` spans the latency window handed to the
-        solver, ``*`` marks the achieved latency (``x`` for infeasible
-        probes at the window's upper end).  Useful for eyeballing how the
-        search narrows — the textual analogue of a convergence plot.
+        solver, ``*`` marks the achieved latency; at the window's upper
+        end, ``x`` marks a window proven empty and ``?`` an unknown one
+        (timed out or crashed, :attr:`WindowOutcome.unknown`), which
+        proves nothing.  Useful for eyeballing how the search narrows —
+        the textual analogue of a convergence plot.
         """
         if not self.records:
             return "(empty trace)"
@@ -114,7 +123,7 @@ class SearchTrace:
             if record.feasible:
                 cells[column(record.achieved)] = "*"
             else:
-                cells[end] = "x"
+                cells[end] = "?" if record.unknown else "x"
             label = f"N={record.num_partitions:<3}I={record.iteration:<3}"
             lines.append(f"{label}|{''.join(cells)}|")
         return "\n".join(lines)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 from repro.arch.processor import ReconfigurableProcessor
 from repro.core import bounds
+from repro.core.families import get_scenario
 from repro.core.formulation import FormulationOptions
 from repro.core.reduce_latency import SolverSettings, reduce_latency
 from repro.core.solution import PartitionedDesign
@@ -94,7 +95,9 @@ def partition_latency_curve(
         prange = bounds.partition_range(graph, processor)
         partition_counts = range(prange.lower_bound, prange.stop + 1)
     curve = TradeoffCurve()
-    c_t = processor.reconfiguration_time
+    options = options or FormulationOptions()
+    device = get_scenario(options.scenario).device(processor, options)
+    c_t = device.reconfiguration_time
     for n in partition_counts:
         d_max = bounds.max_latency(graph, n, c_t)
         d_min = bounds.min_latency(graph, n, c_t)

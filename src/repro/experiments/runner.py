@@ -129,7 +129,7 @@ class ExperimentResult:
             )
         if self.result.stopped_by_min_latency_cut:
             note += "; stopped early: MinLatency(N) >= D_a"
-        if self.result.degraded:
+        if self.result.trace.used_fallback:
             note += "; degraded: heuristic fallback used"
         table.footer = note + t_o_note
         return table

@@ -187,6 +187,18 @@ class TestConvergenceChart:
         assert "x" in lines[1]
         assert all(line.startswith("N=3") for line in lines)
 
+    def test_unknown_window_has_its_own_mark(self):
+        trace = SearchTrace()
+        trace.add(record(i=1, d_min=0.0, d_max=100.0, achieved=50.0))
+        trace.add(replace(
+            record(i=2, d_min=0.0, d_max=40.0, achieved=None),
+            status=SolveStatus.TIME_LIMIT,
+        ))
+        trace.add(record(i=3, d_min=0.0, d_max=30.0, achieved=None))
+        lines = trace.convergence_chart(width=40).splitlines()
+        assert "?" in lines[1] and "x" not in lines[1]
+        assert "x" in lines[2] and "?" not in lines[2]
+
     def test_width_respected(self):
         trace = SearchTrace()
         trace.add(record())

@@ -114,6 +114,38 @@ class TestUnknownRows:
                 assert record.feasible and cell not in ("T/O", "Inf.")
         assert f"; {unknown} T/O rows" in table.footer
 
+    @pytest.mark.parametrize(
+        "fallback", [True, False], ids=["fallback", "no_fallback"]
+    )
+    def test_footer_and_chart_name_only_what_ran(
+        self, searches_time_out_after_the_first, fallback
+    ):
+        experiment = DctExperiment(
+            table="stub",
+            resource_capacity=400,
+            reconfiguration_time=20.0,
+            delta=10.0,
+            memory_capacity=128.0,
+            solver=SolverSettings(
+                time_limit=15.0, heuristic_fallback=fallback
+            ),
+        )
+        result = run_experiment(experiment, ar_filter())
+        trace = result.result.trace
+        assert result.degraded
+        assert trace.used_fallback is fallback
+        footer = result.table().footer
+        assert ("degraded: heuristic fallback used" in footer) is fallback
+        # An unknown window is drawn "?", never the "x" of a proof.
+        lines = trace.convergence_chart().splitlines()
+        assert any(r.unknown for r in trace)
+        for record, line in zip(trace, lines):
+            body = line.split("|")[1]
+            if record.unknown:
+                assert "?" in body and "x" not in body
+            elif not record.feasible:
+                assert "x" in body and "?" not in body
+
 
 class TestRunner:
     def test_experiment_processor_construction(self):
