@@ -5,7 +5,8 @@ A partitioning request can fail for very different reasons — too little
 area per configuration, a memory budget that cannot hold the crossing
 data, a latency window below physics, or pure packing fragmentation.
 ``repro.core.diagnose_infeasibility`` tells them apart by relaxation
-probing.  This example walks through all four.
+probing.  This example walks through all four.  It diagnoses only a
+window the solver proved empty: one that timed out has no cause to find.
 
 Run with::
 
@@ -13,21 +14,29 @@ Run with::
 """
 
 from repro.arch import ReconfigurableProcessor
-from repro.core import build_model, diagnose_infeasibility
+from repro.core import SolverSettings, build_model, diagnose_infeasibility
 from repro.core.bounds import max_latency
+from repro.ilp import SolveStatus
+from repro.solve import SolveExecutor
 from repro.taskgraph import DesignPoint, TaskGraph
 
 def show(title, graph, processor, partitions, d_max):
-    tp = build_model(graph, processor, partitions, d_max)
-    solution = tp.solve(backend="highs", first_feasible=True, time_limit=20)
+    record = SolveExecutor(SolverSettings(time_limit=20)).solve_window(
+        graph, processor, partitions, d_max, 0.0
+    )
     print(f"--- {title}")
     print(f"    N={partitions}, R_max={processor.resource_capacity:g}, "
           f"M_max={processor.memory_capacity:g}, d_max={d_max:g}")
-    if solution.status.has_solution:
-        design = tp.design_from(solution)
-        print(f"    feasible: latency {design.total_latency(processor):,.0f} ns\n")
+    if record.feasible:
+        print(f"    feasible: latency {record.achieved:,.0f} ns\n")
         return
-    report = diagnose_infeasibility(tp)
+    if record.status is not SolveStatus.INFEASIBLE:
+        # A window that timed out is not proven empty: nothing to diagnose.
+        print(f"    unknown: no verdict within 20 s ({record.status.value})\n")
+        return
+    report = diagnose_infeasibility(
+        build_model(graph, processor, partitions, d_max)
+    )
     print(f"    infeasible -> {report.message}")
     for family, restored in sorted(report.detail.items()):
         print(f"      {family:<16}{'CULPRIT' if restored else 'ok'}")

@@ -85,6 +85,7 @@ from repro.core import (
     SolverSettings,
     TemporalPartitioner,
     bounds,
+    get_scenario,
 )
 from repro.staticcheck import cli as staticcheck_cli
 from repro.taskgraph import generators, io as graph_io
@@ -302,11 +303,15 @@ def _cmd_partition(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
+    # The rows, summary and report read one partition's device: the scenario's.
+    device = get_scenario(config.formulation.scenario).device(
+        processor, config.formulation
+    )
     if args.trace:
         print("N  I  D_min        D_max        D_a")
         for record in outcome.trace:
             n, i, d_min, d_max, achieved = record.row(
-                processor.reconfiguration_time
+                device.reconfiguration_time
             )
             if record.unknown:
                 shown = "T/O"
@@ -327,12 +332,12 @@ def _cmd_partition(args: argparse.Namespace) -> int:
         graph = design.graph
         outcome.design = design
 
-    print(design.summary(processor))
+    print(design.summary(device))
     if args.report:
         from repro.core import design_point_histogram, utilization_report
 
         print()
-        print(utilization_report(outcome.design, processor).table().render())
+        print(utilization_report(outcome.design, device).table().render())
         histogram = design_point_histogram(outcome.design)
         chosen = ", ".join(f"{k}: {v}" for k, v in histogram.items())
         print(f"design points chosen: {chosen}")
@@ -674,6 +679,8 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
     from repro.core import build_model, diagnose_infeasibility
+    from repro.ilp import SolveStatus
+    from repro.solve import SolveExecutor
 
     graph = _load_graph(args.graph)
     processor = _device(args)
@@ -682,18 +689,26 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         d_max = bounds.max_latency(
             graph, args.partitions, processor.reconfiguration_time
         )
-    tp = build_model(graph, processor, args.partitions, d_max)
-    solution = tp.solve(
-        backend="highs", first_feasible=True, time_limit=args.solve_limit
-    )
-    if solution.status.has_solution:
-        design = tp.design_from(solution)
+    record = SolveExecutor(
+        SolverSettings(time_limit=args.solve_limit)
+    ).solve_window(graph, processor, args.partitions, d_max, 0.0)
+    if record.feasible:
         print(
             f"feasible at N={args.partitions}, d_max={d_max:g}: "
-            f"latency {design.total_latency(processor):,.1f} ns"
+            f"latency {record.achieved:,.1f} ns"
         )
         return 0
-    report = diagnose_infeasibility(tp)
+    if record.status is not SolveStatus.INFEASIBLE:
+        # Only a window proven empty has a cause to diagnose.
+        print(
+            f"unknown at N={args.partitions}, d_max={d_max:g}: no verdict "
+            f"within --solve-limit {args.solve_limit:g} s "
+            f"({record.status.value})"
+        )
+        return 1
+    report = diagnose_infeasibility(
+        build_model(graph, processor, args.partitions, d_max)
+    )
     print(f"infeasible at N={args.partitions}, d_max={d_max:g}")
     print(f"diagnosis: {report.message}")
     for family, restored in sorted(report.detail.items()):

@@ -49,7 +49,7 @@ from repro.core.heuristics import (
     greedy_partition,
     heuristic_partition_count,
 )
-from repro.core.optimal import OptimalAttempt, OptimalResult, solve_optimal
+from repro.core.optimal import OptimalResult, solve_optimal
 from repro.core.partitioner import (
     OUTCOME_SCHEMA_VERSION,
     PartitionerConfig,
@@ -88,7 +88,6 @@ __all__ = [
     "InfeasibilityReport",
     "ModelTemplate",
     "OUTCOME_SCHEMA_VERSION",
-    "OptimalAttempt",
     "OptimalResult",
     "POLICIES",
     "PartitionRange",

@@ -7,43 +7,50 @@ solution in the same run time".  This module provides that oracle: the
 same ILP with the objective ``min sum(d_p) + C_T * eta`` attached, swept
 over a range of partition bounds, with per-solve budgets so the DCT-scale
 failure mode can be reproduced rather than suffered.
+
+Each bound is one ``gap=0`` minimize window of a :class:`SolveExecutor`,
+so the oracle answers the search's model on the scenario's device.
 """
 
 from __future__ import annotations
 
-import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.arch.processor import ReconfigurableProcessor
 from repro.core import bounds
-from repro.core.formulation import FormulationOptions, build_model
+from repro.core.families import get_scenario
+from repro.core.formulation import FormulationOptions
+from repro.core.reduce_latency import SolverSettings
 from repro.core.solution import PartitionedDesign
 from repro.ilp import SolveStatus
+from repro.solve.executor import SolveExecutor, WindowOutcome
 from repro.taskgraph.graph import TaskGraph
 
-__all__ = ["OptimalAttempt", "OptimalResult", "solve_optimal"]
+__all__ = ["OptimalResult", "solve_optimal"]
+
+#: Relative slack between a window's dual bound and its design's
+#: latency that still proves the design optimal.  A ``gap=0`` HiGHS
+#: solve stops at an absolute gap of 1e-6 (its ``mip_abs_gap``), and the
+#: latency is read back from the rounded design, not the objective.
+_GAP_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class OptimalAttempt:
-    """The optimality solve for one partition bound ``N``."""
-
-    num_partitions: int
-    status: SolveStatus
-    latency: float | None            # incl. reconfiguration overhead
-    proven_optimal: bool
-    wall_time: float
-    solver_iterations: int
+def _settled(record: WindowOutcome) -> bool:
+    """Proven empty, or its design's latency meets its dual bound."""
+    if record.achieved is None or record.bound is None:
+        return record.status is SolveStatus.INFEASIBLE
+    slack = _GAP_TOL * max(1.0, record.achieved)
+    return record.bound >= record.achieved - slack
 
 
 @dataclass
 class OptimalResult:
-    """Best design over all attempted partition bounds."""
+    """Best design over all attempted partition bounds, and each bound's
+    window record (``attempts``), in order."""
 
     design: PartitionedDesign | None
     latency: float | None
-    attempts: list[OptimalAttempt] = field(default_factory=list)
+    attempts: list[WindowOutcome] = field(default_factory=list)
 
     @property
     def feasible(self) -> bool:
@@ -51,15 +58,10 @@ class OptimalResult:
 
     @property
     def proven_optimal(self) -> bool:
-        """True when every attempted bound finished (optimal or infeasible).
-
-        Only then is the best-over-N value a true optimum for the
-        explored range.
-        """
-        return bool(self.attempts) and all(
-            a.proven_optimal or a.status is SolveStatus.INFEASIBLE
-            for a in self.attempts
-        )
+        """Every attempted bound is settled (proven empty, or its design
+        meets its dual bound): only then is the best-over-N value a true
+        optimum for the explored range."""
+        return bool(self.attempts) and all(map(_settled, self.attempts))
 
 
 def solve_optimal(
@@ -67,7 +69,6 @@ def solve_optimal(
     processor: ReconfigurableProcessor,
     partition_counts: range | list[int] | None = None,
     options: FormulationOptions | None = None,
-    backend: str = "highs",
     time_limit_per_solve: float | None = 120.0,
     node_limit: int | None = None,
 ) -> OptimalResult:
@@ -79,48 +80,27 @@ def solve_optimal(
     different ``N`` directly comparable — the best objective over all
     bounds is the overall optimum.
     """
-    base_options = options or FormulationOptions()
-    opts = FormulationOptions(
-        order_mode=base_options.order_mode,
-        two_sided_w=base_options.two_sided_w,
-        include_env_memory=base_options.include_env_memory,
-        path_limit=base_options.path_limit,
-        minimize_latency=True,
-    )
+    opts = replace(options or FormulationOptions(), minimize_latency=True)
+    c_t = get_scenario(opts.scenario).device(processor, opts).reconfiguration_time
     if partition_counts is None:
         prange = bounds.partition_range(graph, processor)
         partition_counts = range(prange.lower_bound, prange.upper_seed + 1)
 
+    # A greedy design is no optimum, so the fallback stays off.
+    executor = SolveExecutor(SolverSettings(
+        time_limit=time_limit_per_solve,
+        node_limit=node_limit,
+        heuristic_fallback=False,
+    ))
     result = OptimalResult(design=None, latency=None)
-    best = math.inf
     for n in partition_counts:
-        d_max = bounds.max_latency(
-            graph, n, processor.reconfiguration_time
+        record = executor.solve_window(
+            graph, processor, n, bounds.max_latency(graph, n, c_t), 0.0,
+            opts, gap=0.0,
         )
-        tp_model = build_model(graph, processor, n, d_max, 0.0, opts)
-        start = time.perf_counter()
-        solution = tp_model.solve(
-            backend=backend,
-            time_limit=time_limit_per_solve,
-            node_limit=node_limit,
-        )
-        elapsed = time.perf_counter() - start
-        latency: float | None = None
-        if solution.status.has_solution:
-            design = tp_model.design_from(solution)
-            latency = design.total_latency(processor)
-            if latency < best:
-                best = latency
-                result.design = design
-                result.latency = latency
-        result.attempts.append(
-            OptimalAttempt(
-                num_partitions=n,
-                status=solution.status,
-                latency=latency,
-                proven_optimal=solution.status is SolveStatus.OPTIMAL,
-                wall_time=elapsed,
-                solver_iterations=solution.iterations,
-            )
-        )
+        result.attempts.append(record)
+        if record.feasible and (
+            result.latency is None or record.achieved < result.latency
+        ):
+            result.design, result.latency = record.design, record.achieved
     return result

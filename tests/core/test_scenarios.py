@@ -29,6 +29,7 @@ from repro.core import (
     build_model,
     get_scenario,
     scenario_ids,
+    solve_optimal,
 )
 from repro.core.families import ScenarioSpec
 from repro.core.formulation import ModelTemplate
@@ -358,6 +359,19 @@ SCAN_GRAPHS = {
 }
 
 
+#: Three slot searches that reach the minimize-ILP optimum, with that
+#: optimum: (graph, R_max, C_T, optimum), two slots, M_max 4096, gamma 3.
+SLOT_OPTIMA = pytest.mark.parametrize(
+    "make_graph, r_max, c_t, expected",
+    [
+        (ar_filter, 1290.0, 20.0, 430.0),
+        (lambda: fork_join_graph(3, 2, seed=5), 1418.52, 60.0, 429.8),
+        (lambda: layered_graph(3, 2, seed=7), 2127.8, 150.0, 378.0),
+    ],
+    ids=["ar", "fork_join_s5", "layered_s7"],
+)
+
+
 class TestSlotDevice:
     """Every layer reads one partition's capacity and ``C_T`` from
     :meth:`ScenarioSpec.device`."""
@@ -434,15 +448,7 @@ class TestSlotDevice:
                 optimum + tol
             )
 
-    @pytest.mark.parametrize(
-        "make_graph, r_max, c_t, expected",
-        [
-            (ar_filter, 1290.0, 20.0, 430.0),
-            (lambda: fork_join_graph(3, 2, seed=5), 1418.52, 60.0, 429.8),
-            (lambda: layered_graph(3, 2, seed=7), 2127.8, 150.0, 378.0),
-        ],
-        ids=["ar", "fork_join_s5", "layered_s7"],
-    )
+    @SLOT_OPTIMA
     def test_search_reaches_the_slot_optimum(
         self, make_graph, r_max, c_t, expected
     ):
@@ -460,6 +466,25 @@ class TestSlotDevice:
         optimum, _used = slot_optimum(graph, processor, n_stop)
         assert optimum == pytest.approx(expected, abs=0.05)
         assert outcome.total_latency == pytest.approx(optimum, abs=1e-6)
+
+    @SLOT_OPTIMA
+    def test_oracle_reaches_the_slot_optimum(
+        self, make_graph, r_max, c_t, expected
+    ):
+        graph = make_graph()
+        processor = ReconfigurableProcessor(r_max, 4096, c_t)
+        n_stop = bounds.partition_range(graph, processor, gamma=3).stop
+        optimum, _used = slot_optimum(graph, processor, n_stop)
+        result = solve_optimal(
+            graph, processor, [n_stop], options=slot_options()
+        )
+        assert result.proven_optimal
+        assert result.latency == pytest.approx(optimum, abs=1e-6)
+        assert result.latency == pytest.approx(expected, abs=0.05)
+        device = get_scenario("slot_coresident").device(
+            processor, slot_options()
+        )
+        assert result.design.audit(device) == []
 
     def test_cp_backend_refuses_other_scenarios(self, ar_graph):
         # The backtracker knows only the paper's constraints on the whole

@@ -210,6 +210,28 @@ class TestDiagnose:
         assert code == 1
         assert "latency_window" in capsys.readouterr().out
 
+    def test_diagnose_reports_a_timeout_as_unknown(
+        self, monkeypatch, ar_json, capsys
+    ):
+        from repro.ilp import model as ilp_model
+        from repro.ilp.status import Solution, SolveStatus
+
+        def timed_out(model, **options):
+            return Solution(status=SolveStatus.TIME_LIMIT)
+
+        monkeypatch.setitem(ilp_model._BACKENDS, "highs", timed_out)
+        # N=1 leaves the greedy fallback no design, so no verdict at all.
+        code = main([
+            "diagnose", ar_json, "--r-max", "400", "--m-max", "128",
+            "--ct", "20", "-n", "1", "--solve-limit", "5",
+        ])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "no verdict within --solve-limit 5 s" in out
+        assert "infeasible" not in out
+        assert "diagnosis" not in out
+        assert "CULPRIT" not in out
+
 
 class TestCurve:
     def test_curve_on_ar(self, ar_json, capsys):
@@ -347,6 +369,24 @@ class TestScenarioFlag:
             ])
         assert excinfo.value.code == 2
         assert "KEY=VALUE" in capsys.readouterr().err
+
+    def test_partition_output_charges_one_slot(self, ar_json, capsys):
+        # Two slots on a C_T=20 device: each partition costs 10 ns, so
+        # the 470 ns design at N=4 executes in 470 - 4 x 10 = 430 ns.
+        code = main([
+            "partition", ar_json,
+            "--r-max", "800", "--m-max", "256", "--ct", "20",
+            "--delta", "5", "--gamma", "2",
+            "--scenario", "slot_coresident", "--trace", "--report",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        rows = [
+            line.split() for line in out.splitlines() if line[:1].isdigit()
+        ]
+        assert ["4", "1", "400.0", "480.0", "430.0"] in rows
+        assert "total latency: 470 (execution 430 + 4 x C_T 10)" in out
+        assert "total 470 ns = execution 430 + reconfiguration 40" in out
 
     def test_partition_slot_scenario_end_to_end(self, ar_json, capsys):
         code = main([
