@@ -212,8 +212,8 @@ class PartitioningOutcome:
         design points by label, which live on the graph's tasks; without
         it the summary fields round-trip and ``design`` stays ``None``.
         Telemetry without ``solves`` rows gets the trace's records back
-        as its rows: all but the windows the LP/packing bound emptied
-        before any solve (``backend=""`` and not degraded).
+        as its rows: all but the bound prunes older searches recorded in
+        the trace only (``backend=""`` and not degraded).
         """
         version = int(payload.get("schema_version", 1))
         if version > OUTCOME_SCHEMA_VERSION:

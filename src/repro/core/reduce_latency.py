@@ -35,8 +35,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.arch.processor import ReconfigurableProcessor
-from repro.core import bounds
-from repro.core.families import get_scenario
 from repro.core.formulation import (
     FormulationOptions,
     lp_latency_lower_bound,
@@ -72,10 +70,10 @@ class SolverSettings:
         LP-relaxation latency bound
         (:func:`repro.core.formulation.lp_latency_lower_bound`) and the
         combinatorial packing bound
-        (:func:`repro.core.bounds.packing_min_latency`).  Windows below
-        either bound are provably empty, so this removes the
-        time-limited infeasibility probes — on area-tight instances the
-        packing bound is the decisive one: it refutes by arithmetic the
+        (:meth:`repro.solve.SolveExecutor.packing_bound`), and let the
+        executor conclude any window below the packing bound
+        ``INFEASIBLE`` (backend ``"packing"``) without a solve.  On
+        area-tight instances the packing bound refutes by arithmetic the
         deep windows the MILP solver cannot refute within any practical
         budget.  An extension over the paper; disable to reproduce the
         paper's exact bound bookkeeping (Ablation E compares both).
@@ -363,46 +361,24 @@ def reduce_latency(
             )
 
         if settings.use_lp_bound:
-            # Extension: windows below the LP-relaxation latency bound or
-            # the combinatorial packing bound are provably empty; raising
-            # D_min to the tighter of the two keeps every bisection trial
-            # in the region where solutions may exist.
+            # Extension: no design lies below the LP-relaxation latency
+            # bound or the packing bound, so D_min rises to the tighter
+            # of the two.  The first window is asked either way: the
+            # executor refutes one below the packing bound by arithmetic,
+            # the backend one below the LP bound at the root.
             with tracer.span("lp_bound", num_partitions=num_partitions) as sp:
                 lp_bound = lp_latency_lower_bound(
                     graph, processor, num_partitions, options
                 )
                 sp.annotate(bound=lp_bound)
-            device = get_scenario(options.scenario).device(processor, options)
-            with tracer.span(
-                "packing_bound", num_partitions=num_partitions
-            ) as sp:
-                packing = bounds.packing_min_latency(
-                    graph, device, num_partitions
-                )
-                sp.annotate(bound=packing)
-            tightened = max(lp_bound, packing)
-            if tightened > d_max:
-                tracer.event(
-                    "bound_prunes_window",
-                    lp_bound=lp_bound,
-                    packing_bound=packing,
-                    d_max=d_max,
-                )
-                trace.add(
-                    WindowOutcome(
-                        design=None,
-                        achieved=None,
-                        status=SolveStatus.INFEASIBLE,
-                        backend="",
-                        wall_time=0.0,
-                        num_partitions=num_partitions,
-                        d_min=d_min,
-                        d_max=d_max,
-                        iteration=iteration,
-                    )
-                )
-                return result(None, None)
-            d_min = max(d_min, tightened)
+            floor = max(
+                lp_bound,
+                executor.packing_bound(
+                    graph, processor, num_partitions, options
+                ),
+            )
+            if floor <= d_max:
+                d_min = max(d_min, floor)
 
         def solve(
             window_max: float,

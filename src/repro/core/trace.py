@@ -24,9 +24,7 @@ class SearchTrace:
     """The search's window records, in order: one per ILP call.
 
     Each entry is the executor's :class:`WindowOutcome`, which carries
-    the ``Reduce_Latency`` iteration that asked it, plus one record
-    (``backend=""``, not degraded) for each window the LP/packing bound
-    emptied before any solve.
+    the ``Reduce_Latency`` iteration that asked it.
     """
 
     records: list[WindowOutcome] = field(default_factory=list)

@@ -5,33 +5,36 @@
 ``FormModel + SolveModel`` step of the paper's procedures goes through
 :meth:`SolveExecutor.solve_window`, which layers, in order:
 
-1. **incremental model preparation** — one
+1. **packing bound** — with ``use_lp_bound``, a window whose ``d_max``
+   lies below :meth:`SolveExecutor.packing_bound` concludes
+   ``INFEASIBLE`` (backend ``"packing"``) before anything else runs,
+2. **incremental model preparation** — one
    :class:`repro.core.formulation.ModelTemplate` per
    ``(graph, processor, N, options)`` is built, compiled to sparse
    standard form and fingerprinted *once*; every window solve then
    instantiates it by patching the two latency-row right-hand sides,
-2. **memoization** — the model is fingerprinted (a tuple composition on
+3. **memoization** — the model is fingerprinted (a tuple composition on
    the template path — no hashing) and the
    :class:`repro.solve.cache.SolveCache` consulted before any backend
    runs (exact replays and window-monotone verdict reuse),
-3. **incumbent certificate** — a design the caller hands in
+4. **incumbent certificate** — a design the caller hands in
    (``solve_window(..., incumbent=...)``, the search's carried ``D_a``)
    answers the window with zero solver work when it uses at most ``N``
    partitions and its latency lies in the window,
-4. **deadline policy** — the per-solve budget is the minimum of the
+5. **deadline policy** — the per-solve budget is the minimum of the
    settings' ``time_limit`` and whatever remains of the search's overall
    deadline; an already-expired deadline skips the backend entirely,
-5. **backend execution** — every window not answered by the cache or
+6. **backend execution** — every window not answered by the cache or
    the certificate goes straight to ``settings.backend`` (``highs``,
    ``bnb`` or ``cp``), inline on the caller's thread, once; a backend
    that raises is contained as an ``ERROR`` attempt, and so is an ILP
    point that breaks a row of the window's model once its integral
    columns are rounded (``backend_point_rejected``),
-6. **graceful degradation** — when the backend exhausts its budget,
+7. **graceful degradation** — when the backend exhausts its budget,
    the greedy level-packing heuristics are tried as a last resort and
    the outcome is marked ``degraded=True`` instead of raising or
    silently reporting infeasibility,
-7. **instrumentation** — each fact is emitted once, as a tracer event
+8. **instrumentation** — each fact is emitted once, as a tracer event
    that :func:`_fold_table` folds into one
    :class:`repro.obs.MetricsRegistry`; each window concludes in one
    :class:`WindowOutcome` record, from which its event, span
@@ -41,8 +44,8 @@
 
 One executor instance is created per ``Refine_Partitions_Bound`` run (or
 handed in by the caller to share the cache across runs).  It carries
-nothing from one window to the next but its templates, its cache, its
-metrics and its window records.
+nothing from one window to the next but its templates and their
+packing bounds, its cache, its metrics and its window records.
 """
 
 from __future__ import annotations
@@ -106,9 +109,9 @@ class WindowOutcome:
     backend:
         Who produced the verdict: a solver backend name,
         ``"incumbent"``, ``"cache"`` for a memoized answer,
-        ``"heuristic:<policy>"`` for the greedy fallback, or ``""`` when
-        nothing did (hard timeout, crash, or a window the search's
-        LP/packing bound emptied before any solve).
+        ``"heuristic:<policy>"`` for the greedy fallback, ``"packing"``
+        for a window below the packing bound, or ``""`` when nothing did:
+        a hard timeout or a crash (or, in older payloads, a bound prune).
     wall_time:
         Wall-clock seconds of the whole window solve.
     iterations:
@@ -404,6 +407,12 @@ class SolveExecutor:
         self._templates: dict[
             tuple[int, int, int, "FormulationOptions"], "ModelTemplate"
         ] = {}
+        # Packing bounds (:meth:`packing_bound`), keyed like the
+        # templates; each entry pins its graph and processor the same way.
+        self._packing_bounds: dict[
+            tuple[int, int, int, "FormulationOptions"],
+            "tuple[float, TaskGraph, ReconfigurableProcessor]",
+        ] = {}
 
     def _emit(self, name: str, **attrs) -> None:
         """Emit one executor fact: a tracer event, folded into
@@ -479,6 +488,34 @@ class SolveExecutor:
             self._emit("template_built", num_partitions=num_partitions)
         return template
 
+    def packing_bound(
+        self,
+        graph: "TaskGraph",
+        processor: "ReconfigurableProcessor",
+        num_partitions: int,
+        options: "FormulationOptions | None" = None,
+    ) -> float:
+        """:func:`repro.core.bounds.packing_min_latency` on the scenario's
+        per-partition device: no design at ``N`` has a lower latency.
+
+        Computed once per template key, inside a ``packing_bound`` span.
+        """
+        from repro.core.bounds import packing_min_latency
+        from repro.core.families import get_scenario
+
+        options = self._effective_options(options)
+        key = (id(graph), id(processor), num_partitions, options)
+        entry = self._packing_bounds.get(key)
+        if entry is None:
+            device = get_scenario(options.scenario).device(processor, options)
+            with self.tracer.span(
+                "packing_bound", num_partitions=num_partitions
+            ) as sp:
+                bound = packing_min_latency(graph, device, num_partitions)
+                sp.annotate(bound=bound)
+            entry = self._packing_bounds[key] = (bound, graph, processor)
+        return entry[0]
+
     # -- the one entry point -------------------------------------------------
 
     def solve_window(
@@ -508,6 +545,11 @@ class SolveExecutor:
 
         ``iteration`` is the caller's bisection step, stamped on the
         window's record (and so on its event and telemetry row).
+
+        With ``settings.use_lp_bound``, a window whose ``d_max`` lies
+        below :meth:`packing_bound` concludes ``INFEASIBLE`` with backend
+        ``"packing"``: no template, cache lookup or backend attempt, and
+        nothing cached.  The model's ``d_min`` is left as asked.
 
         Model preparation is incremental: the window is instantiated
         from the shared :class:`ModelTemplate` (two RHS patches on the
@@ -556,6 +598,14 @@ class SolveExecutor:
             d_max=float(d_max),
         ):
             options = self._effective_options(options)
+            if self.settings.use_lp_bound and d_max < self.packing_bound(
+                graph, processor, num_partitions, options
+            ):
+                # Proven empty by arithmetic: no model, no cache entry.
+                return self._conclude(
+                    None, None, SolveStatus.INFEASIBLE, "packing",
+                    window, None, start,
+                )
             template = self.template_for(
                 graph, processor, num_partitions, options
             )

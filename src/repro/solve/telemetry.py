@@ -40,7 +40,8 @@ class RunTelemetry:
     solves: list["WindowOutcome"] = field(default_factory=list)
     #: Wall seconds per backend, over every attempt it ran.
     backend_wall: dict[str, float] = field(default_factory=dict)
-    #: Window solves each backend (or the carried incumbent) decided.
+    #: Window solves each backend (or the carried incumbent, or the
+    #: packing bound) decided.
     backend_wins: dict[str, int] = field(default_factory=dict)
     #: Backend attempts that exhausted their budget without a verdict.
     timeouts: int = 0
@@ -82,8 +83,9 @@ class RunTelemetry:
         docs/observability.md); the ``solves`` rows only feed the
         percentiles.  In ``repro_window_solves_total{backend}``, backend
         ``cache`` is a cache hit, ``heuristic:*`` and ``none`` are
-        fallbacks, any other is a win; every window instantiates its
-        template once, so the window total is the instantiation count.
+        fallbacks, any other (``incumbent`` and ``packing`` included)
+        is a win.  Every window but a ``packing`` one instantiates its
+        template once; those windows are the instantiation count.
         """
         total = snapshot.total
         severities = _per_label(
@@ -96,7 +98,6 @@ class RunTelemetry:
             ),
             timeouts=int(total("repro_backend_timeouts_total")),
             template_builds=int(total("repro_template_builds_total")),
-            template_instantiations=int(total("repro_window_solves_total")),
             incumbent_reuses=int(total("repro_incumbent_reuses_total")),
             disk_hits=int(
                 _per_label(snapshot, "repro_solve_cache_hits_total", "tier")
@@ -111,6 +112,9 @@ class RunTelemetry:
             )[1],
         )
         windows = _per_label(snapshot, "repro_window_solves_total", "backend")
+        telemetry.template_instantiations = telemetry.total_solves - int(
+            windows.get("packing", 0)
+        )
         for backend, count in windows.items():
             if backend == "cache":
                 telemetry.cache_hits += int(count)

@@ -11,7 +11,7 @@ a committed findings baseline so new rules land warn-first, and the
 Rule packs
 ----------
 
-* **invariants** (RL001–RL005) — the original lint rules, re-matched
+* **invariants** (RL001, RL003–RL005) — the original lint rules, re-matched
   through resolved names instead of raw AST spellings;
 * **concurrency** (RL006–RL007) — process-pool workers must be pure
   functions of their payload; async bodies must not block;

@@ -1,4 +1,4 @@
-"""RL001–RL005: the original invariants, ported scope-aware.
+"""RL001 and RL003–RL005: the original invariants, ported scope-aware.
 
 These rules shipped first in ``tools/repro_lint.py``; the port keeps
 their ids and intent but queries the symbol table instead of raw AST
@@ -143,66 +143,6 @@ def _check_rl001(rule, ctx, project) -> Iterator[Finding]:
                         "template/sibling views; copy first or build a "
                         "patched sibling"
                     ))
-
-
-@register_rule(
-    "RL002",
-    title="no shared-state writes in cancellable workers",
-    severity="error",
-    rationale=(
-        "A function taking a 'cancel' parameter is written to run on "
-        "another thread while its caller waits; any write to self, "
-        "global or nonlocal state from it is a data race with the "
-        "caller."
-    ),
-    fix_hint=(
-        "Return the result to the caller instead of storing it; use "
-        "'cancel' only to stop early."
-    ),
-)
-def _check_rl002(rule, ctx, project) -> Iterator[Finding]:
-    seen: set[tuple[int, str]] = set()
-    for funcdef in ast.walk(ctx.tree):
-        if not isinstance(funcdef, (ast.FunctionDef,
-                                    ast.AsyncFunctionDef)):
-            continue
-        args = funcdef.args
-        if "cancel" not in {
-            a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)
-        }:
-            continue
-        for stmt in funcdef.body:
-            for node in ast.walk(stmt):
-                finding = None
-                if isinstance(node, (ast.Assign, ast.AugAssign)):
-                    targets = (node.targets if isinstance(node, ast.Assign)
-                               else [node.target])
-                    for target in targets:
-                        if (isinstance(target, ast.Attribute)
-                                and isinstance(target.value, ast.Name)
-                                and target.value.id == "self"):
-                            finding = rule.finding(ctx, target, (
-                                f"write to 'self.{target.attr}' inside "
-                                "a cancellable worker (parameter "
-                                "'cancel') — it runs on another thread; "
-                                "return the result instead"
-                            ))
-                elif isinstance(node, (ast.Global, ast.Nonlocal)):
-                    keyword = (
-                        "global" if isinstance(node, ast.Global)
-                        else "nonlocal"
-                    )
-                    finding = rule.finding(ctx, node, (
-                        f"'{keyword} {', '.join(node.names)}' inside a "
-                        "cancellable worker (parameter 'cancel') — it "
-                        "runs on another thread; return the result "
-                        "instead"
-                    ))
-                if finding is not None:
-                    key = (finding.line, finding.message)
-                    if key not in seen:
-                        seen.add(key)
-                        yield finding
 
 
 @register_rule(

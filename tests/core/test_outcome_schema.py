@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.arch import ReconfigurableProcessor
 from repro.core import (
     OUTCOME_SCHEMA_VERSION,
     PartitionerConfig,
@@ -24,6 +25,7 @@ from repro.core import (
     SolverSettings,
     TemporalPartitioner,
 )
+from repro.core.formulation import FormulationOptions
 from repro.core.partitioner import PartitioningOutcome
 from repro.ilp import model as ilp_model
 from repro.ilp.status import Solution, SolveStatus
@@ -192,3 +194,20 @@ class TestLiveRoundTrip:
             assert {r.status for r in back.trace} == {status}
         if settings.dual_bound:
             assert any(r.bound is not None for r in back.trace)
+
+    def test_a_packing_prune_round_trips(self, ar_graph):
+        # N=2 holds the graph on the whole device but not in two
+        # 400-unit slots: the executor prunes it by the packing bound.
+        live = TemporalPartitioner(
+            ReconfigurableProcessor(800, 256, 20.0),
+            PartitionerConfig(
+                formulation=FormulationOptions(scenario="slot_coresident"),
+                solver=SolverSettings(time_limit=10.0),
+            ),
+        ).solve(PartitionRequest(graph=ar_graph))
+        pruned = live.trace.records[0]
+        assert (pruned.num_partitions, pruned.backend) == (2, "packing")
+        assert live.telemetry.solves == list(live.trace)
+        payload = json.loads(json.dumps(live.to_dict(include_trace=True)))
+        back = PartitioningOutcome.from_dict(payload, graph=ar_graph)
+        assert back.telemetry.solves == live.telemetry.solves

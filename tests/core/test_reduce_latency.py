@@ -6,6 +6,8 @@ import pytest
 
 from repro.arch import ReconfigurableProcessor
 from repro.core import SolverSettings, bounds, reduce_latency
+from repro.core.formulation import FormulationOptions, lp_latency_lower_bound
+from repro.ilp.status import SolveStatus
 from repro.solve import SolveExecutor
 from repro.taskgraph import ar_filter
 from repro.taskgraph.generators import (
@@ -181,17 +183,18 @@ class TestDeadline:
 
 
 class RecordingExecutor(SolveExecutor):
-    """Records ``(N, d_max)`` of every window handed to the executor."""
+    """Records ``(N, d_max)`` of every window that reaches the backend."""
 
     def __init__(self, settings):
         super().__init__(settings)
-        self.windows: list[tuple[int, float]] = []
+        self.attempts: list[tuple[int, float]] = []
 
-    def solve_window(self, graph, processor, num_partitions, d_max, *args,
-                     **kwargs):
-        self.windows.append((num_partitions, d_max))
-        return super().solve_window(
-            graph, processor, num_partitions, d_max, *args, **kwargs
+    def _run_attempt(self, tp_model, graph, processor, num_partitions, d_max,
+                     *args, **kwargs):
+        self.attempts.append((num_partitions, d_max))
+        return super()._run_attempt(
+            tp_model, graph, processor, num_partitions, d_max, *args,
+            **kwargs,
         )
 
 
@@ -205,11 +208,10 @@ def _synthetic_device(graph):
 
 
 class TestPackingInvariant:
-    """With ``use_lp_bound`` no window reaches the executor below the
-    packing bound: ``reduce_latency`` raises ``D_min`` to it (bisection
-    trials never undercut ``D_min``) and prunes any ``N`` whose ``D_max``
-    lies below it.  The executor relies on this and runs no per-window
-    packing check of its own."""
+    """With ``use_lp_bound`` no backend attempt lies below the packing
+    bound: ``reduce_latency`` raises ``D_min`` to it (bisection trials
+    never undercut ``D_min``), and the executor concludes a window whose
+    ``D_max`` lies below it ``INFEASIBLE`` with backend ``"packing"``."""
 
     @pytest.mark.parametrize(
         ("graph", "device", "partition_bounds"),
@@ -241,13 +243,50 @@ class TestPackingInvariant:
                 d_maxes.append(packing - 5.0)  # below the bound: pruned
             for d_max in d_maxes:
                 executor = RecordingExecutor(settings)
-                reduce_latency(
+                result = reduce_latency(
                     graph, device, n, d_max, d_min, 50.0,
                     settings=settings, executor=executor,
                 )
-                for _, window_max in executor.windows:
+                for _, window_max in executor.attempts:
                     assert window_max >= packing - 1e-9
                 if d_max < packing:
-                    assert executor.windows == []
-                solved += len(executor.windows)
+                    assert executor.attempts == []
+                    [record] = result.trace
+                    assert record.backend == "packing"
+                    assert record.status is SolveStatus.INFEASIBLE
+                solved += len(executor.attempts)
         assert solved > 0  # the invariant was exercised, not vacuous
+
+
+class TestBoundVerdicts:
+    """The executor gives every window its verdict; ``reduce_latency``
+    builds no record of its own."""
+
+    def test_window_below_only_the_lp_bound_reaches_the_backend(self):
+        graph, device = ar_filter(), proc()
+        options = FormulationOptions()
+        lp = lp_latency_lower_bound(graph, device, 3, options)
+        assert lp > 468.4 >= bounds.packing_min_latency(graph, device, 3)
+        result = reduce_latency(
+            graph, device, 3, d_max=468.4, d_min=460.0, delta=10.0,
+            settings=SolverSettings(time_limit=15.0),
+        )
+        [record] = result.trace
+        assert record.status is SolveStatus.INFEASIBLE
+        assert record.backend == "highs"
+        assert record.iterations == 0  # proven empty at the root
+        assert (record.d_min, record.d_max) == (460.0, 468.4)
+        assert not result.feasible
+
+    def test_trace_holds_the_executors_records(self):
+        graph = ar_filter()
+        executor = SolveExecutor(SolverSettings(time_limit=15.0))
+        traces = [
+            run(graph, proc(), n, delta=25.0, executor=executor).trace
+            for n in (2, 3)  # N=2 is pruned: 970 units do not fit 2 x 400
+        ]
+        assert traces[0].records[0].backend == "packing"
+        solves = executor.telemetry.solves
+        records = [r for trace in traces for r in trace]
+        assert len(records) == len(solves)
+        assert all(r is s for r, s in zip(records, solves))

@@ -1,5 +1,7 @@
 """Pre-solve analysis wired into the executor (SolverSettings.analyze)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis import ModelAnalysisError
@@ -48,8 +50,12 @@ class TestAnalyzeModes:
 
     def test_warn_mode_reports_but_does_not_abort(self, problem):
         graph, processor, _ = problem
-        executor = SolveExecutor(SolverSettings(analyze="warn"))
+        executor = SolveExecutor(
+            SolverSettings(analyze="warn", use_lp_bound=False)
+        )
         # d_max below C_T: the latency_ub row is trivially infeasible.
+        # (With the bound on, the packing bound refutes this window
+        # before any model is built, so none is analyzed.)
         outcome = executor.solve_window(graph, processor, 3, 1.0, 0.0)
         assert not outcome.feasible
         assert executor.telemetry.analysis_errors >= 1
@@ -61,10 +67,15 @@ class TestAnalyzeModes:
         assert outcome.feasible
 
 
+#: Strict analysis with the packing bound off: the windows below use a
+#: d_max the bound would refute before any model is built.
+STRICT_UNBOUNDED = SolverSettings(analyze="strict", use_lp_bound=False)
+
+
 class TestStrictAbort:
     def test_aborts_before_any_backend_attempt(self, problem):
         graph, processor, _ = problem
-        executor = SolveExecutor(SolverSettings(analyze="strict"))
+        executor = SolveExecutor(STRICT_UNBOUNDED)
         with pytest.raises(ModelAnalysisError) as excinfo:
             executor.solve_window(graph, processor, 3, 1.0, 0.0)
         # The report rides on the exception with the failing equation.
@@ -79,7 +90,7 @@ class TestStrictAbort:
     def test_tracer_records_the_analysis_span(self, problem):
         graph, processor, _ = problem
         sink = MemorySink()
-        settings = SolverSettings(analyze="strict", tracer=Tracer(sink))
+        settings = replace(STRICT_UNBOUNDED, tracer=Tracer(sink))
         executor = SolveExecutor(settings)
         with pytest.raises(ModelAnalysisError):
             executor.solve_window(graph, processor, 3, 1.0, 0.0)

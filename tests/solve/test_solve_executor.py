@@ -1,5 +1,7 @@
 """SolveExecutor: caching, deadlines, degradation, telemetry."""
 
+import json
+import math
 import time
 
 import pytest
@@ -8,7 +10,9 @@ from repro.arch import ReconfigurableProcessor
 from repro.core import (
     SolverSettings, bounds, reduce_latency, refine_partitions_bound,
 )
-from repro.core.formulation import TemporalPartitioningModel
+from repro.core.formulation import (
+    FormulationOptions, TemporalPartitioningModel,
+)
 from repro.ilp import model as ilp_model
 from repro.ilp.status import Solution, SolveStatus
 from repro.obs import MemorySink, MetricsRegistry, Tracer
@@ -511,6 +515,75 @@ class TestTelemetry:
         assert payload["total_solves"] == 1
         assert payload["solves"][0]["backend"] == "highs"
         assert "cache_hit_rate" in payload
+
+
+def never_runs(model, **options):
+    raise AssertionError("a backend ran below the packing bound")
+
+
+class TestPackingBound:
+    """With ``use_lp_bound`` the executor concludes a window whose
+    ``d_max`` lies below the packing bound itself, through the one record
+    path: no template, cache entry or backend attempt."""
+
+    def test_window_below_the_bound_concludes_packing(
+        self, processor, monkeypatch
+    ):
+        monkeypatch.setitem(ilp_model._BACKENDS, "highs", never_runs)
+        graph = ar_filter()
+        # The minimum areas sum to 970, more than 2 x 400.
+        assert bounds.packing_min_latency(graph, processor, 2) == math.inf
+        executor = SolveExecutor(SolverSettings(time_limit=15.0))
+        d_max, d_min = window(graph, 2)
+        outcome = executor.solve_window(graph, processor, 2, d_max, d_min)
+        assert outcome.status is SolveStatus.INFEASIBLE
+        assert outcome.backend == "packing"
+        assert not (outcome.cache_hit or outcome.degraded)
+        assert outcome.bound is None
+        json.dumps(outcome.to_dict(), allow_nan=False)
+        telemetry = executor.telemetry
+        assert telemetry.solves == [outcome]
+        assert telemetry.template_builds == 0
+        assert telemetry.template_instantiations == 0
+        assert telemetry.backend_wins == {"packing": 1}
+        assert telemetry.fallbacks == 0
+        assert len(executor.cache) == 0
+
+    def test_slot_windows_are_pruned_on_the_slot_device(self, monkeypatch):
+        monkeypatch.setitem(ilp_model._BACKENDS, "highs", never_runs)
+        graph = ar_filter()
+        whole = ReconfigurableProcessor(800, 256, 20.0)
+        options = FormulationOptions(scenario="slot_coresident")
+        # Two partitions of the whole device hold the graph; two
+        # 400-unit slots do not.
+        assert bounds.packing_min_latency(graph, whole, 2) == 210.0
+        executor = SolveExecutor(SolverSettings(time_limit=15.0))
+        assert executor.packing_bound(graph, whole, 2, options) == math.inf
+        d_max, d_min = window(graph, 2, c_t=10.0)
+        outcome = executor.solve_window(
+            graph, whole, 2, d_max, d_min, options
+        )
+        assert outcome.status is SolveStatus.INFEASIBLE
+        assert outcome.backend == "packing"
+        assert executor.telemetry.template_builds == 0
+
+    def test_paper_exact_computes_no_bound(self, processor, monkeypatch):
+        graph = ar_filter()
+        d_max, d_min = window(graph, 2)
+        pruned = SolveExecutor(SolverSettings(time_limit=15.0)).solve_window(
+            graph, processor, 2, d_max, d_min
+        )
+        assert pruned.backend == "packing"
+
+        def no_bound(*args, **kwargs):
+            raise AssertionError("paper_exact computed the packing bound")
+
+        monkeypatch.setattr(bounds, "packing_min_latency", no_bound)
+        executor = SolveExecutor(SolverSettings.paper_exact(time_limit=15.0))
+        outcome = executor.solve_window(graph, processor, 2, d_max, d_min)
+        assert outcome.status is SolveStatus.INFEASIBLE
+        assert outcome.backend == "highs"
+        assert executor.telemetry.template_builds == 1
 
 
 class TestTemplateReuse:

@@ -1,5 +1,5 @@
 """Fixture-driven rule coverage: one offending + one clean snippet per
-rule (RL001–RL009), asserting exact rule id and line, and that inline
+rule (RL001, RL003–RL009), asserting exact rule id and line, and that inline
 suppression and the baseline each silence the finding.
 
 Fixtures live in ``tests/staticcheck/fixtures/`` and are linted under
@@ -21,7 +21,6 @@ FIXTURES = Path(__file__).parent / "fixtures"
 #: first finding in the offending half).
 CASES = {
     "RL001": ("rl001", "src/repro/solve/patch.py", 2),
-    "RL002": ("rl002", "src/repro/solve/attempts.py", 3),
     "RL003": ("rl003", "src/repro/solve/helper.py", 5),
     "RL004": ("rl004", "src/repro/core/helper.py", 5),
     "RL005": ("rl005", "src/repro/analysis/helper.py", 1),
@@ -86,14 +85,3 @@ class TestFixturePairs:
         # Every other fixture violation happens inside a named definition.
         assert all(f.symbol for f in result.active)
 
-
-class TestTightenedWorkerDetection:
-    """RL002 marks a worker by its ``cancel`` parameter."""
-
-    def test_legacy_cancel_marker_still_works(self):
-        result = lint(
-            "src/repro/solve/attempts.py",
-            read_fixture("rl002_offending.py"),
-        )
-        assert [f.rule for f in result.active] == ["RL002"]
-        assert "parameter 'cancel'" in result.active[0].message

@@ -114,7 +114,7 @@ class TestSuppressionSemantics:
         source = (
             "def patch(compiled, row):\n"
             "    compiled.b_ub[row] = 0.0  "
-            "# repro-lint: ignore[RL001, RL002]\n"
+            "# repro-lint: ignore[RL001, RL003]\n"
         )
         active, suppressed = findings_by_state(lint(source))
         assert active == []

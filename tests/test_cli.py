@@ -220,10 +220,13 @@ class TestDiagnose:
             return Solution(status=SolveStatus.TIME_LIMIT)
 
         monkeypatch.setitem(ilp_model._BACKENDS, "highs", timed_out)
-        # N=1 leaves the greedy fallback no design, so no verdict at all.
+        # N=3 with d_max 350 clears the packing bound (340), so the
+        # window reaches the backend; no design lies under 350, so the
+        # greedy fallback has none either: no verdict at all.
         code = main([
             "diagnose", ar_json, "--r-max", "400", "--m-max", "128",
-            "--ct", "20", "-n", "1", "--solve-limit", "5",
+            "--ct", "20", "-n", "3", "--d-max", "350",
+            "--solve-limit", "5",
         ])
         assert code == 1
         out = capsys.readouterr().out

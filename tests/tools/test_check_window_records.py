@@ -13,7 +13,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.arch import ReconfigurableProcessor
 from repro.core import RefinementConfig, SolverSettings, refine_partitions_bound
+from repro.core.formulation import FormulationOptions
 from repro.obs import JsonlSink, Tracer
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -33,14 +35,14 @@ def _load_tool():
 check_window_records = _load_tool()
 
 
-@pytest.fixture
-def run_pair(tmp_path, ar_graph, ar_device):
-    """(trace JSONL, telemetry JSON) of one traced AR-filter search."""
+def traced_pair(tmp_path, graph, device, options=None):
+    """(trace JSONL, telemetry JSON) of one traced search."""
     sink = JsonlSink(tmp_path / "run.jsonl")
     result = refine_partitions_bound(
-        ar_graph,
-        ar_device,
+        graph,
+        device,
         config=RefinementConfig(delta=25.0),
+        options=options,
         settings=SolverSettings(time_limit=15.0, tracer=Tracer(sink)),
     )
     sink.close()
@@ -49,6 +51,12 @@ def run_pair(tmp_path, ar_graph, ar_device):
         json.dumps(result.telemetry.to_dict(include_solves=True))
     )
     return sink.path, telemetry
+
+
+@pytest.fixture
+def run_pair(tmp_path, ar_graph, ar_device):
+    """(trace JSONL, telemetry JSON) of one traced AR-filter search."""
+    return traced_pair(tmp_path, ar_graph, ar_device)
 
 
 class TestCheckWindowRecords:
@@ -81,3 +89,17 @@ class TestCheckWindowRecords:
         assert "window 0: iteration" in err
         assert "window 1: achieved" in err
         assert "'<missing>' in the telemetry row" in err
+
+    def test_a_packing_prune_is_in_both_views(self, tmp_path, ar_graph):
+        # Under slot_coresident N=2 is pruned: 970 units do not fit two
+        # 400-unit slots.
+        jsonl, telemetry = traced_pair(
+            tmp_path,
+            ar_graph,
+            ReconfigurableProcessor(800, 256, 20.0),
+            FormulationOptions(scenario="slot_coresident"),
+        )
+        events = check_window_records.verdict_events(jsonl)
+        rows = json.loads(telemetry.read_text())["solves"]
+        assert events[0]["backend"] == rows[0]["backend"] == "packing"
+        assert check_window_records.main([str(jsonl), str(telemetry)]) == 0
