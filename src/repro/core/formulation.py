@@ -24,7 +24,7 @@ two-sided latency window (9)-(10).
 The non-linear products in (4)-(5) are linearized one-sidedly by default:
 ``w >= before(t1) + atOrAfter(t2) - 1`` suffices because ``w`` appears
 elsewhere only in the memory *capacity* row, which pushes it down (see
-:func:`repro.ilp.linearize.product_of_sums`).  ``FormulationOptions`` can
+:func:`repro.core.families._build_crossing`).  ``FormulationOptions`` can
 request the exact two-sided linearization for verification.
 
 The constraint families themselves live in registered builders

@@ -81,9 +81,10 @@ def solve_optimal(
     bounds is the overall optimum.
     """
     opts = replace(options or FormulationOptions(), minimize_latency=True)
-    c_t = get_scenario(opts.scenario).device(processor, opts).reconfiguration_time
+    device = get_scenario(opts.scenario).device(processor, opts)
+    c_t = device.reconfiguration_time
     if partition_counts is None:
-        prange = bounds.partition_range(graph, processor)
+        prange = bounds.partition_range(graph, device)
         partition_counts = range(prange.lower_bound, prange.upper_seed + 1)
 
     # A greedy design is no optimum, so the fallback stays off.

@@ -309,9 +309,14 @@ class TemporalPartitioner:
         """
         processor = request.processor or self.processor
         config = request.config or self.config
+        # One partition sees the scenario's device: the graph check and
+        # the explored range read its capacity, as the search does.
+        device = get_scenario(config.formulation.scenario).device(
+            processor, config.formulation
+        )
         if config.validate:
             report = validate_graph(
-                request.graph, resource_capacity=processor.resource_capacity
+                request.graph, resource_capacity=device.resource_capacity
             )
             report.raise_if_failed()
         result: RefinementResult = refine_partitions_bound(
@@ -324,7 +329,7 @@ class TemporalPartitioner:
         )
         prange = bounds.partition_range(
             request.graph,
-            processor,
+            device,
             alpha=config.search.alpha,
             gamma=config.search.gamma,
         )

@@ -17,7 +17,8 @@ This is Figure 2 of the paper: the outer loop around
 3. Otherwise re-run the latency refinement with the incumbent as the new
    upper bound, keeping the better result.
 
-The windows and the cut charge the scenario's per-partition ``C_T``.
+The range, the windows and the cut read the scenario's device: one
+partition's capacity and ``C_T``.
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ def refine_partitions_bound(
     device = get_scenario(options.scenario).device(processor, options)
     c_t = device.reconfiguration_time
     prange = bounds.partition_range(
-        graph, processor, alpha=config.alpha, gamma=config.gamma
+        graph, device, alpha=config.alpha, gamma=config.gamma
     )
     n = prange.start
     delta = config.resolve_delta(bounds.max_latency(graph, n, c_t))

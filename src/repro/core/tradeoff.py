@@ -91,13 +91,13 @@ def partition_latency_curve(
     point (at the cost of more solves).
     """
     settings = settings or SolverSettings(time_limit=15.0)
-    if partition_counts is None:
-        prange = bounds.partition_range(graph, processor)
-        partition_counts = range(prange.lower_bound, prange.stop + 1)
-    curve = TradeoffCurve()
     options = options or FormulationOptions()
     device = get_scenario(options.scenario).device(processor, options)
     c_t = device.reconfiguration_time
+    if partition_counts is None:
+        prange = bounds.partition_range(graph, device)
+        partition_counts = range(prange.lower_bound, prange.stop + 1)
+    curve = TradeoffCurve()
     for n in partition_counts:
         d_max = bounds.max_latency(graph, n, c_t)
         d_min = bounds.min_latency(graph, n, c_t)

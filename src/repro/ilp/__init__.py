@@ -8,9 +8,7 @@ This subpackage replaces the CPLEX solver used in the paper.  It provides:
 * three interchangeable backends — scipy/HiGHS (``"highs"``), a
   from-scratch branch & bound over LP relaxations (``"bnb"``), and a
   from-scratch two-phase simplex for pure LPs (``"simplex"``),
-* linearization helpers for binary products (used by the memory
-  constraints of the temporal-partitioning formulation),
-* knapsack cover cuts and a CPLEX LP-format writer.
+* a CPLEX LP-format writer.
 
 Quick example::
 
@@ -38,7 +36,6 @@ from repro.ilp.compile import (
     compile_model,
 )
 from repro.ilp.expr import Constraint, LinExpr, Sense, Variable, VarType, lin_sum
-from repro.ilp.linearize import product_binary, product_of_sums
 from repro.ilp.lp_writer import lp_string, write_lp
 from repro.ilp.model import (
     Model,
@@ -70,8 +67,6 @@ __all__ = [
     "lin_sum",
     "lp_string",
     "solve_compiled",
-    "product_binary",
-    "product_of_sums",
     "register_backend",
     "write_lp",
 ]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,15 +43,6 @@ class BnbOptions:
     gap_tol: float = 1e-9           # absolute optimality gap
     dive_every: int = 50            # run the diving heuristic every N nodes
     dive_resolves: int = 25
-    #: Optional warm start: a candidate point (original variable order).
-    #: Validated against bounds, integrality and all rows before being
-    #: installed as the initial incumbent — a stale or infeasible point
-    #: is discarded rather than silently repaired, because a wrong
-    #: incumbent prunes optimal subtrees.
-    warm_start: np.ndarray | None = None
-    #: Rounds of knapsack cover cuts separated at the root node (0 = off).
-    #: Valid for all integer points; tightens packing relaxations.
-    root_cuts: int = 0
     #: Optional :class:`repro.obs.Tracer`: a ``bnb_checkpoint`` event
     #: (nodes, incumbent, bound, stack depth) is emitted every
     #: ``checkpoint_every`` explored nodes.
@@ -68,7 +59,6 @@ class BnbResult:
     objective: float
     nodes: int
     best_bound: float = -math.inf
-    incumbents: list[float] = field(default_factory=list)
 
 
 @dataclass
@@ -77,58 +67,6 @@ class _Node:
     ub: np.ndarray
     depth: int
     parent_bound: float
-
-
-def _strengthen_with_cover_cuts(form, rounds: int, stop=None):
-    """Append violated knapsack cover cuts to the form (root node only).
-
-    Cuts remove only fractional points, so the returned compiled sibling
-    is equivalent on integers; all node relaxations inherit the
-    tightening.  ``stop`` (the solver's budget predicate) bounds the
-    separation loop: cut rounds are an optimization, not worth blowing
-    the deadline for.
-    """
-    from repro.ilp.cuts import apply_cuts, find_cover_cuts
-
-    is_binary = form.is_integral & (form.lb >= 0.0) & (form.ub <= 1.0)
-    for _ in range(rounds):
-        if stop is not None and stop():
-            break
-        status, x, _objective, _n = solve_relaxation(form)
-        if status is not SolveStatus.OPTIMAL or x is None:
-            break
-        cuts = find_cover_cuts(form.a_ub, form.b_ub, is_binary, x)
-        if not cuts:
-            break
-        form = apply_cuts(form, cuts)
-    return form
-
-
-def _validate_warm_start(
-    form, point: np.ndarray, int_tol: float
-) -> np.ndarray | None:
-    """Validate a warm-start point; return the snapped point or ``None``.
-
-    The point must have the right shape, be finite, sit within bounds
-    and on integer values up to ``int_tol`` (small drift is snapped, but
-    nothing is clipped or rounded into feasibility), and satisfy every
-    row of the form.  Anything else is rejected: installing an
-    infeasible incumbent would wrongly prune feasible subtrees.
-    """
-    point = np.asarray(point, dtype=float)
-    if point.shape != form.lb.shape or not np.all(np.isfinite(point)):
-        return None
-    if np.any(point < form.lb - int_tol) or np.any(point > form.ub + int_tol):
-        return None
-    mask = form.is_integral
-    if not rounding.is_integral(point, mask, int_tol):
-        return None
-    snapped = point.copy()
-    snapped[mask] = np.round(snapped[mask])
-    snapped = np.clip(snapped, form.lb, form.ub)
-    if not form.point_feasible(snapped):
-        return None
-    return snapped
 
 
 def branch_and_bound(form, options: BnbOptions | None = None) -> BnbResult:
@@ -146,11 +84,6 @@ def branch_and_bound(form, options: BnbOptions | None = None) -> BnbResult:
 
     def out_of_time() -> bool:
         return deadline is not None and time.perf_counter() > deadline
-
-    if options.root_cuts > 0:
-        form = _strengthen_with_cover_cuts(
-            form, options.root_cuts, stop=out_of_time
-        )
 
     # Basis reuse across node LPs (own engine only): the canonical
     # structure is identical at every node — only bound *values* change —
@@ -191,7 +124,6 @@ def branch_and_bound(form, options: BnbOptions | None = None) -> BnbResult:
 
     incumbent_x: np.ndarray | None = None
     incumbent_obj = math.inf
-    incumbents: list[float] = []
     nodes_explored = 0
     best_bound = -math.inf
 
@@ -200,14 +132,6 @@ def branch_and_bound(form, options: BnbOptions | None = None) -> BnbResult:
         if objective < incumbent_obj - options.gap_tol:
             incumbent_x = x.copy()
             incumbent_obj = objective
-            incumbents.append(objective)
-
-    if options.warm_start is not None:
-        candidate = _validate_warm_start(
-            form, options.warm_start, options.int_tol
-        )
-        if candidate is not None:
-            register(candidate, float(form.c @ candidate))
 
     root = _Node(
         lb=form.lb.astype(float).copy(),
@@ -324,16 +248,19 @@ def branch_and_bound(form, options: BnbOptions | None = None) -> BnbResult:
     else:
         status = SolveStatus.FEASIBLE
     return BnbResult(
-        status,
-        incumbent_x,
-        incumbent_obj,
-        nodes_explored,
-        best_bound,
-        incumbents,
+        status, incumbent_x, incumbent_obj, nodes_explored, best_bound
     )
 
 
-def solve_with_bnb(form, **options) -> Solution:
+def solve_with_bnb(
+    form,
+    *,
+    first_feasible: bool = False,
+    time_limit: float | None = None,
+    node_limit: int | None = None,
+    lp_engine: str = "scipy",
+    tracer=None,
+) -> Solution:
     """Backend adapter: branch & bound on a compiled model.
 
     Node relaxations run off the arrays of ``form`` (a
@@ -341,28 +268,13 @@ def solve_with_bnb(form, **options) -> Solution:
     the own simplex) without per-solve matrix rebuilds.  ``node_limit``
     caps the explored nodes; only ``None`` selects the default.
     """
-    node_limit = options.get("node_limit")
     bnb_options = BnbOptions(
-        lp_engine=options.get("lp_engine", "scipy"),
-        first_feasible=bool(options.get("first_feasible", False)),
+        lp_engine=lp_engine,
+        first_feasible=bool(first_feasible),
         node_limit=200_000 if node_limit is None else int(node_limit),
-        time_limit=options.get("time_limit"),
-        tracer=options.get("tracer"),
+        time_limit=time_limit,
+        tracer=tracer,
     )
-    if "dive_every" in options:
-        bnb_options.dive_every = options["dive_every"]
-    if "root_cuts" in options:
-        bnb_options.root_cuts = int(options["root_cuts"])
-    warm_start = options.get("warm_start")
-    if warm_start is not None:
-        # A name -> value mapping; unknown names are ignored, missing
-        # variables default to their lower bound.
-        x0 = form.lb.astype(float).copy()
-        x0[~np.isfinite(x0)] = 0.0
-        for position, var in enumerate(form.variables):
-            if var.name in warm_start:
-                x0[position] = float(warm_start[var.name])
-        bnb_options.warm_start = x0
     result = branch_and_bound(form, bnb_options)
     values: dict[str, float] = {}
     objective = math.nan

@@ -19,9 +19,7 @@ recompiling:
   :mod:`repro.core.formulation` to slide the latency window),
 * :meth:`CompiledModel.truncate_ub_rows` — a prefix view dropping
   trailing inequality rows without copying the matrix (used to drop the
-  optional ``latency_lb`` row when the window's lower edge is zero),
-* :meth:`CompiledModel.with_ub_rows` — a sibling with ``<=`` rows
-  appended (used by the branch & bound's root cover cuts).
+  optional ``latency_lb`` row when the window's lower edge is zero).
 
 Row order follows constraint insertion: inequality rows (``>=``
 negated to ``<=``) in insertion order form the ``ub`` block, equality
@@ -40,7 +38,6 @@ lint rule RL001 (``repro-tp lint``) guards call sites.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -418,45 +415,13 @@ class CompiledModel:
             _var_index=self._var_index,
         )
 
-    def with_ub_rows(
-        self, rows: Sequence[tuple[Sequence[int], Sequence[float], float]]
-    ) -> "CompiledModel":
-        """Sibling with unnamed ``<=`` rows appended to the inequality block.
-
-        Each row is ``(columns, coefficients, rhs)``.  The sibling owns
-        fresh (frozen) inequality arrays and view caches; variables,
-        bounds, objective and the equality block are shared.
-        """
-        lengths = [len(columns) for columns, _coefs, _rhs in rows]
-        return dataclasses.replace(
-            self,
-            ub_indptr=_frozen(np.concatenate(
-                [self.ub_indptr, self.ub_indptr[-1] + np.cumsum(lengths)]
-            ).astype(np.intp)),
-            ub_indices=_frozen(np.concatenate(
-                [self.ub_indices]
-                + [np.asarray(columns, dtype=np.intp) for columns, _, _ in rows]
-            )),
-            ub_data=_frozen(np.concatenate(
-                [self.ub_data]
-                + [np.asarray(coefs, dtype=float) for _, coefs, _ in rows]
-            )),
-            b_ub=_frozen(np.concatenate(
-                [self.b_ub, [float(rhs) for _, _, rhs in rows]]
-            )),
-            ub_names=self.ub_names + (None,) * len(rows),
-            _views=_ViewCache(),
-            _fingerprints={},
-        )
-
     def point_feasible(self, x: np.ndarray, tol: float = 1e-6) -> bool:
         """Cheap feasibility certificate: does ``x`` satisfy this model?
 
         Evaluates bounds and both row blocks through the cached sparse
-        views — no solver involved.  Branch & bound validates a warm
-        start with it before installing the point as its incumbent, LP
-        rounding (:mod:`repro.ilp.rounding`) checks its candidates, and
-        the solve executor checks every backend point with it.
+        views — no solver involved.  LP rounding
+        (:mod:`repro.ilp.rounding`) checks its candidates with it, and the
+        solve executor checks every backend point with it.
         """
         x = np.asarray(x, dtype=float)
         if x.shape != self.lb.shape or not np.all(np.isfinite(x)):

@@ -15,8 +15,9 @@ class ExpressionError(IlpError):
     """An algebraic operation on linear expressions is not representable.
 
     Raised for instance when two variables are multiplied together: the
-    modeling layer only represents *linear* expressions, and products of
-    decision variables must go through :mod:`repro.ilp.linearize`.
+    modeling layer only represents *linear* expressions, so a product of
+    decision variables must be written as linear rows over a new variable
+    (as :mod:`repro.core.families` does for the crossing indicators).
     """
 
 

@@ -9,8 +9,8 @@ The algebra intentionally mirrors what users of PuLP or python-mip expect::
 
 Only *linear* forms are representable.  Multiplying two expressions that
 both contain variables raises :class:`~repro.ilp.errors.ExpressionError`;
-products of binary variables are linearized explicitly via
-:mod:`repro.ilp.linearize`.
+a product of binary variables is written as linear rows over a new binary
+variable instead.
 """
 
 from __future__ import annotations
@@ -239,7 +239,7 @@ class LinExpr:
                 return self * other_expr.constant
             raise ExpressionError(
                 "product of two non-constant expressions is not linear; "
-                "use repro.ilp.linearize for binary products"
+                "write a binary product as linear rows over a new variable"
             )
         scale = float(other)
         return LinExpr(

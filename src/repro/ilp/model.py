@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from repro.ilp.compile import CompiledModel, compile_model
 from repro.ilp.errors import BackendNotAvailableError, ModelError
@@ -114,10 +114,6 @@ class Model:
         self._constraints.append(constraint)
         self._invalidate()
         return constraint
-
-    def add_constrs(self, constraints: Iterable[Constraint]) -> None:
-        for constraint in constraints:
-            self.add_constr(constraint)
 
     def remove_constr(self, name: str) -> Constraint:
         """Remove (and return) the first constraint named ``name``."""

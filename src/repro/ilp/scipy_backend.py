@@ -51,7 +51,15 @@ def _linear_constraints(form) -> list[optimize.LinearConstraint]:
 _HIGHS_NODE_LIMIT = "HiGHS Status 16:"
 
 
-def solve_with_highs(form, **options) -> Solution:
+def solve_with_highs(
+    form,
+    *,
+    first_feasible: bool = False,
+    time_limit: float | None = None,
+    node_limit: int | None = None,
+    mip_rel_gap: float | None = None,
+    tracer=None,
+) -> Solution:
     """Solve a MILP with scipy's HiGHS engine.
 
     Honors ``first_feasible`` by setting a HiGHS MIP gap so large that the
@@ -69,27 +77,21 @@ def solve_with_highs(form, **options) -> Solution:
     objective constant, so it is on the scale of ``objective``; it is
     ``None`` when scipy reports none (a timeout without an incumbent).
 
-    ``warm_start`` (a name -> value mapping) is accepted for interface
-    parity with :func:`repro.ilp.branch_and_bound.solve_with_bnb` but
-    ignored: :func:`scipy.optimize.milp` exposes no MIP-start hook.  It
-    *is* honored by the solve-error fallback, which re-dispatches to the
-    from-scratch branch & bound with the original options.  The window
-    executor (:class:`repro.solve.SolveExecutor`) passes a warm start to
-    no backend; it is an option of the ILP library alone.
+    ``tracer`` is used only by the solve-error fallback, which hands the
+    model to :func:`repro.ilp.branch_and_bound.solve_with_bnb` with the
+    limits above.
     """
     milp_options: dict = {}
-    time_limit = options.get("time_limit")
     if time_limit is not None:
         milp_options["time_limit"] = float(time_limit)
-    node_limit = options.get("node_limit")
     if node_limit is not None:
         milp_options["node_limit"] = int(node_limit)
-    if options.get("first_feasible"):
+    if first_feasible:
         # Accept any incumbent: a relative gap of 1e20 terminates HiGHS as
         # soon as a primal solution is known.
         milp_options["mip_rel_gap"] = 1e20
-    elif options.get("mip_rel_gap") is not None:
-        milp_options["mip_rel_gap"] = float(options["mip_rel_gap"])
+    elif mip_rel_gap is not None:
+        milp_options["mip_rel_gap"] = float(mip_rel_gap)
 
     def run(**extra):
         # A fresh options dict per call: milp pops ``node_limit`` out of
@@ -116,7 +118,13 @@ def solve_with_highs(form, **options) -> Solution:
         # (scipy's vendored HiGHS has rare MIP-transform failures).
         from repro.ilp.branch_and_bound import solve_with_bnb
 
-        return solve_with_bnb(form, **options)
+        return solve_with_bnb(
+            form,
+            first_feasible=first_feasible,
+            time_limit=time_limit,
+            node_limit=node_limit,
+            tracer=tracer,
+        )
 
     iterations = int(getattr(result, "mip_node_count", 0) or 0)
     if result.status == 0:
@@ -139,7 +147,7 @@ def solve_with_highs(form, **options) -> Solution:
     else:
         status = SolveStatus.ERROR
 
-    if options.get("first_feasible") and status is SolveStatus.OPTIMAL:
+    if first_feasible and status is SolveStatus.OPTIMAL:
         # With the huge gap the "optimum" is merely the first incumbent.
         status = SolveStatus.FEASIBLE
 

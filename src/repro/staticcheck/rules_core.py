@@ -38,7 +38,6 @@ _COMPILED_NAMES = frozenset({"compiled", "cm", "form"})
 #: compiled model regardless of what it is called.
 _COMPILED_PRODUCERS = frozenset({
     "compile_model", "with_b_ub", "with_b_eq", "truncate_ub_rows",
-    "with_ub_rows",
 })
 
 #: numpy ndarray methods that mutate in place.

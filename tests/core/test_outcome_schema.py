@@ -196,10 +196,11 @@ class TestLiveRoundTrip:
             assert any(r.bound is not None for r in back.trace)
 
     def test_a_packing_prune_round_trips(self, ar_graph):
-        # N=2 holds the graph on the whole device but not in two
-        # 400-unit slots: the executor prunes it by the packing bound.
+        # Two 485-unit slots hold the graph's 970 units of minimum area,
+        # so the range opens at N=2, but no split of its tasks fits:
+        # the executor prunes that window by the packing bound.
         live = TemporalPartitioner(
-            ReconfigurableProcessor(800, 256, 20.0),
+            ReconfigurableProcessor(970, 256, 20.0),
             PartitionerConfig(
                 formulation=FormulationOptions(scenario="slot_coresident"),
                 solver=SolverSettings(time_limit=10.0),

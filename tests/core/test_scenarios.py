@@ -39,7 +39,7 @@ from repro.ilp.status import Solution, SolveStatus
 from repro.service.wire import decode_config, encode_config
 from repro.solve import SolveExecutor
 from repro.solve.fingerprint import WINDOW_ROW_NAMES
-from repro.taskgraph import ar_filter
+from repro.taskgraph import GraphValidationError, ar_filter
 from repro.taskgraph.generators import fork_join_graph, layered_graph
 
 
@@ -335,6 +335,11 @@ class TestSlotCoresident:
         assert decoded.formulation.scenario_params == (("num_slots", 4.0),)
 
 
+def slot_device(processor):
+    """One partition's device under two slots."""
+    return get_scenario("slot_coresident").device(processor, slot_options())
+
+
 def slot_optimum(graph, processor, num_partitions):
     """The slot minimize-ILP optimum over ``<= num_partitions``
     partitions, and the partitions its design uses."""
@@ -432,10 +437,8 @@ class TestSlotDevice:
         processor = ReconfigurableProcessor(
             area_fraction * graph.total_max_area(), 4096, c_t
         )
-        device = get_scenario("slot_coresident").device(
-            processor, slot_options()
-        )
-        n_stop = bounds.partition_range(graph, processor, gamma=3).stop
+        device = slot_device(processor)
+        n_stop = bounds.partition_range(graph, device, gamma=3).stop
         optimum, used = slot_optimum(graph, processor, n_stop)
         tol = 1e-6
         # The window at the optimum's own partition count admits it...
@@ -462,7 +465,10 @@ class TestSlotDevice:
         outcome = TemporalPartitioner(processor, config).solve(
             PartitionRequest(graph=graph)
         )
-        n_stop = bounds.partition_range(graph, processor, gamma=3).stop
+        n_stop = outcome.partition_range.stop
+        assert n_stop == bounds.partition_range(
+            graph, slot_device(processor), gamma=3
+        ).stop
         optimum, _used = slot_optimum(graph, processor, n_stop)
         assert optimum == pytest.approx(expected, abs=0.05)
         assert outcome.total_latency == pytest.approx(optimum, abs=1e-6)
@@ -473,7 +479,8 @@ class TestSlotDevice:
     ):
         graph = make_graph()
         processor = ReconfigurableProcessor(r_max, 4096, c_t)
-        n_stop = bounds.partition_range(graph, processor, gamma=3).stop
+        device = slot_device(processor)
+        n_stop = bounds.partition_range(graph, device, gamma=3).stop
         optimum, _used = slot_optimum(graph, processor, n_stop)
         result = solve_optimal(
             graph, processor, [n_stop], options=slot_options()
@@ -481,10 +488,36 @@ class TestSlotDevice:
         assert result.proven_optimal
         assert result.latency == pytest.approx(optimum, abs=1e-6)
         assert result.latency == pytest.approx(expected, abs=0.05)
-        device = get_scenario("slot_coresident").device(
-            processor, slot_options()
-        )
         assert result.design.audit(device) == []
+
+    def test_default_search_explores_the_slot_range(self, ar_graph):
+        # On a 400-unit slot N_min^l is 3 and N_min^u is 4.  The whole
+        # device's range (2 only) stopped the search at 520 ns.
+        processor = ReconfigurableProcessor(800, 256, 20.0)
+        config = PartitionerConfig(
+            search=RefinementConfig(delta=5.0), formulation=slot_options()
+        )
+        outcome = TemporalPartitioner(processor, config).solve(
+            PartitionRequest(graph=ar_graph)
+        )
+        prange = outcome.partition_range
+        assert (prange.lower_bound, prange.upper_seed) == (3, 4)
+        assert {r.num_partitions for r in outcome.trace} == {3, 4}
+        assert outcome.total_latency == pytest.approx(470.0)
+        oracle = solve_optimal(
+            ar_graph, processor, [prange.stop], options=slot_options()
+        )
+        assert oracle.proven_optimal
+        assert outcome.total_latency == pytest.approx(oracle.latency)
+
+    def test_task_larger_than_a_slot_fails_validation(self, ar_graph):
+        # A 200-area task fits the 300-unit device but no 150-unit slot.
+        processor = ReconfigurableProcessor(300, 256, 20.0)
+        config = PartitionerConfig(formulation=slot_options())
+        with pytest.raises(GraphValidationError, match="capacity 150"):
+            TemporalPartitioner(processor, config).solve(
+                PartitionRequest(graph=ar_graph)
+            )
 
     def test_cp_backend_refuses_other_scenarios(self, ar_graph):
         # The backtracker knows only the paper's constraints on the whole

@@ -1,5 +1,7 @@
 """Tests for the solver backend registry."""
 
+import pytest
+from scipy import optimize
 
 from repro.ilp import (
     CompiledModel,
@@ -69,3 +71,42 @@ class TestRegistry:
         m.solve(backend="stub-compiled")
         assert isinstance(received[0], CompiledModel)
         assert received[0] is m.compile()
+
+
+def knapsack_model() -> Model:
+    m = Model()
+    x = m.add_binary("x")
+    y = m.add_binary("y")
+    m.add_constr(2 * x + 3 * y <= 4)
+    m.set_objective(-(x + 2 * y))
+    return m
+
+
+class TestBuiltinKeywords:
+    """The built-in adapters name every keyword they read: anything else
+    is a caller mistake and raises instead of being ignored."""
+
+    @pytest.mark.parametrize(
+        "option",
+        [{"warm_start": {"x": 1.0}}, {"root_cuts": 3}],
+        ids=["warm_start", "root_cuts"],
+    )
+    @pytest.mark.parametrize("backend", ["bnb", "highs"])
+    def test_unknown_keyword_raises(self, backend, option):
+        with pytest.raises(TypeError):
+            knapsack_model().solve(backend=backend, **option)
+
+    def test_highs_solve_error_falls_back_with_bnb_keywords(
+        self, monkeypatch
+    ):
+        # scipy status 4 ("solve error") twice: the adapter hands the
+        # model to the branch & bound, which takes no ``mip_rel_gap``.
+        failed = optimize.OptimizeResult(
+            status=4, message="Solve error", x=None
+        )
+        monkeypatch.setattr(optimize, "milp", lambda **kwargs: failed)
+        solution = knapsack_model().solve(
+            backend="highs", time_limit=5.0, node_limit=100, mip_rel_gap=0.1
+        )
+        assert solution.status is SolveStatus.OPTIMAL
+        assert solution.objective == -2.0

@@ -92,25 +92,6 @@ class TestIncrementalViews:
         with pytest.raises(ValueError):
             base.truncate_ub_rows(base.num_ub_rows + 1)
 
-    def test_with_ub_rows_appends_unnamed_rows(self):
-        base = compile_model(mixed_model())
-        dense_before = base.a_ub.copy()
-        grown = base.with_ub_rows(
-            [((0, 1), (1.0, 1.0), 4.0), ((2,), (-2.0,), 0.5)]
-        )
-        assert grown.num_ub_rows == base.num_ub_rows + 2
-        assert grown.ub_names == base.ub_names + (None, None)
-        assert grown.a_ub[-2:].tolist() == [[1, 1, 0], [0, 0, -2]]
-        assert grown.b_ub[-2:].tolist() == [4.0, 0.5]
-        assert np.array_equal(grown.a_ub_csr().toarray(), grown.a_ub)
-        # The parent and its view caches are untouched.
-        assert base.num_ub_rows == 2
-        assert np.array_equal(base.a_ub, dense_before)
-        assert base.a_ub_csr().shape == (2, 3)
-        assert grown.fingerprint() != base.fingerprint()
-        # Variables, bounds and the equality block are shared.
-        assert grown.lb is base.lb and grown.eq_data is base.eq_data
-
 
 class TestFingerprint:
     def test_stable_across_identical_builds(self):
@@ -226,12 +207,6 @@ class TestFrozenArrays:
         truncated = compiled.truncate_ub_rows(1)
         with pytest.raises(ValueError):
             truncated.b_ub[0] = 1.0  # repro-lint: ignore[RL001]
-
-    def test_cut_row_sibling_is_read_only_too(self):
-        compiled = compile_model(mixed_model())
-        grown = compiled.with_ub_rows([((0, 1), (1.0, 1.0), 1.0)])
-        for attr in ("ub_indptr", "ub_indices", "ub_data", "b_ub"):
-            assert not getattr(grown, attr).flags.writeable, attr
 
     def test_dense_views_are_read_only(self):
         compiled = compile_model(mixed_model())

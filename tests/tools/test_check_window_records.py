@@ -91,12 +91,12 @@ class TestCheckWindowRecords:
         assert "'<missing>' in the telemetry row" in err
 
     def test_a_packing_prune_is_in_both_views(self, tmp_path, ar_graph):
-        # Under slot_coresident N=2 is pruned: 970 units do not fit two
-        # 400-unit slots.
+        # Under slot_coresident N=2 is pruned: the 970 units fill two
+        # 485-unit slots exactly, but no split of the tasks does.
         jsonl, telemetry = traced_pair(
             tmp_path,
             ar_graph,
-            ReconfigurableProcessor(800, 256, 20.0),
+            ReconfigurableProcessor(970, 256, 20.0),
             FormulationOptions(scenario="slot_coresident"),
         )
         events = check_window_records.verdict_events(jsonl)
